@@ -224,6 +224,9 @@ def _estimation_config(cfg: dict, args, sigma: float) -> EstimationConfig:
     tau = getattr(args, "tau", None)
     if tau is None:
         tau = _get(cfg, "solver.tau")
+    max_iter = getattr(args, "max_iter", None)
+    if max_iter is None:
+        max_iter = _get(cfg, "solver.max_iter", 20000)
     gamma = float(_get(cfg, "solver.gamma", 1.5))
     if sigma > 0 and tau is None and gamma <= 1:
         raise InvalidInputError("solver.gamma must exceed 1 for the noise rule")
@@ -232,7 +235,7 @@ def _estimation_config(cfg: dict, args, sigma: float) -> EstimationConfig:
         sigma=sigma if sigma > 0 else None,
         gamma=gamma,
         rho=float(_get(cfg, "solver.rho", 1.0)),
-        max_iter=int(getattr(args, "max_iter", None) or _get(cfg, "solver.max_iter", 20000)),
+        max_iter=int(max_iter),
         tol_primal=float(_get(cfg, "solver.tol_primal", 1e-7)),
         tol_dual=float(_get(cfg, "solver.tol_dual", 1e-7)),
         grid_points=_get(cfg, "localization.grid_points"),

@@ -21,10 +21,7 @@ from .errors import (
 from .sampling import SelectionPattern, phase_unshift, selection_matrix
 from .signal_model import SpikeSpectrum
 from .solver import assemble_problem, solve
-from .trigops import dense_sup_norm, poly_eval
-
-_NEWTON_MAX_ITER = 50
-_NEWTON_TOL = 1e-12
+from .trigops import dense_sup_norm, poly_eval, refine_maxima
 
 
 @dataclass(frozen=True)
@@ -88,20 +85,6 @@ def dual_polynomial(c: np.ndarray, m_mat: np.ndarray) -> np.ndarray:
     return m_mat.conj().T @ c
 
 
-def _autocorrelation(q: np.ndarray) -> np.ndarray:
-    """r[d] = sum_k conj(q[k]) q[k+d]; |Q|^2 = r0 + 2 Re sum_d r_d z^d."""
-    n = q.size
-    return np.array([np.vdot(q[: n - d], q[d:]) for d in range(n)], dtype=complex)
-
-
-def _modulus_sq_derivs(r: np.ndarray, nu: float) -> tuple[float, float]:
-    d = np.arange(1, r.size)
-    w = r[1:] * np.exp(2j * np.pi * d * nu)
-    g1 = 2.0 * np.real(2j * np.pi * d @ w)
-    g2 = 2.0 * np.real((2j * np.pi * d) ** 2 @ w)
-    return float(g1), float(g2)
-
-
 def locate_frequencies(
     q: np.ndarray,
     f: float,
@@ -130,7 +113,6 @@ def locate_frequencies(
     if not 0 < peak_tol < 1:
         raise InvalidInputError("peak_tol must be in (0, 1)")
 
-    r = _autocorrelation(q)
     nu_grid = np.arange(grid_points) / grid_points
     g = np.abs(poly_eval(q, nu_grid)) ** 2
     threshold = (1.0 - peak_tol) ** 2
@@ -142,35 +124,14 @@ def locate_frequencies(
             "identifiable from it"
         )
     is_peak = above & (g >= np.roll(g, 1)) & (g >= np.roll(g, -1))
-    candidates = np.flatnonzero(is_peak)
-
     step = 1.0 / grid_points
-    refined, ok_flags = [], []
-    for idx in candidates:
-        nu0 = nu_grid[idx]
-        nu, ok = nu0, False
-        for _ in range(_NEWTON_MAX_ITER):
-            g1, g2 = _modulus_sq_derivs(r, nu)
-            if g2 >= 0 or not np.isfinite(g1) or not np.isfinite(g2):
-                break
-            delta = g1 / g2
-            nu_next = nu - delta
-            if abs(nu_next - nu0) > step:  # left the grid cell: diverging
-                break
-            nu = nu_next
-            if abs(delta) < _NEWTON_TOL:
-                ok = True
-                break
-        if not ok:
-            nu = nu0
-        refined.append(nu % 1.0)
-        ok_flags.append(ok)
+    refined, ok_flags = refine_maxima(q, nu_grid[is_peak], step)
 
     # Merge refinements that collapsed onto the same maximum.
     merged: list[float] = []
     merged_ok: list[bool] = []
     radius = 0.25 * step
-    for nu, ok in sorted(zip(refined, ok_flags)):
+    for nu, ok in sorted(zip(refined.tolist(), ok_flags.tolist())):
         dist = min(abs(nu - merged[-1]), 1.0 - abs(nu - merged[-1])) if merged else np.inf
         if merged and dist < radius:
             merged_ok[-1] = merged_ok[-1] or ok

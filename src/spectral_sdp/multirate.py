@@ -128,14 +128,12 @@ def observation_set(
     return pattern, tuple(tuple(groups[q]) for q in indices)
 
 
-def common_grid(system: MultirateSystem) -> CommonGrid | None:
+def common_grid(system: MultirateSystem) -> CommonGrid:
     """Compute the minimal common supporting grid of a system.
 
     The construction takes the rational lcm of the rates, then the
     smallest integer magnification making all scaled delays differ by
-    integers. For exact rational inputs both steps always succeed, so the
-    result is never ``None``; the optional return type is kept for
-    interface stability with approximate front ends.
+    integers. For exact rational inputs both steps always succeed.
     """
     rates = [g.f for g in system.grids]
     f_base = _rational_lcm(rates)

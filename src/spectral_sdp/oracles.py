@@ -106,15 +106,24 @@ def brute_force_partition(pattern: SelectionPattern) -> PartitionStructure:
     m = pattern.m
     c = np.zeros((m, n))
     c[np.arange(m), list(pattern.indices)] = 1.0
-    blocks: dict[int, list[tuple[int, int]]] = {}
+    lags, rows, cols = [], [], []
     for k in range(n):
         theta = np.eye(n, k=k)
         m_k = c @ theta @ c.T
-        rows, cols = np.nonzero(m_k > 0.5)
-        if rows.size:
-            blocks[k] = [(int(i) + 1, int(j) + 1) for i, j in zip(rows, cols)]
+        i, j = np.nonzero(m_k > 0.5)
+        if i.size:
+            lags.append(k)
+            rows.append(i)
+            cols.append(j)
+    sizes = np.array([r.size for r in rows])
     return PartitionStructure(
-        positive_lags=tuple(sorted(blocks)), blocks=blocks, m=m, ambient=n
+        positive_lags=tuple(lags),
+        rows=np.concatenate(rows),
+        cols=np.concatenate(cols),
+        starts=np.cumsum(sizes) - sizes,
+        sizes=sizes,
+        m=m,
+        ambient=n,
     )
 
 

@@ -9,7 +9,10 @@ every block index downstream relies on that choice.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,24 +43,48 @@ class SelectionPattern:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionStructure:
     """Partition of the index square induced by a selection pattern.
 
-    ``blocks[k]`` lists the (row, col) positions, 1-based as matrix
-    positions, whose selected-index difference equals the lag ``k``.
-    Together the blocks cover each unordered pair exactly once (diagonal
-    included), so their sizes sum to m(m+1)/2.
+    The pairs (i, j), i <= j, of 0-based matrix positions are stored in the
+    flat arrays ``rows`` and ``cols``, grouped by the lag ``I[j] - I[i]``
+    in ascending order and by ascending row inside a group. Group ``g``
+    has lag ``positive_lags[g]`` and occupies ``starts[g]`` onward for
+    ``sizes[g]`` entries. The groups cover each unordered pair exactly
+    once, diagonal included, so there are m(m+1)/2 entries. Lag 0 is the
+    diagonal and comes first; every later entry is off-diagonal.
     """
 
     positive_lags: tuple
-    blocks: dict
+    rows: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
     m: int
     ambient: int
 
     @property
     def p(self) -> int:
         return len(self.positive_lags)
+
+    @cached_property
+    def blocks(self) -> Mapping[int, list]:
+        """Read-only ``{lag: [(row, col), ...]}`` with 1-based positions."""
+        pairs = list(zip((self.rows + 1).tolist(), (self.cols + 1).tolist()))
+        groups = zip(self.positive_lags, self.starts.tolist(), self.sizes.tolist())
+        return MappingProxyType({k: pairs[s : s + n] for k, s, n in groups})
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """Right-hand sides of the block-sum equations: 1 at lag 0, else 0."""
+        out = np.zeros(self.p, dtype=complex)
+        out[0] = 1.0
+        return out
+
+    def block_sums(self, s: np.ndarray) -> np.ndarray:
+        """Sum of ``s`` over each group, in the order of ``positive_lags``."""
+        return np.add.reduceat(s[self.rows, self.cols], self.starts)
 
 
 def selection_matrix(pattern: SelectionPattern) -> np.ndarray:
@@ -101,18 +128,23 @@ def compute_partition(pattern: SelectionPattern) -> PartitionStructure:
     """Group the pairs (i, j) of kept indices by their difference I[j] - I[i].
 
     Only nonnegative differences are kept (lag 0 is the diagonal), so each
-    off-diagonal unordered pair appears in exactly one orientation.
+    off-diagonal unordered pair appears in exactly one orientation. A
+    stable sort of the row-major upper triangle keeps rows ascending
+    inside each lag.
     """
-    idx = pattern.indices
-    m = len(idx)
-    blocks: dict[int, list[tuple[int, int]]] = {}
-    for i in range(m):
-        for j in range(i, m):
-            k = idx[j] - idx[i]
-            blocks.setdefault(k, []).append((i + 1, j + 1))
-    lags = tuple(sorted(blocks))
+    idx = np.asarray(pattern.indices)
+    rows, cols = np.triu_indices(idx.size)
+    lags = idx[cols] - idx[rows]
+    order = np.argsort(lags, kind="stable")
+    lags, starts, sizes = np.unique(lags[order], return_index=True, return_counts=True)
     return PartitionStructure(
-        positive_lags=lags, blocks=blocks, m=m, ambient=pattern.ambient
+        positive_lags=tuple(lags.tolist()),
+        rows=rows[order],
+        cols=cols[order],
+        starts=starts,
+        sizes=sizes,
+        m=idx.size,
+        ambient=pattern.ambient,
     )
 
 

@@ -66,6 +66,10 @@ class ProblemSpec:
             raise InvalidInputError("tau must be nonnegative")
         if self.rho <= 0:
             raise InvalidInputError("rho must be positive")
+        if self.max_iter < 1:
+            raise InvalidInputError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.tol_primal < 0 or self.tol_dual < 0:
+            raise InvalidInputError("tolerances must be nonnegative")
         object.__setattr__(self, "y", y)
 
     @property
@@ -93,36 +97,6 @@ class SolveReport:
     iterations: int
     final_residuals: tuple
     converged: bool
-
-
-class _CompiledPartition:
-    """Flat index arrays for vectorized per-block updates."""
-
-    def __init__(self, partition: PartitionStructure):
-        rows, cols, sizes = [], [], []
-        for k in partition.positive_lags:
-            pairs = partition.blocks[k]
-            sizes.append(len(pairs))
-            for i, j in pairs:
-                rows.append(i - 1)
-                cols.append(j - 1)
-        self.rows = np.array(rows, dtype=np.intp)
-        self.cols = np.array(cols, dtype=np.intp)
-        self.sizes = np.array(sizes, dtype=np.intp)
-        self.starts = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
-        self.delta = np.array(
-            [1.0 if k == 0 else 0.0 for k in partition.positive_lags], dtype=complex
-        )
-        off = self.rows != self.cols
-        self.off_rows = self.rows[off]
-        self.off_cols = self.cols[off]
-
-    def block_sums(self, s: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(s[self.rows, self.cols], self.starts)
-
-
-def _compiled(spec: ProblemSpec, compiled: _CompiledPartition | None) -> _CompiledPartition:
-    return compiled if compiled is not None else _CompiledPartition(spec.partition)
 
 
 def bordered_matrix(s: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -160,9 +134,7 @@ def update_c(state: AdmmState, spec: ProblemSpec) -> np.ndarray:
     return (spec.y.conj() + 2.0 * spec.rho * z + 2.0 * lam) / (2.0 * spec.rho + spec.tau)
 
 
-def update_S_blocks(
-    state: AdmmState, spec: ProblemSpec, compiled: _CompiledPartition | None = None
-) -> np.ndarray:
+def update_S_blocks(state: AdmmState, spec: ProblemSpec) -> np.ndarray:
     """Exact minimizer of every block Lagrangian, then Hermitian mirror.
 
     Per block: with ``a = (Z0 + Lambda0/rho)`` on the block and
@@ -170,17 +142,18 @@ def update_S_blocks(
     shifts every entry by the same amount, giving
     ``S = a - (sum(a) - b) / (|J_k| + 1)``.
     """
-    cp = _compiled(spec, compiled)
+    part = spec.partition
     m = spec.m
     a_mat = state.Z[:m, :m] + state.Lambda[:m, :m] / spec.rho
-    a = a_mat[cp.rows, cp.cols]
-    sums = np.add.reduceat(a, cp.starts)
-    b = cp.delta - state.mu / spec.rho
-    shift = (sums - b) / (cp.sizes + 1)
-    s_flat = a - np.repeat(shift, cp.sizes)
+    a = a_mat[part.rows, part.cols]
+    sums = np.add.reduceat(a, part.starts)
+    b = part.delta - state.mu / spec.rho
+    shift = (sums - b) / (part.sizes + 1)
+    s_flat = a - np.repeat(shift, part.sizes)
     s = np.zeros((m, m), dtype=complex)
-    s[cp.rows, cp.cols] = s_flat
-    s[cp.off_cols, cp.off_rows] = s[cp.off_rows, cp.off_cols].conj()
+    s[part.rows, part.cols] = s_flat
+    off_rows, off_cols = part.rows[m:], part.cols[m:]  # past the diagonal group
+    s[off_cols, off_rows] = s[off_rows, off_cols].conj()
     return s
 
 
@@ -200,24 +173,37 @@ def psd_project(y_mat: np.ndarray) -> np.ndarray:
 
 
 def update_multipliers(
-    state: AdmmState, spec: ProblemSpec, compiled: _CompiledPartition | None = None
+    state: AdmmState,
+    spec: ProblemSpec,
+    b: np.ndarray | None = None,
+    sums: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient-ascent steps on both multiplier groups."""
-    cp = _compiled(spec, compiled)
-    b = bordered_matrix(state.S, state.c)
+    """Gradient-ascent steps on both multiplier groups.
+
+    ``b`` is the bordered matrix of ``(S, c)`` and ``sums`` the block sums
+    of ``S``; both are computed from ``state`` when not given.
+    """
+    b = bordered_matrix(state.S, state.c) if b is None else b
+    sums = spec.partition.block_sums(state.S) if sums is None else sums
     lam = state.Lambda + spec.rho * (state.Z - b)
-    mu = state.mu + spec.rho * (cp.block_sums(state.S) - cp.delta)
+    mu = state.mu + spec.rho * (sums - spec.partition.delta)
     return lam, mu
 
 
 def residuals(
-    state: AdmmState, spec: ProblemSpec, compiled: _CompiledPartition | None = None
+    state: AdmmState,
+    spec: ProblemSpec,
+    b: np.ndarray | None = None,
+    sums: np.ndarray | None = None,
 ) -> tuple[float, float, float]:
-    """(primal, constraint, dual) residuals of the current iterate."""
-    cp = _compiled(spec, compiled)
-    b = bordered_matrix(state.S, state.c)
+    """(primal, constraint, dual) residuals of the current iterate.
+
+    ``b`` and ``sums`` are as in :func:`update_multipliers`.
+    """
+    b = bordered_matrix(state.S, state.c) if b is None else b
+    sums = spec.partition.block_sums(state.S) if sums is None else sums
     primal = float(np.linalg.norm(state.Z - b))
-    constraint = float(np.max(np.abs(cp.block_sums(state.S) - cp.delta)))
+    constraint = float(np.max(np.abs(sums - spec.partition.delta)))
     if state.z_prev is None:
         dual = 0.0
     else:
@@ -240,29 +226,22 @@ def solve(spec: ProblemSpec, progress=None, progress_every: int = 100) -> SolveR
     given, is called as ``progress(iteration, (primal, constraint, dual))``
     every ``progress_every`` iterations.
     """
-    cp = _CompiledPartition(spec.partition)
     state = init_state(spec)
-    last = (np.inf, np.inf, np.inf)
     converged = False
-    it = 0
     for it in range(1, spec.max_iter + 1):
         state.c = update_c(state, spec)
-        state.S = update_S_blocks(state, spec, cp)
+        state.S = update_S_blocks(state, spec)
         b = bordered_matrix(state.S, state.c)
+        sums = spec.partition.block_sums(state.S)
         state.z_prev = state.Z
         state.Z = psd_project(b - state.Lambda / spec.rho)
-        state.Lambda = state.Lambda + spec.rho * (state.Z - b)
-        sums = cp.block_sums(state.S)
-        state.mu = state.mu + spec.rho * (sums - cp.delta)
-
-        primal = float(np.linalg.norm(state.Z - b))
-        constraint = float(np.max(np.abs(sums - cp.delta)))
-        dual = float(spec.rho * np.linalg.norm(state.Z - state.z_prev))
-        last = (primal, constraint, dual)
+        state.Lambda, state.mu = update_multipliers(state, spec, b, sums)
+        last = residuals(state, spec, b, sums)
         if not all(np.isfinite(last)):
             raise NumericalError(f"non-finite residuals at iteration {it}: {last}")
         if progress is not None and it % progress_every == 0:
             progress(it, last)
+        primal, constraint, dual = last
         if primal < spec.tol_primal and constraint < spec.tol_primal and dual < spec.tol_dual:
             converged = True
             break

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidInputError, NumericalError
 
 _REAL_TOL = 1e-12
+_NEWTON_MAX_ITER = 50
+_NEWTON_TOL = 1e-12
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -129,32 +131,51 @@ def gram_eval(g: np.ndarray, nu: float) -> float:
     return value.real
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    return x, fun(x)
+def refine_maxima(q: np.ndarray, nu0, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Newton ascent on ``|Q(e^{i 2 pi nu})|^2`` from each start in ``nu0``.
+
+    ``|Q|^2 = r_0 + 2 Re sum_d r_d e^{i 2 pi nu d}`` with the
+    autocorrelation ``r[d] = sum_k conj(q[k]) q[k+d]``, so both
+    derivatives are analytic. A start succeeds when a Newton step falls
+    below 1e-12 within 50 iterations. It fails, and keeps its start
+    value, when the curvature is not negative or the iterate leaves
+    ``[nu0 - step, nu0 + step]`` (it diverged from the grid cell).
+
+    Returns the refined points reduced modulo 1 and the success flags.
+    """
+    q = np.asarray(q, dtype=complex)
+    n = q.size
+    r = np.array([np.vdot(q[: n - d], q[d:]) for d in range(1, n)], dtype=complex)
+    d1 = 2j * np.pi * np.arange(1, n)
+    d2 = d1**2
+    refined, ok_flags = [], []
+    for start in np.asarray(nu0, dtype=float):
+        nu, ok = start, False
+        for _ in range(_NEWTON_MAX_ITER):
+            w = r * np.exp(d1 * nu)
+            g1 = float(2.0 * np.real(d1 @ w))
+            g2 = float(2.0 * np.real(d2 @ w))
+            if g2 >= 0 or not np.isfinite(g1) or not np.isfinite(g2):
+                break
+            delta = g1 / g2
+            nu_next = nu - delta
+            if abs(nu_next - start) > step:
+                break
+            nu = nu_next
+            if abs(delta) < _NEWTON_TOL:
+                ok = True
+                break
+        refined.append(nu if ok else start)
+        ok_flags.append(ok)
+    return np.array(refined, dtype=float) % 1.0, np.array(ok_flags, dtype=bool)
 
 
 def dense_sup_norm(q: np.ndarray, grid_points: int) -> float:
     """Max of ``|Q(e^{i 2 pi nu})|`` over [0, 1), grid plus local refinement.
 
-    The grid must hold at least 4 points per coefficient; each grid-local
-    maximum near the top is refined by golden-section search (tolerance
-    1e-10 in nu) and the best value is returned.
+    The grid must hold at least 4 points per coefficient; the grid-local
+    maxima near the top are refined by :func:`refine_maxima` and the best
+    value is returned.
     """
     q = np.asarray(q, dtype=complex)
     n = q.size
@@ -164,7 +185,6 @@ def dense_sup_norm(q: np.ndarray, grid_points: int) -> float:
         )
     nu = np.arange(grid_points) / grid_points
     mags = np.abs(poly_eval(q, nu))
-    best = float(mags.max())
 
     # Local maxima on the circular grid near the global grid max; refining a
     # handful of candidates guards against the grid argmax sitting on the
@@ -175,10 +195,5 @@ def dense_sup_norm(q: np.ndarray, grid_points: int) -> float:
     order = np.argsort(mags[local_max])[::-1]
     candidates = local_max[order][:5]
 
-    step = 1.0 / grid_points
-    fun = lambda x: float(abs(poly_eval(q, x % 1.0)))
-    for idx in candidates:
-        center = nu[idx]
-        _, val = _golden_max(fun, center - step, center + step)
-        best = max(best, val)
-    return best
+    peaks, _ = refine_maxima(q, nu[candidates], 1.0 / grid_points)
+    return max(float(mags.max()), float(np.abs(poly_eval(q, peaks)).max()))

@@ -161,6 +161,12 @@ class TestEstimate:
         assert record["diagnostics"]["converged"] is False
         assert record["diagnostics"]["reliable"] is False
 
+    def test_zero_max_iter_flag_exits_one_without_outputs(self, tmp_path):
+        cfg_path, _ = _full_config(tmp_path, n=16)
+        main(["synth", "--config", cfg_path])
+        assert main(["estimate", "--config", cfg_path, "--max-iter", "0"]) == 1
+        assert not os.path.exists(tmp_path / "out" / "run_result.json")
+
     def test_noise_rule_sets_tau(self, tmp_path):
         cfg_path, _ = _full_config(tmp_path, n=32, sigma=0.05)
         main(["synth", "--config", cfg_path])

@@ -98,6 +98,8 @@ class TestComputePartition:
             assert part.positive_lags == oracle.positive_lags
             for k in part.positive_lags:
                 assert sorted(part.blocks[k]) == sorted(oracle.blocks[k])
+            for name in ("rows", "cols", "starts", "sizes"):
+                assert np.array_equal(getattr(part, name), getattr(oracle, name)), name
             m = pat.m
             seen = {}
             for k, pairs in part.blocks.items():

@@ -301,7 +301,8 @@ class TestSolve:
             state.Lambda, state.mu = update_multipliers(state, prob)
         report = solve(prob)
         assert report.iterations == 60 and not report.converged
-        assert np.allclose(report.c_star, state.c, atol=1e-12)
+        assert np.array_equal(report.c_star, state.c)
+        assert np.array_equal(report.S_star, state.S)
 
     def test_residuals_trend_downward(self):
         rng = np.random.default_rng(12)
@@ -319,6 +320,13 @@ class TestSolve:
         spec = _spec_for(_full_pattern(8), y=np.ones(8), max_iter=5)
         report = solve(spec)
         assert not report.converged and report.iterations == 5
+
+    @pytest.mark.parametrize(
+        "knob", [{"max_iter": 0}, {"max_iter": -3}, {"tol_primal": -1e-9}, {"tol_dual": -1.0}]
+    )
+    def test_rejects_empty_budget_and_negative_tolerances(self, knob):
+        with pytest.raises(InvalidInputError):
+            _spec_for(_full_pattern(4), **knob)
 
     def test_overflow_raises_numerical_error(self):
         spec = _spec_for(SelectionPattern(indices=(0,), ambient=2), y=[1e200])
