@@ -49,7 +49,7 @@ from .signal_model import (
     synthesize_uniform,
 )
 from .solver import ProblemSpec, solve
-from .trigops import poly_eval
+from .trigops import grid_modulus, grid_size
 
 SCHEMA_VERSION = 1
 ENV_SEED = "SPECTRAL_SDP_SEED"
@@ -220,27 +220,34 @@ def _pattern_from_config(cfg: dict, seed: int) -> SelectionPattern:
     raise InvalidInputError(f"no selection pattern for scenario {scenario!r}")
 
 
+# (config section, EstimationConfig field, type)
+_CONFIG_FIELDS = (
+    ("solver", "tau", float),
+    ("solver", "gamma", float),
+    ("solver", "rho", float),
+    ("solver", "max_iter", int),
+    ("solver", "tol_primal", float),
+    ("solver", "tol_dual", float),
+    ("localization", "peak_tol", float),
+)
+
+
 def _estimation_config(cfg: dict, args, sigma: float) -> EstimationConfig:
-    tau = getattr(args, "tau", None)
-    if tau is None:
-        tau = _get(cfg, "solver.tau")
-    max_iter = getattr(args, "max_iter", None)
-    if max_iter is None:
-        max_iter = _get(cfg, "solver.max_iter", 20000)
-    gamma = float(_get(cfg, "solver.gamma", 1.5))
-    if sigma > 0 and tau is None and gamma <= 1:
+    """Only the fields the config or a flag of the same name sets (the flag
+    wins); ``EstimationConfig`` holds the defaults of the rest."""
+    fields = {}
+    for section, name, cast in _CONFIG_FIELDS:
+        value = getattr(args, name, None)
+        if value is None:
+            value = _get(cfg, f"{section}.{name}")
+        if value is not None:
+            fields[name] = cast(value)
+    if sigma > 0:
+        fields["sigma"] = sigma
+    est_cfg = EstimationConfig(**fields)
+    if sigma > 0 and est_cfg.tau is None and est_cfg.gamma <= 1:
         raise InvalidInputError("solver.gamma must exceed 1 for the noise rule")
-    return EstimationConfig(
-        tau=None if tau is None else float(tau),
-        sigma=sigma if sigma > 0 else None,
-        gamma=gamma,
-        rho=float(_get(cfg, "solver.rho", 1.0)),
-        max_iter=int(max_iter),
-        tol_primal=float(_get(cfg, "solver.tol_primal", 1e-7)),
-        tol_dual=float(_get(cfg, "solver.tol_dual", 1e-7)),
-        grid_points=_get(cfg, "localization.grid_points"),
-        peak_tol=float(_get(cfg, "localization.peak_tol", 1e-3)),
-    )
+    return est_cfg
 
 
 # ---------- synthesis ----------
@@ -378,9 +385,11 @@ def cmd_check_grid(args) -> int:
 
 # ---------- estimation ----------
 
-def _dual_poly_tsv(q: np.ndarray, points: int = 4096) -> str:
+def _dual_poly_tsv(q: np.ndarray) -> str:
+    """``|Q|`` on the grid localization reads it on."""
+    points = grid_size(q.size)
     nu = np.arange(points) / points
-    mags = np.abs(poly_eval(q, nu))
+    mags = grid_modulus(q, points)
     lines = ["nu\tabs_q"] + [
         f"{float(x)!r}\t{float(v)!r}" for x, v in zip(nu, mags)
     ]

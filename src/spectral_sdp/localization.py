@@ -21,11 +21,19 @@ from .errors import (
 from .sampling import SelectionPattern, phase_unshift, selection_matrix
 from .signal_model import SpikeSpectrum
 from .solver import assemble_problem, solve
-from .trigops import dense_sup_norm, poly_eval, refine_maxima
+from .trigops import dense_sup_norm, grid_modulus, grid_size, poly_eval, refine_maxima
 
 
 @dataclass(frozen=True)
 class EstimateDiagnostics:
+    """How an estimate was obtained and how far it can be trusted.
+
+    The solve ran on a uniform frame at ``solve_rate_hz``: frame index
+    ``k`` sits at time ``k / solve_rate_hz - time_shift_s`` of the
+    original acquisition, so ``dual_poly`` certifies the spectrum whose
+    amplitudes are rotated by ``e^{-i 2 pi xi time_shift_s}``.
+    """
+
     peak_moduli: np.ndarray
     residual: float
     sup_norm: float
@@ -94,6 +102,8 @@ def locate_frequencies(
 ) -> PeakSet:
     """Find the reduced frequencies where ``|Q|`` peaks near 1.
 
+    ``|Q|`` is read on a uniform grid of ``grid_points`` points (default
+    :func:`~spectral_sdp.trigops.grid_size`, at least 8 per coefficient).
     Grid local maxima of ``|Q|^2`` above ``(1 - peak_tol)^2`` are refined
     by Newton iterations on the analytic derivative; a peak falling back
     to its grid value (Newton left the bracket or stalled) is flagged.
@@ -107,14 +117,13 @@ def locate_frequencies(
     q = np.asarray(q, dtype=complex)
     n = q.size
     if grid_points is None:
-        grid_points = max(8 * n, 4096)
+        grid_points = grid_size(n)
     if grid_points < 8 * n:
         raise InvalidInputError(f"grid too coarse: need at least {8 * n} points")
     if not 0 < peak_tol < 1:
         raise InvalidInputError("peak_tol must be in (0, 1)")
 
-    nu_grid = np.arange(grid_points) / grid_points
-    g = np.abs(poly_eval(q, nu_grid)) ** 2
+    g = grid_modulus(q, grid_points) ** 2
     threshold = (1.0 - peak_tol) ** 2
 
     above = g >= threshold
@@ -125,7 +134,7 @@ def locate_frequencies(
         )
     is_peak = above & (g >= np.roll(g, 1)) & (g >= np.roll(g, -1))
     step = 1.0 / grid_points
-    refined, ok_flags = refine_maxima(q, nu_grid[is_peak], step)
+    refined, ok_flags = refine_maxima(q, np.flatnonzero(is_peak) / grid_points, step)
 
     # Merge refinements that collapsed onto the same maximum.
     merged: list[float] = []
@@ -207,7 +216,6 @@ def verify_certificate(
     spec: SpikeSpectrum,
     f: float,
     tol: float = 1e-3,
-    grid_points: int | None = None,
 ) -> CertificateReport:
     """Check the two defining properties of a dual certificate.
 
@@ -223,19 +231,19 @@ def verify_certificate(
     """
     q = np.asarray(q, dtype=complex)
     n = q.size
-    if grid_points is None:
-        grid_points = max(64 * n, 4096)
+    # Denser than the localization grid: the grid maximum is not refined.
+    points = max(64 * n, 4096)
     reduced = np.mod(spec.freqs / f, 1.0)
     targets = np.conj(spec.amps / np.abs(spec.amps))
     values = np.asarray(poly_eval(q, reduced), dtype=complex)
     interp_errors = np.abs(values - targets)
 
-    nu = np.arange(grid_points) / grid_points
+    nu = np.arange(points) / points
     dist = np.min(
         np.abs((nu[:, None] - reduced[None, :] + 0.5) % 1.0 - 0.5), axis=1
     )
     keep = dist > 1.0 / (8 * n)
-    sup_off = float(np.max(np.abs(poly_eval(q, nu[keep])))) if keep.any() else 0.0
+    sup_off = float(np.max(grid_modulus(q, points)[keep])) if keep.any() else 0.0
     margin = 1.0 - sup_off
     return CertificateReport(
         is_certificate=bool(np.all(interp_errors <= tol) and margin > 0),
@@ -256,7 +264,6 @@ class EstimationConfig:
     max_iter: int = 20000
     tol_primal: float = 1e-7
     tol_dual: float = 1e-7
-    grid_points: int | None = None
     peak_tol: float = 1e-3
     auto_normalize: bool = True
     progress: object = None
@@ -280,15 +287,10 @@ def _estimate_on_pattern(
     report = solve(spec, progress=config.progress)
     m_used = selection_matrix(used)
     q = dual_polynomial(report.c_star, m_used)
-    n = used.ambient
-    sup = dense_sup_norm(q, max(8 * n, 4096))
+    sup = dense_sup_norm(q, grid_size(used.ambient))
     try:
         peaks = locate_frequencies(
-            q,
-            f,
-            grid_points=config.grid_points,
-            peak_tol=config.peak_tol,
-            max_peaks=used.m,
+            q, f, peak_tol=config.peak_tol, max_peaks=used.m
         )
     except LocalizationError:
         if report.converged:
@@ -311,7 +313,7 @@ def _estimate_on_pattern(
         reliable=bool(report.converged and peaks.newton_ok.all()),
         newton_fallbacks=int((~peaks.newton_ok).sum()),
         solve_rate_hz=f,
-        time_shift_s=k0 / f,
+        time_shift_s=-k0 / f,
         tau=spec.tau,
         dual_objective=report.dual_objective,
     )

@@ -210,6 +210,29 @@ class TestVerify:
         assert code == 0
         assert "certificate: True" in capsys.readouterr().out
 
+    def test_shifted_selection_certificate(self, tmp_path, capsys):
+        # The pattern misses index 0, so the solve runs on indices shifted
+        # down by 3; the recorded time shift must put the truth in that frame.
+        cfg_path, cfg = _full_config(tmp_path, n=24)
+        cfg["scenario"] = "selection"
+        cfg["sampling"]["indices"] = list(range(3, 24))
+        _write_config(cfg_path, cfg)
+        main(["synth", "--config", cfg_path])
+        assert main(["estimate", "--config", cfg_path]) == 0
+        record = json.loads(_read(tmp_path / "out" / "run_result.json"))
+        assert record["frame"]["time_shift_s"] == -3.0
+        code = main(
+            [
+                "verify",
+                "--result",
+                str(tmp_path / "out" / "run_result.json"),
+                "--truth",
+                str(tmp_path / "out" / "run_truth.json"),
+            ]
+        )
+        assert code == 0
+        assert "certificate: True" in capsys.readouterr().out
+
 
 class TestBench:
     def test_small_sweep_writes_csv(self, tmp_path):

@@ -1,5 +1,7 @@
 """Dual polynomial to spectrum estimate: peaks, amplitudes, certificates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from spectral_sdp import (
     verify_certificate,
 )
 from spectral_sdp.errors import DimensionMismatchError
+from spectral_sdp.trigops import dense_sup_norm, grid_size
 
 from conftest import random_complex, random_spike_spectrum
 
@@ -91,6 +94,24 @@ class TestLocateFrequencies:
             locate_frequencies(q, 1.0, max_peaks=3)
         out = locate_frequencies(q, 1.0)
         assert out.freqs_hz.size == n - 1
+
+    def test_peak_between_coarse_grid_points_found_in_bounded_memory(self):
+        # A unit Dirichlet peak half a cell off the 8n grid samples to about
+        # 0.994 there, below the 0.999 threshold; the default grid keeps it.
+        n = 2048
+        nu0 = 1000.5 / (8 * n)
+        q = np.exp(-2j * np.pi * nu0 * np.arange(n)) / n
+        tracemalloc.start()
+        try:
+            out = locate_frequencies(q, 1.0)
+            sup = dense_sup_norm(q, grid_size(n))
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.freqs_hz.size == 1
+        assert abs(out.freqs_hz[0] - nu0) < 1e-12
+        assert abs(sup - 1.0) < 1e-12
+        assert peak_bytes < 16 * 2**20
 
     def test_grid_too_coarse_rejected(self):
         with pytest.raises(InvalidInputError):

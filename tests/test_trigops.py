@@ -18,6 +18,7 @@ from spectral_sdp import (
 )
 from spectral_sdp.errors import DimensionMismatchError
 from spectral_sdp.oracles import brute_force_sup_norm
+from spectral_sdp.trigops import grid_modulus
 
 from conftest import random_complex, random_hermitian
 
@@ -172,6 +173,23 @@ class TestPolyEval:
         rng = np.random.default_rng(6)
         q = random_complex(rng, 9)
         assert np.isclose(poly_eval(q, 0.0), q.sum())
+
+
+class TestGridModulus:
+    @pytest.mark.parametrize("points", [13, 100, 64 * 13])
+    def test_matches_poly_eval_on_the_grid(self, points):
+        # As many points as coefficients, a size that is not a power of
+        # two, and a grid far denser than the coefficients.
+        rng = np.random.default_rng(11)
+        q = random_complex(rng, 13)
+        dense = np.abs(poly_eval(q, np.arange(points) / points))
+        fast = grid_modulus(q, points)
+        assert fast.shape == (points,)
+        assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(dense)
+
+    def test_rejects_fewer_points_than_coefficients(self):
+        with pytest.raises(InvalidInputError):
+            grid_modulus(np.ones(8), 7)
 
 
 class TestGramEval:
