@@ -41,17 +41,13 @@ from .multirate import (
     complexity_report,
     observation_set,
     random_bound_report,
-    unshift_spectrum,
 )
 from .sampling import (
     PartitionStructure,
     SelectionPattern,
-    apply_subsampling,
     compute_partition,
-    is_admissible_general,
     is_admissible_selection,
     normalize_to_admissible,
-    phase_unshift,
     random_selection,
     selection_matrix,
 )
@@ -77,15 +73,6 @@ from .solver import (
     update_c,
     update_multipliers,
 )
-from .trigops import (
-    dense_sup_norm,
-    gram_eval,
-    hermitian_part,
-    poly_eval,
-    r_op,
-    r_op_adjoint,
-    toeplitz_adjoint,
-    toeplitz_from_vector,
-)
+from .trigops import dense_sup_norm, hermitian_part, poly_eval
 
 __version__ = "0.1.0"

@@ -69,6 +69,15 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _parse(cast, value, what: str):
+    """``cast(value)`` for a value read from outside; a malformed one is an
+    input error naming ``what`` (a file and line, or a field)."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidInputError(f"{what}: cannot parse {value!r}") from exc
+
+
 def _write_samples_csv(path: str, y: np.ndarray) -> None:
     lines = ["index,re,im"]
     lines += [f"{k},{float(v.real)!r},{float(v.imag)!r}" for k, v in enumerate(y)]
@@ -88,7 +97,8 @@ def _read_samples_csv(path: str) -> np.ndarray:
             parts = line.split(",")
             if len(parts) != 3:
                 raise InvalidInputError(f"{path}:{lineno}: expected 3 fields")
-            values.append(complex(float(parts[1]), float(parts[2])))
+            re, im = (_parse(float, v, f"{path}:{lineno}") for v in parts[1:])
+            values.append(complex(re, im))
     return np.array(values, dtype=complex)
 
 
@@ -145,14 +155,14 @@ def _resolve_seed(cfg: dict, args) -> int:
         return int(args.seed)
     env = os.environ.get(ENV_SEED)
     if env is not None:
-        return int(env)
-    return int(cfg.get("seed", 0))
+        return _parse(int, env, ENV_SEED)
+    return _parse(int, cfg.get("seed", 0), "seed")
 
 
 def _resolve_sigma(cfg: dict, args) -> float:
     if getattr(args, "sigma", None) is not None:
         return float(args.sigma)
-    return float(_get(cfg, "noise.sigma", 0.0))
+    return _parse(float, _get(cfg, "noise.sigma", 0.0), "noise.sigma")
 
 
 def _out_paths(cfg: dict, args):
@@ -184,8 +194,12 @@ def _system_from_config(cfg: dict) -> MultirateSystem:
                     "integrality condition"
                 )
     grids = tuple(
-        Grid(f=Fraction(g["f"]), gamma=Fraction(g.get("gamma", 0)), n=int(g["n"]))
-        for g in grids_cfg
+        Grid(
+            f=_parse(Fraction, g["f"], f"sampling.grids[{j}].f"),
+            gamma=_parse(Fraction, g.get("gamma", 0), f"sampling.grids[{j}].gamma"),
+            n=_parse(int, g["n"], f"sampling.grids[{j}].n"),
+        )
+        for j, g in enumerate(grids_cfg)
     )
     return MultirateSystem(grids=grids)
 
@@ -194,7 +208,7 @@ def _rate_from_config(cfg: dict) -> float:
     f = _get(cfg, "sampling.f")
     if f is None:
         raise InvalidInputError("config needs sampling.f")
-    return float(Fraction(f)) if isinstance(f, str) else float(f)
+    return float(_parse(Fraction, f, "sampling.f"))
 
 
 def _child_seed(seed: int, key: int) -> int:
@@ -204,7 +218,7 @@ def _child_seed(seed: int, key: int) -> int:
 
 def _pattern_from_config(cfg: dict, seed: int) -> SelectionPattern:
     scenario = cfg["scenario"]
-    n = int(_get(cfg, "sampling.n", 0))
+    n = _parse(int, _get(cfg, "sampling.n", 0), "sampling.n")
     if scenario == "full":
         return SelectionPattern(indices=tuple(range(n)), ambient=n)
     if scenario == "selection":
@@ -216,7 +230,7 @@ def _pattern_from_config(cfg: dict, seed: int) -> SelectionPattern:
         p = _get(cfg, "sampling.keep_prob")
         if p is None:
             raise InvalidInputError("random-selection scenario needs sampling.keep_prob")
-        return random_selection(n, float(p), _child_seed(seed, 0))
+        return random_selection(n, _parse(float, p, "sampling.keep_prob"), _child_seed(seed, 0))
     raise InvalidInputError(f"no selection pattern for scenario {scenario!r}")
 
 
@@ -241,7 +255,7 @@ def _estimation_config(cfg: dict, args, sigma: float) -> EstimationConfig:
         if value is None:
             value = _get(cfg, f"{section}.{name}")
         if value is not None:
-            fields[name] = cast(value)
+            fields[name] = _parse(cast, value, f"{section}.{name}")
     if sigma > 0:
         fields["sigma"] = sigma
     est_cfg = EstimationConfig(**fields)
@@ -278,7 +292,7 @@ def _synthesize(cfg: dict, seed: int, sigma: float):
         ]
         return outs, truth
     f = _rate_from_config(cfg)
-    n = int(_get(cfg, "sampling.n", 0))
+    n = _parse(int, _get(cfg, "sampling.n", 0), "sampling.n")
     y = synthesize_uniform(spec, f, n)
     y = add_noise(y, NoiseSpec(sigma=sigma, seed=_child_seed(seed, 1)))
     truth["f_hz"] = f
@@ -322,6 +336,15 @@ def _load_inputs(cfg: dict, args):
     return [_read_samples_csv(p) for p in paths]
 
 
+def _net_samples(raw: np.ndarray, pattern: SelectionPattern) -> np.ndarray:
+    """The samples a pattern keeps from a raw uniform acquisition."""
+    if raw.size != pattern.ambient:
+        raise InvalidInputError(
+            f"raw file has {raw.size} samples, config expects {pattern.ambient}"
+        )
+    return raw[list(pattern.indices)]
+
+
 def cmd_sample(args) -> int:
     cfg = _load_config(args)
     seed = _resolve_seed(cfg, args)
@@ -338,12 +361,7 @@ def cmd_sample(args) -> int:
         meta["gamma0"] = str(cg.gamma0)
     else:
         pattern = _pattern_from_config(cfg, seed)
-        raw = vectors[0]
-        if raw.size != pattern.ambient:
-            raise InvalidInputError(
-                f"raw file has {raw.size} samples, config expects {pattern.ambient}"
-            )
-        y = raw[list(pattern.indices)]
+        y = _net_samples(vectors[0], pattern)
         meta["ambient_n"] = pattern.ambient
         meta["indices"] = list(pattern.indices)
     _write_samples_csv(os.path.join(out_dir, f"{prefix}_net.csv"), y)
@@ -410,14 +428,8 @@ def cmd_estimate(args) -> int:
         frame_f = result.diagnostics.solve_rate_hz
     else:
         pattern = _pattern_from_config(cfg, seed)
-        raw = vectors[0]
-        if raw.size != pattern.ambient:
-            raise InvalidInputError(
-                f"raw file has {raw.size} samples, config expects {pattern.ambient}"
-            )
-        y = raw[list(pattern.indices)]
         f = _rate_from_config(cfg)
-        result = estimate(y, pattern, f, config=est_cfg)
+        result = estimate(_net_samples(vectors[0], pattern), pattern, f, config=est_cfg)
         frame_f = f
 
     diag = result.diagnostics

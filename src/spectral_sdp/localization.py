@@ -18,7 +18,8 @@ from .errors import (
     InvalidInputError,
     LocalizationError,
 )
-from .sampling import SelectionPattern, phase_unshift, selection_matrix
+# selection_matrix is unused here; perfbench/tracing.py wraps it by this name.
+from .sampling import SelectionPattern, selection_matrix
 from .signal_model import SpikeSpectrum
 from .solver import assemble_problem, solve
 from .trigops import dense_sup_norm, grid_modulus, grid_size, poly_eval, refine_maxima
@@ -81,16 +82,18 @@ class CertificateReport:
     sup_off_support: float
 
 
-def dual_polynomial(c: np.ndarray, m_mat: np.ndarray) -> np.ndarray:
-    """Coefficients ``q = M* c`` of the dual polynomial."""
+def dual_polynomial(c: np.ndarray, pattern: SelectionPattern) -> np.ndarray:
+    """Coefficients ``q = M* c`` of the dual polynomial: ``c`` scattered onto
+    the kept indices, zero elsewhere."""
     c = np.asarray(c, dtype=complex)
-    m_mat = np.asarray(m_mat, dtype=complex)
-    if m_mat.ndim != 2 or m_mat.shape[0] != c.shape[0]:
+    if c.shape != (pattern.m,):
         raise DimensionMismatchError(
-            f"matrix of shape {m_mat.shape} incompatible with dual vector of "
-            f"length {c.shape[0]}"
+            f"dual vector of shape {c.shape} does not match a pattern keeping "
+            f"{pattern.m} indices"
         )
-    return m_mat.conj().T @ c
+    q = np.zeros(pattern.ambient, dtype=complex)
+    q[list(pattern.indices)] = c
+    return q
 
 
 def locate_frequencies(
@@ -168,32 +171,34 @@ def locate_frequencies(
 
 
 def recover_amplitudes(
-    y: np.ndarray, m_mat: np.ndarray, freqs, f: float
+    y: np.ndarray, pattern: SelectionPattern, freqs, f: float
 ) -> AmplitudeFit:
     """Least-squares amplitudes for fixed frequencies.
 
-    Minimizes ``||y - M V a||`` with ``V[k, r] = e^{i 2 pi (xi_r / f) k}``
+    Minimizes ``||y - M V a||``, where ``M V`` is the Vandermonde matrix on
+    the kept indices only, ``(M V)[t, r] = e^{i 2 pi (xi_r / f) I[t]}``,
     via an SVD factorization. A condition number above 1e12 (near-collision
     of frequencies) raises :class:`ConditioningError`.
     """
     y = np.asarray(y, dtype=complex)
-    m_mat = np.asarray(m_mat, dtype=complex)
     freqs = np.asarray(freqs, dtype=float)
+    if y.shape != (pattern.m,):
+        raise DimensionMismatchError(
+            f"{y.shape} observations do not match a pattern keeping {pattern.m} indices"
+        )
     if freqs.size == 0:
         return AmplitudeFit(
             amps=np.empty(0, dtype=complex),
             residual=float(np.linalg.norm(y)),
             cond=0.0,
         )
-    if freqs.size > m_mat.shape[0]:
+    if freqs.size > pattern.m:
         raise InvalidInputError(
-            f"cannot fit {freqs.size} amplitudes from {m_mat.shape[0]} observations"
+            f"cannot fit {freqs.size} amplitudes from {pattern.m} observations"
         )
     if np.unique(freqs).size != freqs.size:
         raise InvalidInputError("frequencies must be distinct")
-    n = m_mat.shape[1]
-    v = np.exp(2j * np.pi * np.outer(np.arange(n), freqs / f))
-    a_mat = m_mat @ v
+    a_mat = np.exp(2j * np.pi * np.outer(pattern.indices, freqs / f))
     sv = np.linalg.svd(a_mat, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if cond > 1e12:
@@ -265,28 +270,45 @@ class EstimationConfig:
     tol_primal: float = 1e-7
     tol_dual: float = 1e-7
     peak_tol: float = 1e-3
-    auto_normalize: bool = True
-    progress: object = None
+
+
+def unshift_amplitudes(est: SpectrumEstimate) -> SpectrumEstimate:
+    """Rotate amplitudes from the solving frame to the original time origin.
+
+    Multiplies each amplitude by ``e^{i 2 pi xi_r time_shift_s}``, with
+    ``time_shift_s`` read from the estimate's own diagnostics (the frame
+    convention of :class:`EstimateDiagnostics`); the frequencies are
+    unchanged. A zero shift returns ``est`` itself.
+    """
+    shift = est.diagnostics.time_shift_s
+    if shift == 0.0:
+        return est
+    rot = np.exp(2j * np.pi * shift * np.asarray(est.freqs, dtype=float))
+    return replace(est, amps=np.asarray(est.amps) * rot)
 
 
 def _estimate_on_pattern(
-    y: np.ndarray, pattern: SelectionPattern, f: float, config: EstimationConfig
-) -> tuple[SpectrumEstimate, int]:
-    spec, used, k0 = assemble_problem(
+    y: np.ndarray,
+    pattern: SelectionPattern,
+    f: float,
+    time_shift_s: float,
+    config: EstimationConfig,
+) -> SpectrumEstimate:
+    """The estimate in the solving frame; ``time_shift_s`` is recorded as is."""
+    spec, used, _ = assemble_problem(
         y,
         pattern,
         config.tau,
         sigma=config.sigma,
         gamma=config.gamma,
-        auto_normalize=config.auto_normalize,
+        auto_normalize=True,
         rho=config.rho,
         max_iter=config.max_iter,
         tol_primal=config.tol_primal,
         tol_dual=config.tol_dual,
     )
-    report = solve(spec, progress=config.progress)
-    m_used = selection_matrix(used)
-    q = dual_polynomial(report.c_star, m_used)
+    report = solve(spec)
+    q = dual_polynomial(report.c_star, used)
     sup = dense_sup_norm(q, grid_size(used.ambient))
     try:
         peaks = locate_frequencies(
@@ -302,7 +324,7 @@ def _estimate_on_pattern(
             moduli=np.empty(0),
             newton_ok=np.empty(0, dtype=bool),
         )
-    fit = recover_amplitudes(y, m_used, peaks.freqs_hz, f)
+    fit = recover_amplitudes(y, used, peaks.freqs_hz, f)
     diag = EstimateDiagnostics(
         peak_moduli=peaks.moduli,
         residual=fit.residual,
@@ -313,14 +335,13 @@ def _estimate_on_pattern(
         reliable=bool(report.converged and peaks.newton_ok.all()),
         newton_fallbacks=int((~peaks.newton_ok).sum()),
         solve_rate_hz=f,
-        time_shift_s=-k0 / f,
+        time_shift_s=time_shift_s,
         tau=spec.tau,
         dual_objective=report.dual_objective,
     )
-    est = SpectrumEstimate(
+    return SpectrumEstimate(
         freqs=peaks.freqs_hz, amps=fit.amps, dual_poly=q, diagnostics=diag
     )
-    return est, k0
 
 
 def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None = None) -> SpectrumEstimate:
@@ -339,22 +360,22 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
     Non-convergence of the solver yields an estimate whose diagnostics
     are flagged unreliable rather than an exception.
     """
-    from .multirate import MultirateSystem, align_measurements, common_grid, unshift_spectrum
+    from .multirate import MultirateSystem, align_measurements, common_grid
 
     config = config or EstimationConfig()
     if isinstance(sampler, MultirateSystem):
         cg = common_grid(sampler)
         y_net = align_measurements(sampler, y, cg)
-        f0 = float(cg.f0)
-        est, _ = _estimate_on_pattern(y_net, cg.observation_set, f0, config)
-        est = unshift_spectrum(est, cg)
-        shift = float(cg.gamma0 / cg.f0)
-        return replace(est, diagnostics=replace(est.diagnostics, time_shift_s=shift))
-    if isinstance(sampler, SelectionPattern):
+        pattern, f = cg.observation_set, float(cg.f0)
+        time_shift_s = float(cg.gamma0 / cg.f0)
+    elif isinstance(sampler, SelectionPattern):
         if f is None or f <= 0:
             raise InvalidInputError("estimate from a pattern needs a positive rate f")
-        est, k0 = _estimate_on_pattern(np.asarray(y, dtype=complex), sampler, f, config)
-        return phase_unshift(est, k0, f)
-    raise InvalidInputError(
-        f"sampler must be a SelectionPattern or MultirateSystem, got {type(sampler)!r}"
-    )
+        y_net, pattern = np.asarray(y, dtype=complex), sampler
+        # The solve shifts the pattern down by its first index k0.
+        time_shift_s = -sampler.indices[0] / f
+    else:
+        raise InvalidInputError(
+            f"sampler must be a SelectionPattern or MultirateSystem, got {type(sampler)!r}"
+        )
+    return unshift_amplitudes(_estimate_on_pattern(y_net, pattern, f, time_shift_s, config))

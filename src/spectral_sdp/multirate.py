@@ -199,16 +199,6 @@ def align_measurements(
     return y
 
 
-def unshift_spectrum(estimate, cg: CommonGrid):
-    """Translate amplitudes estimated in the shifted frame back to the
-    original time origin: multiply by ``e^{i 2 pi (gamma0/f0) xi_r}``."""
-    shift = float(cg.gamma0 / cg.f0)
-    if shift == 0.0:
-        return estimate
-    rot = np.exp(2j * np.pi * shift * np.asarray(estimate.freqs, dtype=float))
-    return dataclasses.replace(estimate, amps=np.asarray(estimate.amps) * rot)
-
-
 def _separation_ok(spec: SpikeSpectrum, f: Fraction, n: int) -> bool:
     """Reduced-frequency separation at one sampler: 2.52 / (n - 1).
 

@@ -4,6 +4,11 @@ These deliberately avoid the production code paths: they import shared
 data types only, and recompute everything from first principles
 (exhaustive search, explicit matrix products, dense grids). Keep them
 dumb; performance is a non-goal.
+
+The pipeline sub-samples only by picking kept indices; the operator
+algebra of a general sub-sampling matrix ``M`` (Toeplitz generator and
+adjoint, ``M T(u) M*``, the Gram form, admissibility of a general ``M``)
+lives here as the reference the index-based code is checked against.
 """
 
 from __future__ import annotations
@@ -13,9 +18,133 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInputError, SearchBudgetError
+from .errors import (
+    DimensionMismatchError,
+    InvalidInputError,
+    NumericalError,
+    SearchBudgetError,
+)
 from .multirate import CommonGrid, MultirateSystem
 from .sampling import PartitionStructure, SelectionPattern
+
+
+def toeplitz_from_vector(u: np.ndarray) -> np.ndarray:
+    """Build the (n, n) Hermitian Toeplitz matrix generated by ``u``.
+
+    ``u`` is a nonempty (n,) vector with ``u[0]`` real (within 1e-12).
+    Entry (i, j) equals ``u[j-i]`` for j >= i and ``conj(u[i-j])`` below
+    the diagonal.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 1 or u.size == 0:
+        raise InvalidInputError("u must be a nonempty 1-d array")
+    if abs(u[0].imag) > 1e-12:
+        raise InvalidInputError(
+            f"u[0] must be real for a Hermitian Toeplitz matrix, got {u[0]}"
+        )
+    n = u.size
+    idx = np.subtract.outer(np.arange(n), np.arange(n))  # idx[i, j] = i - j
+    out = np.where(idx <= 0, u[np.abs(idx)], np.conj(u[np.abs(idx)]))
+    out[np.diag_indices(n)] = u[0].real
+    return out
+
+
+def toeplitz_adjoint(h: np.ndarray) -> np.ndarray:
+    """Sum each superdiagonal of a square matrix.
+
+    ``out[k] = sum_{j-i=k} h[i, j]`` for k = 0..n-1, which is the inner
+    product of ``h`` against the k-th elementary Toeplitz matrix (1 on
+    that superdiagonal, 0 elsewhere): the adjoint of the generator.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
+    n = h.shape[0]
+    return np.array([np.trace(h, offset=k) for k in range(n)], dtype=complex)
+
+
+def r_op(m_mat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Compress the Toeplitz matrix of ``u`` through ``m_mat``: M T(u) M*."""
+    m_mat = np.asarray(m_mat, dtype=complex)
+    u = np.asarray(u, dtype=complex)
+    if m_mat.ndim != 2:
+        raise DimensionMismatchError("m_mat must be 2-d")
+    if m_mat.shape[1] != u.shape[0]:
+        raise DimensionMismatchError(
+            f"m_mat has {m_mat.shape[1]} columns but u has length {u.shape[0]}"
+        )
+    t = toeplitz_from_vector(u)
+    return m_mat @ t @ m_mat.conj().T
+
+
+def r_op_adjoint(m_mat: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`r_op`: the superdiagonal sums of ``M* S M``."""
+    m_mat = np.asarray(m_mat, dtype=complex)
+    s = np.asarray(s, dtype=complex)
+    if m_mat.ndim != 2 or s.ndim != 2:
+        raise DimensionMismatchError("m_mat and s must be 2-d")
+    if s.shape[0] != s.shape[1] or s.shape[0] != m_mat.shape[0]:
+        raise DimensionMismatchError(
+            f"s has shape {s.shape}; expected square of side {m_mat.shape[0]}"
+        )
+    return toeplitz_adjoint(m_mat.conj().T @ s @ m_mat)
+
+
+def gram_eval(g: np.ndarray, nu: float) -> float:
+    """Evaluate the real quadratic form ``psi(z)* G psi(z)`` at ``z = e^{i2pi nu}``.
+
+    ``g`` must be Hermitian so the value is real; an imaginary residue
+    above 1e-8 raises :class:`NumericalError`, smaller residues are
+    discarded.
+    """
+    g = np.asarray(g, dtype=complex)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {g.shape}")
+    n = g.shape[0]
+    psi = np.exp(2j * np.pi * nu * np.arange(n))
+    value = complex(psi.conj() @ g @ psi)
+    if abs(value.imag) > 1e-8:
+        raise NumericalError(
+            f"quadratic form returned imaginary residue {value.imag:.3e}; "
+            "matrix is not numerically Hermitian"
+        )
+    return value.real
+
+
+def is_admissible_general(m_mat: np.ndarray, tol: float = 1e-10) -> bool:
+    """Full rank and ``e_0`` in the range of ``M*``, both checked numerically.
+
+    Rank counts singular values above ``tol`` times the largest; the range
+    condition solves ``M* c = e_0`` in the least-squares sense and requires
+    residual below ``tol``.
+    """
+    if tol <= 0:
+        raise InvalidInputError("tol must be positive")
+    m_mat = np.asarray(m_mat, dtype=complex)
+    if m_mat.ndim != 2:
+        raise DimensionMismatchError("m_mat must be 2-d")
+    m, n = m_mat.shape
+    sv = np.linalg.svd(m_mat, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0:
+        return False
+    if np.sum(sv > tol * sv[0]) < m:
+        return False
+    e0 = np.zeros(n, dtype=complex)
+    e0[0] = 1.0
+    c, *_ = np.linalg.lstsq(m_mat.conj().T, e0, rcond=None)
+    residual = np.linalg.norm(m_mat.conj().T @ c - e0)
+    return bool(residual < tol)
+
+
+def apply_subsampling(m_mat: np.ndarray, y_raw: np.ndarray) -> np.ndarray:
+    """Compress a raw uniform acquisition: ``y = M y_raw``."""
+    m_mat = np.asarray(m_mat, dtype=complex)
+    y_raw = np.asarray(y_raw, dtype=complex)
+    if m_mat.ndim != 2 or m_mat.shape[1] != y_raw.shape[0]:
+        raise DimensionMismatchError(
+            f"matrix of shape {m_mat.shape} cannot act on vector of length {y_raw.shape[0]}"
+        )
+    return m_mat @ y_raw
 
 
 def _rational_lcm(values):

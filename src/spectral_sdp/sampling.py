@@ -1,14 +1,13 @@
-"""Selection patterns, sub-sampling matrices, admissibility, and the
-skew-symmetric partition that turns the Toeplitz constraint into
-independent block-sum equations.
+"""Selection patterns, admissibility, and the skew-symmetric partition
+that turns the Toeplitz constraint into independent block-sum equations.
 
-Row ordering of selection matrices is fixed to ascending index order;
-every block index downstream relies on that choice.
+A pattern is its sorted tuple of kept indices; the sub-sampling operator
+``M`` picks those rows, in ascending index order. Every block index
+downstream relies on that order.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,7 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidInputError
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -99,31 +98,6 @@ def is_admissible_selection(pattern: SelectionPattern) -> bool:
     return pattern.indices[0] == 0
 
 
-def is_admissible_general(m_mat: np.ndarray, tol: float = 1e-10) -> bool:
-    """Full rank and ``e_0`` in the range of ``M*``, both checked numerically.
-
-    Rank counts singular values above ``tol`` times the largest; the range
-    condition solves ``M* c = e_0`` in the least-squares sense and requires
-    residual below ``tol``.
-    """
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
-    m_mat = np.asarray(m_mat, dtype=complex)
-    if m_mat.ndim != 2:
-        raise DimensionMismatchError("m_mat must be 2-d")
-    m, n = m_mat.shape
-    sv = np.linalg.svd(m_mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return False
-    if np.sum(sv > tol * sv[0]) < m:
-        return False
-    e0 = np.zeros(n, dtype=complex)
-    e0[0] = 1.0
-    c, *_ = np.linalg.lstsq(m_mat.conj().T, e0, rcond=None)
-    residual = np.linalg.norm(m_mat.conj().T @ c - e0)
-    return bool(residual < tol)
-
-
 def compute_partition(pattern: SelectionPattern) -> PartitionStructure:
     """Group the pairs (i, j) of kept indices by their difference I[j] - I[i].
 
@@ -146,17 +120,6 @@ def compute_partition(pattern: SelectionPattern) -> PartitionStructure:
         m=idx.size,
         ambient=pattern.ambient,
     )
-
-
-def apply_subsampling(m_mat: np.ndarray, y_raw: np.ndarray) -> np.ndarray:
-    """Compress a raw uniform acquisition: ``y = M y_raw``."""
-    m_mat = np.asarray(m_mat, dtype=complex)
-    y_raw = np.asarray(y_raw, dtype=complex)
-    if m_mat.ndim != 2 or m_mat.shape[1] != y_raw.shape[0]:
-        raise DimensionMismatchError(
-            f"matrix of shape {m_mat.shape} cannot act on vector of length {y_raw.shape[0]}"
-        )
-    return m_mat @ y_raw
 
 
 def random_selection(n: int, p: float, seed: int) -> SelectionPattern:
@@ -182,14 +145,3 @@ def normalize_to_admissible(pattern: SelectionPattern) -> tuple[SelectionPattern
     shifted = tuple(i - k0 for i in pattern.indices)
     return SelectionPattern(indices=shifted, ambient=pattern.ambient), k0
 
-
-def phase_unshift(estimate, k0: int, f: float):
-    """Undo the time shift of a normalized pattern on an estimate's amplitudes.
-
-    A shift by ``k0`` samples leaves the spectral support unchanged and
-    rotates each amplitude by ``e^{-i 2 pi (k0/f) xi_r}``.
-    """
-    if k0 == 0:
-        return estimate
-    rot = np.exp(-2j * np.pi * (k0 / f) * np.asarray(estimate.freqs, dtype=float))
-    return dataclasses.replace(estimate, amps=np.asarray(estimate.amps) * rot)

@@ -1,23 +1,16 @@
-"""Toeplitz/Gram operator algebra and polynomial evaluation on the unit circle.
+"""Polynomial evaluation on the unit circle: at points, on a uniform grid,
+and at the refined maxima of the modulus.
 
-Conventions
------------
-Vectors of length n are indexed 0..n-1. The Toeplitz generator maps a
-vector ``u`` (with real ``u[0]``) to the Hermitian matrix whose entry
-(i, j) is ``u[j-i]`` above the diagonal and its conjugate below. Its
-adjoint sums the k-th superdiagonal, i.e. pairs each coordinate with the
-elementary matrix that is 1 on that superdiagonal and 0 elsewhere.
-
-All functions are pure; matrices are dense complex arrays.
+A polynomial is its coefficient vector ``q`` indexed 0..n-1,
+``Q(z) = sum_k q[k] z^k``. All functions are pure.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidInputError, NumericalError
+from .errors import InvalidInputError
 
-_REAL_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-12
 
@@ -25,74 +18,6 @@ _NEWTON_TOL = 1e-12
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """Symmetrize ``(a + a*)/2``; use after floating-point accumulations."""
     return 0.5 * (a + a.conj().T)
-
-
-def toeplitz_from_vector(u: np.ndarray) -> np.ndarray:
-    """Build the Hermitian Toeplitz matrix generated by ``u``.
-
-    Entry (i, j) equals ``u[j-i]`` for j >= i and ``conj(u[i-j])`` below
-    the diagonal.
-
-    Parameters
-    ----------
-    u : (n,) complex array with ``u[0]`` real (within 1e-12).
-
-    Returns
-    -------
-    (n, n) complex Hermitian matrix.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 1 or u.size == 0:
-        raise InvalidInputError("u must be a nonempty 1-d array")
-    if abs(u[0].imag) > _REAL_TOL:
-        raise InvalidInputError(
-            f"u[0] must be real for a Hermitian Toeplitz matrix, got {u[0]}"
-        )
-    n = u.size
-    idx = np.subtract.outer(np.arange(n), np.arange(n))  # idx[i, j] = i - j
-    out = np.where(idx <= 0, u[np.abs(idx)], np.conj(u[np.abs(idx)]))
-    out[np.diag_indices(n)] = u[0].real
-    return out
-
-
-def toeplitz_adjoint(h: np.ndarray) -> np.ndarray:
-    """Sum each superdiagonal of a square matrix.
-
-    ``out[k] = sum_{j-i=k} h[i, j]`` for k = 0..n-1, which is the inner
-    product of ``h`` against the k-th elementary Toeplitz matrix.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
-    n = h.shape[0]
-    return np.array([np.trace(h, offset=k) for k in range(n)], dtype=complex)
-
-
-def r_op(m_mat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Compress the Toeplitz matrix of ``u`` through ``m_mat``: M T(u) M*."""
-    m_mat = np.asarray(m_mat, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    if m_mat.ndim != 2:
-        raise DimensionMismatchError("m_mat must be 2-d")
-    if m_mat.shape[1] != u.shape[0]:
-        raise DimensionMismatchError(
-            f"m_mat has {m_mat.shape[1]} columns but u has length {u.shape[0]}"
-        )
-    t = toeplitz_from_vector(u)
-    return m_mat @ t @ m_mat.conj().T
-
-
-def r_op_adjoint(m_mat: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`r_op`: the superdiagonal sums of ``M* S M``."""
-    m_mat = np.asarray(m_mat, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    if m_mat.ndim != 2 or s.ndim != 2:
-        raise DimensionMismatchError("m_mat and s must be 2-d")
-    if s.shape[0] != s.shape[1] or s.shape[0] != m_mat.shape[0]:
-        raise DimensionMismatchError(
-            f"s has shape {s.shape}; expected square of side {m_mat.shape[0]}"
-        )
-    return toeplitz_adjoint(m_mat.conj().T @ s @ m_mat)
 
 
 def poly_eval(q: np.ndarray, nu) -> complex | np.ndarray:
@@ -134,27 +59,6 @@ def grid_modulus(q: np.ndarray, points: int) -> np.ndarray:
             f"grid of {points} points cannot hold {q.size} coefficients"
         )
     return points * np.abs(np.fft.ifft(q, points))
-
-
-def gram_eval(g: np.ndarray, nu: float) -> float:
-    """Evaluate the real quadratic form ``psi(z)* G psi(z)`` at ``z = e^{i2pi nu}``.
-
-    ``g`` must be Hermitian so the value is real; an imaginary residue
-    above 1e-8 raises :class:`NumericalError`, smaller residues are
-    discarded.
-    """
-    g = np.asarray(g, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {g.shape}")
-    n = g.shape[0]
-    psi = np.exp(2j * np.pi * nu * np.arange(n))
-    value = complex(psi.conj() @ g @ psi)
-    if abs(value.imag) > 1e-8:
-        raise NumericalError(
-            f"quadratic form returned imaginary residue {value.imag:.3e}; "
-            "matrix is not numerically Hermitian"
-        )
-    return value.real
 
 
 def refine_maxima(q: np.ndarray, nu0, step: float) -> tuple[np.ndarray, np.ndarray]:

@@ -28,13 +28,17 @@ from spectral_sdp import (
     solve,
     synthesize_grid,
     synthesize_uniform,
-    toeplitz_adjoint,
     update_S_blocks,
     update_c,
     verify_certificate,
 )
-from spectral_sdp import ProblemSpec, gram_eval, random_selection
-from spectral_sdp.oracles import brute_force_partition, finite_perturbation_check
+from spectral_sdp import ProblemSpec, random_selection
+from spectral_sdp.oracles import (
+    brute_force_partition,
+    finite_perturbation_check,
+    gram_eval,
+    toeplitz_adjoint,
+)
 from spectral_sdp.solver import bordered_matrix
 
 from conftest import (
@@ -155,7 +159,7 @@ def test_criterion_04_feasibility_lift():
         report = solve(prob)
         assert report.converged, f"instance {trial} did not converge"
         m_mat = selection_matrix(used)
-        q = dual_polynomial(report.c_star, m_mat)
+        q = dual_polynomial(report.c_star, used)
         _SUP_NORMS.append(dense_sup_norm(q, 8 * n))
         h = m_mat.conj().T @ report.S_star @ m_mat
         e0 = np.zeros(n)

@@ -4,6 +4,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from spectral_sdp.cli import main
 
@@ -292,3 +293,36 @@ class TestErrors:
         cfg_path = _write_config(tmp_path / "bad.json", cfg)
         assert main(["check-grid", "--config", cfg_path]) == 1
         assert "'f'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, where",
+        [
+            ("csv-field", "run_samples.csv:3"),
+            ("env-seed", "SPECTRAL_SDP_SEED"),
+            ("rate", "sampling.f"),
+            ("grid-rate", "sampling.grids[1].f"),
+        ],
+        ids=["csv-field", "env-seed", "rate", "grid-rate"],
+    )
+    def test_malformed_number_exits_one(self, tmp_path, monkeypatch, capsys, case, where):
+        if case == "grid-rate":
+            cfg_path, cfg = _multirate_config(tmp_path)
+            cfg["sampling"]["grids"][1]["f"] = "1/0x"
+        else:
+            cfg_path, cfg = _full_config(tmp_path)
+            if case == "rate":
+                cfg["sampling"]["f"] = "1/0x"
+        _write_config(cfg_path, cfg)
+        if case == "env-seed":
+            monkeypatch.setenv("SPECTRAL_SDP_SEED", "abc")
+        command = "synth"
+        if case == "csv-field":
+            assert main(["synth", "--config", cfg_path]) == 0
+            samples = tmp_path / "out" / "run_samples.csv"
+            lines = _read(samples).splitlines()
+            lines[2] = "1,abc,0.0"
+            samples.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            command = "estimate"
+        assert main([command, "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and where in err

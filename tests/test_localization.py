@@ -24,11 +24,19 @@ from spectral_sdp import (
 from spectral_sdp.errors import DimensionMismatchError
 from spectral_sdp.trigops import dense_sup_norm, grid_size
 
-from conftest import random_complex, random_spike_spectrum
+from conftest import random_complex, random_pattern, random_spike_spectrum
 
 
 def _full_pattern(n):
     return SelectionPattern(indices=tuple(range(n)), ambient=n)
+
+
+def _dense_fit(y, pattern, freqs, f):
+    """The least-squares fit through the dense m x n selection matrix."""
+    v = np.exp(2j * np.pi * np.outer(np.arange(pattern.ambient), freqs / f))
+    a_mat = selection_matrix(pattern) @ v
+    amps, *_ = np.linalg.lstsq(a_mat, y, rcond=None)
+    return amps, float(np.linalg.norm(y - a_mat @ amps))
 
 
 def _solved_instance(seed=0, n=32, s=2, rho=20.0):
@@ -44,27 +52,32 @@ class TestDualPolynomial:
     def test_identity(self):
         rng = np.random.default_rng(0)
         c = random_complex(rng, 6)
-        assert np.allclose(dual_polynomial(c, np.eye(6)), c)
+        assert np.allclose(dual_polynomial(c, _full_pattern(6)), c)
 
     def test_selection_scatters_support(self):
         pat = SelectionPattern(indices=(0, 2, 5), ambient=8)
         c = np.array([1.0, 2.0, 3.0], dtype=complex)
-        q = dual_polynomial(c, selection_matrix(pat))
+        q = dual_polynomial(c, pat)
         assert np.allclose(q[[0, 2, 5]], c)
         assert not q[[1, 3, 4, 6, 7]].any()
 
     def test_matches_naive_product(self):
         rng = np.random.default_rng(1)
-        m_mat = random_complex(rng, 4, 9)
-        c = random_complex(rng, 4)
-        naive = np.array(
-            [sum(np.conj(m_mat[i, k]) * c[i] for i in range(4)) for k in range(9)]
-        )
-        assert np.allclose(dual_polynomial(c, m_mat), naive)
+        for _ in range(50):
+            pat = random_pattern(rng, int(rng.integers(1, 40)))
+            m_mat = selection_matrix(pat)
+            m, n = m_mat.shape
+            c = random_complex(rng, m)
+            naive = np.array(
+                [sum(np.conj(m_mat[i, k]) * c[i] for i in range(m)) for k in range(n)]
+            )
+            q = dual_polynomial(c, pat)
+            assert np.allclose(q, naive)
+            assert np.array_equal(q, m_mat.conj().T @ c)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            dual_polynomial(np.zeros(3), np.eye(4))
+            dual_polynomial(np.zeros(3), _full_pattern(4))
 
 
 class TestLocateFrequencies:
@@ -123,19 +136,25 @@ class TestRecoverAmplitudes:
         rng = np.random.default_rng(3)
         n = 24
         sig = random_spike_spectrum(rng, 3, min_sep=0.1)
-        y = synthesize_uniform(sig, 1.0, n)
-        fit = recover_amplitudes(y, np.eye(n), sig.freqs, 1.0)
-        assert fit.residual < 1e-8
-        assert np.allclose(fit.amps, sig.amps, atol=1e-6)
+        y_raw = synthesize_uniform(sig, 1.0, n)
+        patterns = [_full_pattern(n)] + [random_pattern(rng, n) for _ in range(20)]
+        for pat in patterns:
+            y = y_raw[list(pat.indices)]
+            fit = recover_amplitudes(y, pat, sig.freqs, 1.0)
+            assert fit.residual < 1e-8
+            assert np.allclose(fit.amps, sig.amps, atol=1e-6)
+            amps, residual = _dense_fit(y, pat, sig.freqs, 1.0)
+            assert np.array_equal(fit.amps, amps)
+            assert fit.residual == residual
 
     def test_dc_spike_amplitude_is_mean(self):
         y = np.full(10, 2.5 + 1j)
-        fit = recover_amplitudes(y, np.eye(10), np.array([0.0]), 1.0)
+        fit = recover_amplitudes(y, _full_pattern(10), np.array([0.0]), 1.0)
         assert np.isclose(fit.amps[0], np.mean(y))
 
     def test_empty_support(self):
         y = np.ones(5, dtype=complex)
-        fit = recover_amplitudes(y, np.eye(5), np.array([]), 1.0)
+        fit = recover_amplitudes(y, _full_pattern(5), np.array([]), 1.0)
         assert fit.amps.size == 0
         assert np.isclose(fit.residual, np.linalg.norm(y))
 
@@ -143,12 +162,12 @@ class TestRecoverAmplitudes:
         y = np.ones(16, dtype=complex)
         freqs = np.array([0.3, 0.3 + 1e-14])
         with pytest.raises(ConditioningError):
-            recover_amplitudes(y, np.eye(16), freqs, 1.0)
+            recover_amplitudes(y, _full_pattern(16), freqs, 1.0)
 
     def test_more_atoms_than_observations_rejected(self):
         with pytest.raises(InvalidInputError):
             recover_amplitudes(
-                np.ones(2), np.eye(2), np.array([0.1, 0.2, 0.3]), 1.0
+                np.ones(2), _full_pattern(2), np.array([0.1, 0.2, 0.3]), 1.0
             )
 
 

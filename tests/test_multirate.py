@@ -19,13 +19,17 @@ from spectral_sdp import (
     observation_set,
     random_bound_report,
     synthesize_grid,
-    unshift_spectrum,
 )
-from spectral_sdp.localization import EstimateDiagnostics, SpectrumEstimate
+from spectral_sdp.localization import (
+    EstimateDiagnostics,
+    SpectrumEstimate,
+    unshift_amplitudes,
+)
 from spectral_sdp.oracles import brute_force_common_grid
 
 
-def _estimate_stub(freqs, amps):
+def _estimate_stub(freqs, amps, cg):
+    """An estimate in the solving frame of ``cg``, as ``estimate()`` records it."""
     diag = EstimateDiagnostics(
         peak_moduli=np.ones(len(freqs)),
         residual=0.0,
@@ -35,8 +39,8 @@ def _estimate_stub(freqs, amps):
         converged=True,
         reliable=True,
         newton_fallbacks=0,
-        solve_rate_hz=1.0,
-        time_shift_s=0.0,
+        solve_rate_hz=float(cg.f0),
+        time_shift_s=float(cg.gamma0 / cg.f0),
         tau=0.0,
         dual_objective=0.0,
     )
@@ -191,15 +195,15 @@ class TestUnshiftSpectrum:
     def test_zero_shift_is_identity(self):
         sys1 = MultirateSystem(grids=(Grid(f=Fraction(4), gamma=Fraction(0), n=4),))
         cg = common_grid(sys1)
-        est = _estimate_stub([1.0], [1.0 + 0j])
-        assert unshift_spectrum(est, cg) is est
+        est = _estimate_stub([1.0], [1.0 + 0j], cg)
+        assert unshift_amplitudes(est) is est
 
     def test_quarter_rate_spike_with_two_sample_delay(self):
         sys1 = MultirateSystem(grids=(Grid(f=Fraction(8), gamma=Fraction(2), n=4),))
         cg = common_grid(sys1)
         assert cg.gamma0 == 2
-        est = _estimate_stub([2.0], [1.0 + 0j])  # xi = f0/4
-        out = unshift_spectrum(est, cg)
+        est = _estimate_stub([2.0], [1.0 + 0j], cg)  # xi = f0/4
+        out = unshift_amplitudes(est)
         assert np.isclose(out.amps[0], -1.0)
 
     def test_round_trip_reproduces_grid_samples(self, two_grid_system):
@@ -214,9 +218,9 @@ class TestUnshiftSpectrum:
         cg = common_grid(sys2)
         shift = float(cg.gamma0 / cg.f0)
         surrogate = _estimate_stub(
-            spec.freqs, spec.amps * np.exp(-2j * np.pi * spec.freqs * shift)
+            spec.freqs, spec.amps * np.exp(-2j * np.pi * spec.freqs * shift), cg
         )
-        restored = unshift_spectrum(surrogate, cg)
+        restored = unshift_amplitudes(surrogate)
         rebuilt = SpikeSpectrum(freqs=restored.freqs, amps=restored.amps)
         for g, expected in zip(
             sys2.grids, [synthesize_grid(spec, g) for g in sys2.grids]

@@ -6,16 +6,23 @@ import pytest
 from spectral_sdp import (
     InvalidInputError,
     SelectionPattern,
-    apply_subsampling,
     compute_partition,
-    is_admissible_general,
     is_admissible_selection,
     normalize_to_admissible,
-    r_op_adjoint,
     random_selection,
     selection_matrix,
 )
-from spectral_sdp.oracles import brute_force_partition
+from spectral_sdp.localization import (
+    EstimateDiagnostics,
+    SpectrumEstimate,
+    unshift_amplitudes,
+)
+from spectral_sdp.oracles import (
+    apply_subsampling,
+    brute_force_partition,
+    is_admissible_general,
+    r_op_adjoint,
+)
 
 from conftest import random_complex, random_hermitian, random_pattern
 
@@ -190,22 +197,19 @@ class TestNormalizeToAdmissible:
 
 class TestPhaseUnshift:
     def test_zero_shift_returns_same_object(self):
-        from spectral_sdp import phase_unshift
-
-        est = _stub_estimate([0.25], [1.0 + 0j])
-        assert phase_unshift(est, 0, 1.0) is est
+        est = _stub_estimate([0.25], [1.0 + 0j], k0=0, f=1.0)
+        assert unshift_amplitudes(est) is est
 
     def test_quarter_rate_single_shift_rotates_by_minus_i(self):
-        from spectral_sdp import phase_unshift
-
-        est = _stub_estimate([0.25], [1.0 + 0j])  # xi = f/4, k0 = 1
-        out = phase_unshift(est, 1, 1.0)
+        est = _stub_estimate([0.25], [1.0 + 0j], k0=1, f=1.0)  # xi = f/4
+        out = unshift_amplitudes(est)
         assert np.isclose(out.amps[0], -1j)
         assert np.array_equal(out.freqs, est.freqs)
 
 
-def _stub_estimate(freqs, amps):
-    from spectral_sdp.localization import EstimateDiagnostics, SpectrumEstimate
+def _stub_estimate(freqs, amps, k0, f):
+    """An estimate solved on a pattern shifted down by ``k0`` samples, with
+    the frame ``estimate()`` records for it."""
 
     diag = EstimateDiagnostics(
         peak_moduli=np.ones(len(freqs)),
@@ -216,8 +220,8 @@ def _stub_estimate(freqs, amps):
         converged=True,
         reliable=True,
         newton_fallbacks=0,
-        solve_rate_hz=1.0,
-        time_shift_s=0.0,
+        solve_rate_hz=f,
+        time_shift_s=-k0 / f,
         tau=0.0,
         dual_objective=0.0,
     )

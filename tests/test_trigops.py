@@ -7,17 +7,19 @@ from spectral_sdp import (
     InvalidInputError,
     NumericalError,
     dense_sup_norm,
-    gram_eval,
     poly_eval,
-    r_op,
-    r_op_adjoint,
     selection_matrix,
     SelectionPattern,
+)
+from spectral_sdp.errors import DimensionMismatchError
+from spectral_sdp.oracles import (
+    brute_force_sup_norm,
+    gram_eval,
+    r_op,
+    r_op_adjoint,
     toeplitz_adjoint,
     toeplitz_from_vector,
 )
-from spectral_sdp.errors import DimensionMismatchError
-from spectral_sdp.oracles import brute_force_sup_norm
 from spectral_sdp.trigops import grid_modulus
 
 from conftest import random_complex, random_hermitian
