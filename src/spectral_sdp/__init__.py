@@ -64,6 +64,7 @@ from .solver import (
     AdmmState,
     ProblemSpec,
     SolveReport,
+    admm_step,
     assemble_problem,
     init_state,
     psd_project,

@@ -442,6 +442,7 @@ def cmd_estimate(args) -> int:
         "dual_poly": _complex_list(result.dual_poly),
         "diagnostics": {
             "iterations": diag.iterations,
+            "rejected_extrapolations": diag.rejected_extrapolations,
             "residuals": {
                 "primal": diag.final_residuals[0],
                 "constraint": diag.final_residuals[1],

@@ -33,6 +33,8 @@ class EstimateDiagnostics:
     ``k`` sits at time ``k / solve_rate_hz - time_shift_s`` of the
     original acquisition, so ``dual_poly`` certifies the spectrum whose
     amplitudes are rotated by ``e^{-i 2 pi xi time_shift_s}``.
+    ``rejected_extrapolations`` counts the solver iterations whose Anderson
+    extrapolation the safeguard turned down.
     """
 
     peak_moduli: np.ndarray
@@ -47,6 +49,7 @@ class EstimateDiagnostics:
     time_shift_s: float
     tau: float
     dual_objective: float
+    rejected_extrapolations: int = 0
 
 
 @dataclass(frozen=True)
@@ -338,6 +341,7 @@ def _estimate_on_pattern(
         time_shift_s=time_shift_s,
         tau=spec.tau,
         dual_objective=report.dual_objective,
+        rejected_extrapolations=report.rejected_extrapolations,
     )
     return SpectrumEstimate(
         freqs=peaks.freqs_hz, amps=fit.amps, dual_poly=q, diagnostics=diag

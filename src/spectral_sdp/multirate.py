@@ -33,7 +33,7 @@ def _as_fraction(value, what: str) -> Fraction:
         )
     try:
         return Fraction(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"cannot parse {what} from {value!r}") from exc
 
 

@@ -9,21 +9,30 @@ where the blocks come from the skew-symmetric partition of a selection
 pattern. ``tau = 0`` is the noiseless equality-constrained program; the
 regularized path degenerates to it smoothly in the same code.
 
-Each iteration performs six steps: the c update, the per-block S update,
-a Hermitian mirror of S, a projection of the split variable Z onto the
-PSD cone, and the two multiplier ascents. All multiplier pairings use
-the real part of the complex inner product so the Lagrangian is
-real-valued; under that convention the closed-form updates below are the
-exact block minimizers (the test suite checks them against finite
-perturbations).
+The plain ADMM cycle is a fixed-point map ``T`` on ``(V, mu)``, where
+``V = b - Lambda/rho`` is the Hermitian matrix handed to the PSD
+projection (``b`` the bordered matrix of ``(S, c)``). :func:`admm_step`
+evaluates ``T``: it projects ``V`` onto the PSD cone, ascends both
+multipliers, then updates c and S (the block updates and the Hermitian
+mirror), which form the next ``V``. All multiplier pairings use the real
+part of the complex inner product so the Lagrangian is real-valued;
+under that convention the closed-form updates below are the exact block
+minimizers (the test suite checks them against finite perturbations).
 
-The projection dominates the cost: one Hermitian eigendecomposition of
-size m+1 per iteration, hence O(m^3) work per step.
+:func:`solve` runs a safeguarded type-II Anderson iteration over ``T``
+(Walker & Ni 2011; Zhang, O'Donoghue & Boyd, arXiv:1808.03971). It
+extrapolates the next input from the last ``MEMORY`` accepted
+evaluations, and keeps the extrapolated point only when its fixed-point
+residual ``T(x) - x`` is no larger than that of the point it extrapolated
+from; otherwise it takes the plain step ``T(x)`` and clears the history.
+
+Every evaluation of ``T`` is one Hermitian eigendecomposition of size
+m+1, O(m^3) work, and counts as one iteration, rejected or not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,6 +106,10 @@ class SolveReport:
     iterations: int
     final_residuals: tuple
     converged: bool
+    rejected_extrapolations: int
+
+
+MEMORY = 5  # Anderson history: differences of the last five accepted evaluations
 
 
 def bordered_matrix(s: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -218,33 +231,145 @@ def _dual_objective(spec: ProblemSpec, c: np.ndarray) -> float:
     return obj
 
 
-def solve(spec: ProblemSpec, progress=None, progress_every: int = 100) -> SolveReport:
-    """Iterate the six-step cycle until the residuals meet the tolerances.
+def admm_step(
+    state: AdmmState, spec: ProblemSpec, b: np.ndarray, sums: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The plain ADMM map ``T``: one cycle from the input ``b - Lambda/rho``.
 
-    Non-convergence within ``max_iter`` is reported, not raised;
-    non-finite iterates raise :class:`NumericalError`. ``progress``, when
-    given, is called as ``progress(iteration, (primal, constraint, dual))``
-    every ``progress_every`` iterations.
+    Projects that input onto the PSD cone (the one eigendecomposition),
+    ascends both multipliers with ``b`` and ``sums``, the bordered matrix
+    and block sums it was formed from, then updates c and S. The fields of
+    ``state`` are reassigned, never written into. Returns the bordered
+    matrix and the block sums of the new ``(S, c)``.
     """
-    state = init_state(spec)
-    converged = False
+    state.z_prev = state.Z
+    state.Z = psd_project(b - state.Lambda / spec.rho)
+    state.Lambda, state.mu = update_multipliers(state, spec, b, sums)
+    state.c = update_c(state, spec)
+    state.S = update_S_blocks(state, spec)
+    return bordered_matrix(state.S, state.c), spec.partition.block_sums(state.S)
+
+
+class _Anderson:
+    """Type-II Anderson extrapolation over the last :data:`MEMORY` steps.
+
+    Row ``j`` of ``dg`` and ``df`` is a difference of consecutive residuals
+    ``g = T(x) - x`` and images ``T(x)``, written into a ring buffer;
+    ``gram`` holds the inner products of the ``dg`` rows and gains one row
+    per push, so the history is never stacked or copied.
+    """
+
+    def __init__(self, size: int):
+        self.dg, self.df = np.empty((2, MEMORY, size))
+        self.gram = np.empty((MEMORY, MEMORY))
+        self.count = 0
+
+    def push(self, f: np.ndarray, g: np.ndarray, f_next: np.ndarray, g_next: np.ndarray) -> None:
+        """Record the step from ``(f, g)`` to ``(f_next, g_next)``."""
+        j = self.count % MEMORY
+        np.subtract(g_next, g, out=self.dg[j])
+        np.subtract(f_next, f, out=self.df[j])
+        self.count += 1
+        k = min(self.count, MEMORY)
+        self.gram[j, :k] = self.gram[:k, j] = self.dg[:k] @ self.dg[j]
+
+    def extrapolate(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """``f - dF gamma`` with ``gamma`` minimizing ``||g - dG gamma||``."""
+        k = min(self.count, MEMORY)
+        gamma = np.linalg.lstsq(self.gram[:k, :k], self.dg[:k] @ g, rcond=None)[0]
+        return f - gamma @ self.df[:k]
+
+
+class _Packing:
+    """A Hermitian ``(m+1) x (m+1)`` matrix and a length-``p`` vector as one
+    real vector: the upper triangle, off-diagonals weighted by sqrt(2) so
+    the Euclidean norm is the Frobenius norm, then the vector."""
+
+    def __init__(self, spec: ProblemSpec):
+        n = spec.m + 1
+        rows, cols = np.triu_indices(n, 1)
+        self.n = n
+        # Flat positions in the matrix: the diagonal, then the upper triangle.
+        self.triangle = np.concatenate([np.arange(n) * (n + 1), rows * n + cols])
+        self.lower = cols * n + rows
+        ends = np.cumsum([n, rows.size, rows.size, spec.partition.p, spec.partition.p])
+        self.parts = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+        self.size = int(ends[-1])
+
+    def pack(self, a: np.ndarray, b: np.ndarray, scale: float, mu: np.ndarray) -> np.ndarray:
+        """The vector of ``(a - scale * b, mu)``."""
+        tri = a.ravel().take(self.triangle) - scale * b.ravel().take(self.triangle)
+        off = np.sqrt(2.0) * tri[self.n :]
+        return np.concatenate([tri[: self.n].real, off.real, off.imag, mu.real, mu.imag])
+
+    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        diag, re, im, mu_re, mu_im = (x[part] for part in self.parts)
+        off = (re + 1j * im) / np.sqrt(2.0)
+        v = np.empty(self.n * self.n, dtype=complex)
+        v[self.triangle[self.n :]] = off
+        v[self.lower] = off.conj()
+        v[self.triangle[: self.n]] = diag
+        return v.reshape(self.n, self.n), mu_re + 1j * mu_im
+
+
+def solve(spec: ProblemSpec, progress=None, progress_every: int = 100) -> SolveReport:
+    """Anderson-accelerated ADMM until the residuals meet the tolerances.
+
+    Each iteration evaluates :func:`admm_step` once. An accepted
+    evaluation's residuals are (primal ``||b - Z||``, constraint
+    ``max |block sums - delta|``, dual ``rho ||Z - Z_prev||``), with ``b``
+    the bordered matrix of its ``(S, c)`` and ``Z`` its projection; the
+    report returns the last accepted evaluation. Non-convergence within
+    ``max_iter`` is reported, not raised; non-finite iterates raise
+    :class:`NumericalError`. ``progress``, when given, is called as
+    ``progress(iteration, (primal, constraint, dual))`` with the last
+    accepted residuals every ``progress_every`` iterations.
+    """
+    rho, delta = spec.rho, spec.partition.delta
+    packing = _Packing(spec)
+    # V = I and mu = 0: the projection gives Z = I and Lambda = 0.
+    trial = init_state(spec)
+    b, sums = trial.Z, delta
+    anderson = _Anderson(packing.size)
+    extrapolated = converged = False
+    rejected = 0
     for it in range(1, spec.max_iter + 1):
-        state.c = update_c(state, spec)
-        state.S = update_S_blocks(state, spec)
-        b = bordered_matrix(state.S, state.c)
-        sums = spec.partition.block_sums(state.S)
-        state.z_prev = state.Z
-        state.Z = psd_project(b - state.Lambda / spec.rho)
-        state.Lambda, state.mu = update_multipliers(state, spec, b, sums)
-        last = residuals(state, spec, b, sums)
-        if not all(np.isfinite(last)):
-            raise NumericalError(f"non-finite residuals at iteration {it}: {last}")
+        # trial is a fresh copy: a rejected evaluation leaves state untouched.
+        b, sums = admm_step(trial, spec, b, sums)
+        res = residuals(trial, spec, b, sums)
+        if not all(np.isfinite(res)):
+            raise NumericalError(f"non-finite residuals at iteration {it}: {res}")
+        trial.z_prev = None  # read by the dual residual only; frees the older Z
+        # The image T(x) = (V, mu/rho) and the residual T(x) - x, which is
+        # (b - Z, block sums - delta): the primal and constraint residuals.
+        f_out = packing.pack(b, trial.Lambda, 1.0 / rho, trial.mu / rho + (sums - delta))
+        g_out = packing.pack(b, trial.Z, 1.0, sums - delta)
+        g_out_norm = np.linalg.norm(g_out)
+        if extrapolated and g_out_norm > g_norm:
+            rejected += 1  # the safeguard: next comes the plain step
+            anderson.count = 0
+            # Rebuilt rather than kept: admm_step returned exactly these.
+            b, sums = bordered_matrix(state.S, state.c), spec.partition.block_sums(state.S)
+        else:
+            if it > 1:  # the first evaluation is always accepted
+                anderson.push(f, g, f_out, g_out)
+            state, f, g, g_norm = trial, f_out, g_out, g_out_norm
+            last = primal, constraint, dual = res
+            converged = max(primal, constraint) < spec.tol_primal and dual < spec.tol_dual
         if progress is not None and it % progress_every == 0:
             progress(it, last)
-        primal, constraint, dual = last
-        if primal < spec.tol_primal and constraint < spec.tol_primal and dual < spec.tol_dual:
-            converged = True
+        if converged:
             break
+        extrapolated = anderson.count > 0
+        if extrapolated:
+            # Only V and mu are extrapolated: b = V + Lambda/rho keeps the
+            # input V, and admm_step sets Lambda = rho (Z - V).
+            b, mu = packing.unpack(anderson.extrapolate(f, g))
+            b += state.Lambda / rho
+            trial = replace(state, mu=rho * mu)
+            sums = delta  # so the mu ascent adds nothing
+        else:
+            trial = replace(state)
 
     return SolveReport(
         c_star=state.c.copy(),
@@ -253,6 +378,7 @@ def solve(spec: ProblemSpec, progress=None, progress_every: int = 100) -> SolveR
         iterations=it,
         final_residuals=last,
         converged=converged,
+        rejected_extrapolations=rejected,
     )
 
 

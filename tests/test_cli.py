@@ -149,6 +149,13 @@ class TestEstimate:
         assert os.path.exists(tmp_path / "out" / "run_dualpoly.tsv")
         assert os.path.exists(tmp_path / "out" / "run_spikes.tsv")
 
+    def test_result_counts_rejected_extrapolations(self, tmp_path):
+        cfg_path, _ = _full_config(tmp_path, n=16)
+        main(["synth", "--config", cfg_path])
+        main(["estimate", "--config", cfg_path])
+        diag = json.loads(_read(tmp_path / "out" / "run_result.json"))["diagnostics"]
+        assert 0 <= diag["rejected_extrapolations"] < diag["iterations"]
+
     def test_missing_input_exits_one_without_outputs(self, tmp_path):
         cfg_path, _ = _full_config(tmp_path)
         assert main(["estimate", "--config", cfg_path]) == 1

@@ -54,8 +54,10 @@ def _estimate_stub(freqs, amps, cg):
 
 class TestGridValidation:
     def test_rejects_float_rates(self):
-        with pytest.raises(InvalidInputError):
-            Grid(f=2.5, gamma=Fraction(0), n=4)
+        # Floats are inexact; "1/0" is no number at all.
+        for f, gamma in ((2.5, Fraction(0)), ("1/0", 0), (1, "1/0")):
+            with pytest.raises(InvalidInputError):
+                Grid(f=f, gamma=gamma, n=4)
 
     def test_parses_rational_strings(self):
         g = Grid(f="3/2", gamma="-1/2", n=4)

@@ -8,6 +8,7 @@ from spectral_sdp import (
     NumericalError,
     ProblemSpec,
     SelectionPattern,
+    admm_step,
     assemble_problem,
     compute_partition,
     init_state,
@@ -296,13 +297,60 @@ class TestSolve:
             assert np.allclose(state.S, state.S.conj().T, atol=1e-12)
             b = bordered_matrix(state.S, state.c)
             state.z_prev = state.Z
-            state.Z = psd_project(b - state.Lambda / prob.rho)
+            v = b - state.Lambda / prob.rho
+            state.Z = psd_project(v)
             assert np.linalg.eigvalsh(state.Z).min() >= -1e-10
             state.Lambda, state.mu = update_multipliers(state, prob)
+        # The plain map projects first; from V = I it reproduces the cycle.
+        plain = init_state(prob)
+        b, sums = plain.Z, prob.partition.delta
+        for _ in range(60):
+            b, sums = admm_step(plain, prob, b, sums)
+        assert np.array_equal(plain.c, state.c)
+        assert np.array_equal(plain.S, state.S)
+        assert np.array_equal(b - plain.Lambda / prob.rho, v)
+        assert np.array_equal(plain.mu + prob.rho * (sums - prob.partition.delta), state.mu)
+
+    def test_accelerated_solve_reaches_the_plain_fixed_point(self):
+        rng = np.random.default_rng(11)
+        pat = random_pattern(rng, 10, admissible=True)
+        y = random_complex(rng, pat.m)
+        prob = _spec_for(pat, y=y, rho=2.0)
+        plain = init_state(prob)
+        b, sums = plain.Z, prob.partition.delta
+        for _ in range(prob.max_iter):
+            b, sums = admm_step(plain, prob, b, sums)
+            primal, constraint, dual = residuals(plain, prob, b, sums)
+            if max(primal, constraint) < prob.tol_primal and dual < prob.tol_dual:
+                break
+        else:
+            pytest.fail("the plain map did not converge")
         report = solve(prob)
-        assert report.iterations == 60 and not report.converged
-        assert np.array_equal(report.c_star, state.c)
-        assert np.array_equal(report.S_star, state.S)
+        assert report.converged
+        assert np.linalg.norm(report.c_star - plain.c) < 10 * prob.tol_primal
+
+    def test_every_iteration_is_one_projection(self, monkeypatch):
+        from spectral_sdp import solver
+
+        rng = np.random.default_rng(24)
+        pat = random_pattern(rng, 8, admissible=True)
+        y = random_complex(rng, pat.m)
+        calls = []
+        project = solver.psd_project
+        monkeypatch.setattr(
+            solver, "psd_project", lambda v: calls.append(1) or project(v)
+        )
+        rejected = [0]
+        for max_iter in range(1, 13):
+            calls.clear()
+            prob = _spec_for(pat, y=y, max_iter=max_iter, tol_primal=0.0, tol_dual=0.0)
+            report = solve(prob)
+            assert report.iterations == max_iter == len(calls)
+            assert np.isfinite(report.c_star).all()
+            assert np.isfinite(report.S_star).all()
+            rejected.append(report.rejected_extrapolations)
+        # Some budgets end on a rejected extrapolation.
+        assert any(b > a for a, b in zip(rejected, rejected[1:]))
 
     def test_residuals_trend_downward(self):
         rng = np.random.default_rng(12)
@@ -311,10 +359,13 @@ class TestSolve:
         y = synthesize_uniform(spec_sig, 1.0, n)
         history = {}
         prob = _spec_for(_full_pattern(n), y=y, rho=5.0)
-        solve(prob, progress=lambda it, res: history.update({it: res[0]}), progress_every=10)
-        for k in (10, 50, 100):
-            if 10 * k in history and k in history:
-                assert history[10 * k] < history[k]
+        report = solve(
+            prob, progress=lambda it, res: history.update({it: res[0]}), progress_every=5
+        )
+        assert report.converged
+        assert len(history) >= 3
+        records = [history[k] for k in sorted(history)]
+        assert records[-1] < records[0]
 
     def test_nonconvergence_is_reported_not_raised(self):
         spec = _spec_for(_full_pattern(8), y=np.ones(8), max_iter=5)
