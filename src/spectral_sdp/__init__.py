@@ -72,7 +72,6 @@ from .solver import (
     solve,
     update_S_blocks,
     update_c,
-    update_multipliers,
 )
 from .trigops import dense_sup_norm, hermitian_part, poly_eval
 

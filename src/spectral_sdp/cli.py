@@ -123,8 +123,14 @@ def _complex_list(values) -> list:
     return [{"re": float(v.real), "im": float(v.imag)} for v in values]
 
 
-def _parse_complex_list(items) -> np.ndarray:
-    return np.array([complex(d["re"], d["im"]) for d in items], dtype=complex)
+def _parse_complex_list(items, what: str) -> np.ndarray:
+    return np.array(
+        [
+            complex(*(_parse(float, d[k], f"{what}[{j}].{k}") for k in ("re", "im")))
+            for j, d in enumerate(items)
+        ],
+        dtype=complex,
+    )
 
 
 # ---------- config handling ----------
@@ -176,8 +182,10 @@ def _signal_from_config(cfg: dict) -> SpikeSpectrum:
     sig = cfg.get("signal")
     if not sig:
         raise InvalidInputError("config has no 'signal' section")
-    freqs = np.asarray(sig["freqs_hz"], dtype=float)
-    amps = _parse_complex_list(sig["amps"])
+    freqs = np.array(
+        [_parse(float, x, f"signal.freqs_hz[{j}]") for j, x in enumerate(sig["freqs_hz"])]
+    )
+    amps = _parse_complex_list(sig["amps"], "signal.amps")
     return SpikeSpectrum(freqs=freqs, amps=amps)
 
 
@@ -225,7 +233,10 @@ def _pattern_from_config(cfg: dict, seed: int) -> SelectionPattern:
         idx = _get(cfg, "sampling.indices")
         if not idx:
             raise InvalidInputError("selection scenario needs sampling.indices")
-        return SelectionPattern(indices=tuple(int(i) for i in idx), ambient=n)
+        return SelectionPattern(
+            indices=tuple(_parse(int, i, f"sampling.indices[{j}]") for j, i in enumerate(idx)),
+            ambient=n,
+        )
     if scenario == "random-selection":
         p = _get(cfg, "sampling.keep_prob")
         if p is None:
@@ -489,8 +500,7 @@ def cmd_estimate(args) -> int:
 
 # ---------- benchmark ----------
 
-def _bench_one(task) -> tuple:
-    m, n, iters, seed = task
+def _bench_one(m: int, n: int, iters: int, seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     others = rng.choice(np.arange(1, n), size=m - 1, replace=False)
     pattern = SelectionPattern(
@@ -514,16 +524,10 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args)
     seed = _resolve_seed(cfg, args)
     out_dir, prefix = _out_paths(cfg, args)
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [50, 100, 200]
-    iters = args.iters
-    tasks = [(m, 2 * m, iters, seed + i) for i, m in enumerate(sizes)]
-    if args.jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_one, tasks))
-    else:
-        rows = [_bench_one(t) for t in tasks]
+    sizes = [_parse(int, s, "--sizes") for s in args.sizes.split(",")]
+    if min(sizes) < 1:
+        raise InvalidInputError(f"--sizes: every m must be at least 1, got {args.sizes!r}")
+    rows = [_bench_one(m, 2 * m, args.iters, seed + i) for i, m in enumerate(sizes)]
     lines = ["m,iter_time_us,total_ms,iterations"]
     for m, it_us, tot_ms, nit in rows:
         lines.append(f"{m},{it_us:.3f},{tot_ms:.3f},{nit}")
@@ -537,11 +541,11 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     record = _load_json(args.result)
     truth = _load_json(args.truth)
-    q = _parse_complex_list(record["dual_poly"])
+    q = _parse_complex_list(record["dual_poly"], f"{args.result}: dual_poly")
     f_solve = float(record["frame"]["solve_rate_hz"])
     shift = float(record["frame"]["time_shift_s"])
     freqs = np.asarray(truth["freqs_hz"], dtype=float)
-    amps = _parse_complex_list(truth["amps"])
+    amps = _parse_complex_list(truth["amps"], f"{args.truth}: amps")
     surrogate = SpikeSpectrum(
         freqs=freqs, amps=amps * np.exp(-2j * np.pi * freqs * shift)
     )
@@ -556,8 +560,17 @@ def cmd_verify(args) -> int:
 
 # ---------- entry point ----------
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with :data:`EXIT_INPUT` on a usage error, where argparse exits
+    with 2, the code of numerical non-convergence; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectral-sdp",
         description="Sparse line spectral estimation from partial measurements",
     )
@@ -595,9 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time solver iterations across problem sizes")
     add_common(p)
-    p.add_argument("--sizes", default=None, help="comma-separated m values")
+    p.add_argument("--sizes", default="50,100,200", help="comma-separated m values")
     p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="check a result's dual certificate against ground truth")

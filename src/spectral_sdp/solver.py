@@ -9,13 +9,14 @@ where the blocks come from the skew-symmetric partition of a selection
 pattern. ``tau = 0`` is the noiseless equality-constrained program; the
 regularized path degenerates to it smoothly in the same code.
 
-The plain ADMM cycle is a fixed-point map ``T`` on ``(V, mu)``, where
-``V = b - Lambda/rho`` is the Hermitian matrix handed to the PSD
-projection (``b`` the bordered matrix of ``(S, c)``). :func:`admm_step`
-evaluates ``T``: it projects ``V`` onto the PSD cone, ascends both
-multipliers, then updates c and S (the block updates and the Hermitian
-mirror), which form the next ``V``. All multiplier pairings use the real
-part of the complex inner product so the Lagrangian is real-valued;
+The plain ADMM cycle is a fixed-point map ``T(V, mu)`` on the Hermitian
+matrix ``V`` handed to the PSD projection and the block-sum multipliers
+``mu``. :func:`admm_step` evaluates it: ``Z`` is the projection of ``V``
+onto the PSD cone and ``Lambda = rho (Z - V)`` its multiplier; the c and
+S updates (the block updates and the Hermitian mirror) follow, and give
+the image: ``mu`` ascended on the block sums of S, and the bordered
+matrix of ``(S, c)`` less ``Lambda/rho``. All multiplier pairings use the
+real part of the complex inner product so the Lagrangian is real-valued;
 under that convention the closed-form updates below are the exact block
 minimizers (the test suite checks them against finite perturbations).
 
@@ -32,7 +33,7 @@ m+1, O(m^3) work, and counts as one iteration, rejected or not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,14 +89,15 @@ class ProblemSpec:
 
 @dataclass(eq=False)
 class AdmmState:
-    """Iterates of the solver; ``z_prev`` backs the dual residual."""
+    """One evaluation of the ADMM map: the projection ``Z``, its multiplier
+    ``Lambda``, the block-sum multipliers ``mu`` it was evaluated at, and
+    the ``c`` and ``S`` updated from them."""
 
     Z: np.ndarray
     S: np.ndarray
     c: np.ndarray
     Lambda: np.ndarray
     mu: np.ndarray
-    z_prev: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -185,42 +187,19 @@ def psd_project(y_mat: np.ndarray) -> np.ndarray:
     return (vecs * clipped) @ vecs.conj().T
 
 
-def update_multipliers(
-    state: AdmmState,
-    spec: ProblemSpec,
-    b: np.ndarray | None = None,
-    sums: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient-ascent steps on both multiplier groups.
-
-    ``b`` is the bordered matrix of ``(S, c)`` and ``sums`` the block sums
-    of ``S``; both are computed from ``state`` when not given.
-    """
-    b = bordered_matrix(state.S, state.c) if b is None else b
-    sums = spec.partition.block_sums(state.S) if sums is None else sums
-    lam = state.Lambda + spec.rho * (state.Z - b)
-    mu = state.mu + spec.rho * (sums - spec.partition.delta)
-    return lam, mu
-
-
 def residuals(
-    state: AdmmState,
-    spec: ProblemSpec,
-    b: np.ndarray | None = None,
-    sums: np.ndarray | None = None,
+    state: AdmmState, spec: ProblemSpec, z_prev: np.ndarray | None = None
 ) -> tuple[float, float, float]:
-    """(primal, constraint, dual) residuals of the current iterate.
+    """(primal, constraint, dual) residuals of an evaluation.
 
-    ``b`` and ``sums`` are as in :func:`update_multipliers`.
+    Primal ``||Z - b||`` with ``b`` the bordered matrix of ``(S, c)``,
+    constraint ``max |block sums of S - delta|``, dual
+    ``rho ||Z - z_prev||`` (0 without ``z_prev``).
     """
-    b = bordered_matrix(state.S, state.c) if b is None else b
-    sums = spec.partition.block_sums(state.S) if sums is None else sums
-    primal = float(np.linalg.norm(state.Z - b))
+    primal = float(np.linalg.norm(state.Z - bordered_matrix(state.S, state.c)))
+    sums = spec.partition.block_sums(state.S)
     constraint = float(np.max(np.abs(sums - spec.partition.delta)))
-    if state.z_prev is None:
-        dual = 0.0
-    else:
-        dual = float(spec.rho * np.linalg.norm(state.Z - state.z_prev))
+    dual = 0.0 if z_prev is None else float(spec.rho * np.linalg.norm(state.Z - z_prev))
     return primal, constraint, dual
 
 
@@ -232,22 +211,22 @@ def _dual_objective(spec: ProblemSpec, c: np.ndarray) -> float:
 
 
 def admm_step(
-    state: AdmmState, spec: ProblemSpec, b: np.ndarray, sums: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The plain ADMM map ``T``: one cycle from the input ``b - Lambda/rho``.
+    v: np.ndarray, mu: np.ndarray, spec: ProblemSpec
+) -> tuple[AdmmState, np.ndarray, np.ndarray]:
+    """The plain ADMM map ``T(V, mu)``; ``v`` and ``mu`` are only read.
 
-    Projects that input onto the PSD cone (the one eigendecomposition),
-    ascends both multipliers with ``b`` and ``sums``, the bordered matrix
-    and block sums it was formed from, then updates c and S. The fields of
-    ``state`` are reassigned, never written into. Returns the bordered
-    matrix and the block sums of the new ``(S, c)``.
+    Projects ``V`` onto the PSD cone (the one eigendecomposition), sets
+    ``Lambda = rho (Z - V)``, updates c and S, then ascends ``mu`` on the
+    block sums of S. Returns the evaluation and the image
+    ``(b - Lambda/rho, mu')``, ``b`` the bordered matrix of ``(S, c)``.
     """
-    state.z_prev = state.Z
-    state.Z = psd_project(b - state.Lambda / spec.rho)
-    state.Lambda, state.mu = update_multipliers(state, spec, b, sums)
+    z = psd_project(v)
+    state = AdmmState(Z=z, S=None, c=None, Lambda=spec.rho * (z - v), mu=mu)
     state.c = update_c(state, spec)
     state.S = update_S_blocks(state, spec)
-    return bordered_matrix(state.S, state.c), spec.partition.block_sums(state.S)
+    part = spec.partition
+    mu_next = mu + spec.rho * (part.block_sums(state.S) - part.delta)
+    return state, bordered_matrix(state.S, state.c) - state.Lambda / spec.rho, mu_next
 
 
 class _Anderson:
@@ -296,9 +275,9 @@ class _Packing:
         self.parts = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
         self.size = int(ends[-1])
 
-    def pack(self, a: np.ndarray, b: np.ndarray, scale: float, mu: np.ndarray) -> np.ndarray:
-        """The vector of ``(a - scale * b, mu)``."""
-        tri = a.ravel().take(self.triangle) - scale * b.ravel().take(self.triangle)
+    def pack(self, v: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """The vector of ``(v, mu)``."""
+        tri = v.ravel().take(self.triangle)
         off = np.sqrt(2.0) * tri[self.n :]
         return np.concatenate([tri[: self.n].real, off.real, off.imag, mu.real, mu.imag])
 
@@ -315,66 +294,62 @@ class _Packing:
 def solve(spec: ProblemSpec, progress=None, progress_every: int = 100) -> SolveReport:
     """Anderson-accelerated ADMM until the residuals meet the tolerances.
 
-    Each iteration evaluates :func:`admm_step` once. An accepted
-    evaluation's residuals are (primal ``||b - Z||``, constraint
-    ``max |block sums - delta|``, dual ``rho ||Z - Z_prev||``), with ``b``
-    the bordered matrix of its ``(S, c)`` and ``Z`` its projection; the
-    report returns the last accepted evaluation. Non-convergence within
-    ``max_iter`` is reported, not raised; non-finite iterates raise
-    :class:`NumericalError`. ``progress``, when given, is called as
-    ``progress(iteration, (primal, constraint, dual))`` with the last
-    accepted residuals every ``progress_every`` iterations.
+    The iterate is one packed point ``x = (V, mu/rho)``; each iteration
+    evaluates :func:`admm_step` at it once. The report returns the last
+    accepted evaluation and its :func:`residuals`, the dual one against the
+    previous accepted ``Z``. Non-convergence within ``max_iter`` is
+    reported, not raised; non-finite iterates raise :class:`NumericalError`.
+    ``progress``, when given, is called as ``progress(iteration, residuals)``
+    with the last accepted residuals every ``progress_every`` iterations.
     """
-    rho, delta = spec.rho, spec.partition.delta
+    rho = spec.rho
     packing = _Packing(spec)
     # V = I and mu = 0: the projection gives Z = I and Lambda = 0.
-    trial = init_state(spec)
-    b, sums = trial.Z, delta
+    v = z_prev = np.eye(spec.m + 1, dtype=complex)
+    mu = np.zeros(spec.partition.p, dtype=complex)
+    x = packing.pack(v, mu)
     anderson = _Anderson(packing.size)
     extrapolated = converged = False
     rejected = 0
     for it in range(1, spec.max_iter + 1):
-        # trial is a fresh copy: a rejected evaluation leaves state untouched.
-        b, sums = admm_step(trial, spec, b, sums)
-        res = residuals(trial, spec, b, sums)
+        trial, v_out, mu_out = admm_step(v, mu, spec)
+        res = residuals(trial, spec, z_prev)
         if not all(np.isfinite(res)):
             raise NumericalError(f"non-finite residuals at iteration {it}: {res}")
-        trial.z_prev = None  # read by the dual residual only; frees the older Z
-        # The image T(x) = (V, mu/rho) and the residual T(x) - x, which is
-        # (b - Z, block sums - delta): the primal and constraint residuals.
-        f_out = packing.pack(b, trial.Lambda, 1.0 / rho, trial.mu / rho + (sums - delta))
-        g_out = packing.pack(b, trial.Z, 1.0, sums - delta)
+        # The image T(x) and the residual T(x) - x; the V-part of the
+        # residual is b - Z, the primal residual.
+        f_out = packing.pack(v_out, mu_out / rho)
+        g_out = f_out - x
         g_out_norm = np.linalg.norm(g_out)
         if extrapolated and g_out_norm > g_norm:
             rejected += 1  # the safeguard: next comes the plain step
             anderson.count = 0
-            # Rebuilt rather than kept: admm_step returned exactly these.
-            b, sums = bordered_matrix(state.S, state.c), spec.partition.block_sums(state.S)
         else:
             if it > 1:  # the first evaluation is always accepted
                 anderson.push(f, g, f_out, g_out)
-            state, f, g, g_norm = trial, f_out, g_out, g_out_norm
+            f, g, g_norm = f_out, g_out, g_out_norm
+            # Z backs the dual residual, (S, c) the report and the image a
+            # rejection; Lambda is never read again.
+            z_prev, s_star, c_star, image = trial.Z, trial.S, trial.c, (v_out, mu_out)
             last = primal, constraint, dual = res
             converged = max(primal, constraint) < spec.tol_primal and dual < spec.tol_dual
+        del trial, v_out, mu_out  # only the accepted part outlives the next projection
         if progress is not None and it % progress_every == 0:
             progress(it, last)
         if converged:
             break
         extrapolated = anderson.count > 0
         if extrapolated:
-            # Only V and mu are extrapolated: b = V + Lambda/rho keeps the
-            # input V, and admm_step sets Lambda = rho (Z - V).
-            b, mu = packing.unpack(anderson.extrapolate(f, g))
-            b += state.Lambda / rho
-            trial = replace(state, mu=rho * mu)
-            sums = delta  # so the mu ascent adds nothing
+            x = anderson.extrapolate(f, g)
+            v, mu = packing.unpack(x)
+            mu *= rho
         else:
-            trial = replace(state)
+            x, (v, mu) = f, image
 
     return SolveReport(
-        c_star=state.c.copy(),
-        S_star=state.S.copy(),
-        dual_objective=_dual_objective(spec, state.c),
+        c_star=c_star,
+        S_star=s_star,
+        dual_objective=_dual_objective(spec, c_star),
         iterations=it,
         final_residuals=last,
         converged=converged,

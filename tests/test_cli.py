@@ -254,25 +254,6 @@ class TestBench:
         assert len(lines) == 3
         assert [int(row.split(",")[0]) for row in lines[1:]] == [8, 12]
 
-    def test_parallel_jobs(self, tmp_path):
-        cfg_path, _ = _full_config(tmp_path)
-        code = main(
-            [
-                "bench",
-                "--config",
-                cfg_path,
-                "--sizes",
-                "8,10",
-                "--iters",
-                "4",
-                "--jobs",
-                "2",
-            ]
-        )
-        assert code == 0
-        lines = _read(tmp_path / "out" / "run_bench.csv").strip().splitlines()
-        assert len(lines) == 3
-
 
 class TestErrors:
     def test_unknown_scenario(self, tmp_path):
@@ -284,6 +265,15 @@ class TestErrors:
 
     def test_missing_config(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "absent.json")]) == 1
+
+    def test_usage_error_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate"])
+        assert exc.value.code == 1
+        assert "--config" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
 
     def test_wrong_schema(self, tmp_path):
         cfg_path = _write_config(tmp_path / "v9.json", {"schema": 9, "scenario": "full"})
@@ -308,8 +298,25 @@ class TestErrors:
             ("env-seed", "SPECTRAL_SDP_SEED"),
             ("rate", "sampling.f"),
             ("grid-rate", "sampling.grids[1].f"),
+            ("index", "sampling.indices[1]"),
+            ("freq", "signal.freqs_hz[1]"),
+            ("amp-re", "signal.amps[0].re"),
+            ("amp-im", "signal.amps[1].im"),
+            ("bench-size", "--sizes"),
+            ("bench-size-zero", "--sizes"),
         ],
-        ids=["csv-field", "env-seed", "rate", "grid-rate"],
+        ids=[
+            "csv-field",
+            "env-seed",
+            "rate",
+            "grid-rate",
+            "index",
+            "freq",
+            "amp-re",
+            "amp-im",
+            "bench-size",
+            "bench-size-zero",
+        ],
     )
     def test_malformed_number_exits_one(self, tmp_path, monkeypatch, capsys, case, where):
         if case == "grid-rate":
@@ -319,17 +326,31 @@ class TestErrors:
             cfg_path, cfg = _full_config(tmp_path)
             if case == "rate":
                 cfg["sampling"]["f"] = "1/0x"
+            elif case == "index":
+                cfg["scenario"] = "selection"
+                cfg["sampling"]["indices"] = [0, "x", 5]
+            elif case == "freq":
+                cfg["signal"]["freqs_hz"][1] = "x"
+            elif case == "amp-re":
+                cfg["signal"]["amps"][0]["re"] = "x"
+            elif case == "amp-im":
+                cfg["signal"]["amps"][1]["im"] = None
         _write_config(cfg_path, cfg)
         if case == "env-seed":
             monkeypatch.setenv("SPECTRAL_SDP_SEED", "abc")
-        command = "synth"
-        if case == "csv-field":
+        command = ["synth", "--config", cfg_path]
+        if case in ("csv-field", "index"):
             assert main(["synth", "--config", cfg_path]) == 0
+            command[0] = "sample"
+        if case == "csv-field":
             samples = tmp_path / "out" / "run_samples.csv"
             lines = _read(samples).splitlines()
             lines[2] = "1,abc,0.0"
             samples.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            command = "estimate"
-        assert main([command, "--config", cfg_path]) == 1
+            command[0] = "estimate"
+        if case.startswith("bench-size"):
+            command = ["bench", "--config", cfg_path, "--iters", "2"]
+            command += ["--sizes", "8,x" if case == "bench-size" else "8,0"]
+        assert main(command) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error:") and where in err

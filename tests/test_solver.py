@@ -18,7 +18,6 @@ from spectral_sdp import (
     synthesize_uniform,
     update_S_blocks,
     update_c,
-    update_multipliers,
 )
 from spectral_sdp.oracles import finite_perturbation_check
 from spectral_sdp.solver import bordered_matrix
@@ -193,31 +192,50 @@ class TestPsdProject:
                 assert np.linalg.norm(cand - y) >= base - 1e-10
 
 
-class TestUpdateMultipliers:
+class TestAdmmStep:
     def test_no_op_at_consistent_state(self):
         rng = np.random.default_rng(7)
         pat = SelectionPattern(indices=(0, 2), ambient=4)
         spec = _spec_for(pat)
-        state = _random_state(rng, spec)
-        state.S = update_S_blocks(state, spec)
-        state.Z = bordered_matrix(state.S, state.c)
-        lam, _ = update_multipliers(state, spec)
-        assert np.allclose(lam, state.Lambda)
+        m = pat.m
+        # b = w w* is PSD with corner 1 and Lambda >= 0 lives on the
+        # complement of w, so V = b - Lambda/rho projects back onto b.
+        w = np.append(random_complex(rng, m), 1.0)
+        b = np.outer(w, w.conj())
+        q = np.eye(m + 1) - b / np.vdot(w, w).real
+        a = random_hermitian(rng, m + 1)
+        lam = q @ a @ a.conj().T @ q
+        state, _, _ = admm_step(b - lam / spec.rho, np.zeros(spec.partition.p, complex), spec)
+        assert np.allclose(state.Lambda, lam)
 
     def test_mu_frozen_when_block_sums_feasible(self):
         spec = _spec_for(SelectionPattern(indices=(0, 1), ambient=3))
         state = init_state(spec)
         state.S = np.eye(2, dtype=complex) / 2.0
-        _, mu = update_multipliers(state, spec)
+        stepped, _, mu = admm_step(bordered_matrix(state.S, state.c), state.mu, spec)
+        part = spec.partition
+        assert np.allclose(mu - state.mu, spec.rho * (part.block_sums(stepped.S) - part.delta))
         assert np.allclose(mu, state.mu)
 
     def test_one_step_from_zeros(self):
         spec = _spec_for(_full_pattern(3), rho=1.0)
-        state = init_state(spec)
-        lam, _ = update_multipliers(state, spec)
-        expected = np.eye(4, dtype=complex)
-        expected[3, 3] = 0.0
-        assert np.allclose(lam, expected)
+        part = spec.partition
+        _, v, mu = admm_step(np.zeros((4, 4), complex), np.zeros(part.p, complex), spec)
+        # Each block of S sits below delta by delta/(|J|+1): S = I/4.
+        assert np.allclose(v, np.diag([0.25, 0.25, 0.25, 1.0]))
+        expected = np.zeros(part.p)
+        expected[list(part.positive_lags).index(0)] = -0.25
+        assert np.allclose(mu, expected)
+
+    def test_inputs_are_only_read(self):
+        rng = np.random.default_rng(25)
+        pat = random_pattern(rng, 10, admissible=True)
+        spec = _spec_for(pat, y=random_complex(rng, pat.m), rho=2.0)
+        v = random_hermitian(rng, pat.m + 1)
+        mu = random_complex(rng, spec.partition.p)
+        v_before, mu_before = v.copy(), mu.copy()
+        admm_step(v, mu, spec)
+        assert np.array_equal(v, v_before) and np.array_equal(mu, mu_before)
 
 
 class TestResiduals:
@@ -232,8 +250,8 @@ class TestResiduals:
         pat = random_pattern(rng, 8, admissible=True)
         spec = _spec_for(pat)
         state = _random_state(rng, spec)
-        state.z_prev = random_hermitian(rng, pat.m + 1)
-        assert all(r >= 0 for r in residuals(state, spec))
+        z_prev = random_hermitian(rng, pat.m + 1)
+        assert all(r >= 0 for r in residuals(state, spec, z_prev))
 
     def test_small_at_convergence(self):
         spec = _spec_for(_full_pattern(6), y=np.ones(6), rho=5.0)
@@ -296,31 +314,34 @@ class TestSolve:
             state.S = update_S_blocks(state, prob)
             assert np.allclose(state.S, state.S.conj().T, atol=1e-12)
             b = bordered_matrix(state.S, state.c)
-            state.z_prev = state.Z
             v = b - state.Lambda / prob.rho
             state.Z = psd_project(v)
             assert np.linalg.eigvalsh(state.Z).min() >= -1e-10
-            state.Lambda, state.mu = update_multipliers(state, prob)
+            state.Lambda = prob.rho * (state.Z - v)
+            state.mu = state.mu + prob.rho * (
+                prob.partition.block_sums(state.S) - prob.partition.delta
+            )
         # The plain map projects first; from V = I it reproduces the cycle.
-        plain = init_state(prob)
-        b, sums = plain.Z, prob.partition.delta
+        v_in = np.eye(pat.m + 1, dtype=complex)
+        mu_in = np.zeros(prob.partition.p, dtype=complex)
         for _ in range(60):
-            b, sums = admm_step(plain, prob, b, sums)
+            plain, v_in, mu_in = admm_step(v_in, mu_in, prob)
         assert np.array_equal(plain.c, state.c)
         assert np.array_equal(plain.S, state.S)
-        assert np.array_equal(b - plain.Lambda / prob.rho, v)
-        assert np.array_equal(plain.mu + prob.rho * (sums - prob.partition.delta), state.mu)
+        assert np.array_equal(v_in, v)
+        assert np.array_equal(mu_in, state.mu)
 
     def test_accelerated_solve_reaches_the_plain_fixed_point(self):
         rng = np.random.default_rng(11)
         pat = random_pattern(rng, 10, admissible=True)
         y = random_complex(rng, pat.m)
         prob = _spec_for(pat, y=y, rho=2.0)
-        plain = init_state(prob)
-        b, sums = plain.Z, prob.partition.delta
+        v, mu = np.eye(pat.m + 1, dtype=complex), np.zeros(prob.partition.p, dtype=complex)
+        z_prev = v
         for _ in range(prob.max_iter):
-            b, sums = admm_step(plain, prob, b, sums)
-            primal, constraint, dual = residuals(plain, prob, b, sums)
+            plain, v, mu = admm_step(v, mu, prob)
+            primal, constraint, dual = residuals(plain, prob, z_prev)
+            z_prev = plain.Z
             if max(primal, constraint) < prob.tol_primal and dual < prob.tol_dual:
                 break
         else:
