@@ -39,7 +39,6 @@ from .multirate import (
     check_weak_condition,
     common_grid,
     complexity_report,
-    observation_set,
     random_bound_report,
 )
 from .sampling import (
@@ -66,13 +65,12 @@ from .solver import (
     SolveReport,
     admm_step,
     assemble_problem,
-    init_state,
     psd_project,
     residuals,
     solve,
     update_S_blocks,
     update_c,
 )
-from .trigops import dense_sup_norm, hermitian_part, poly_eval
+from .trigops import dense_sup_norm, poly_eval
 
 __version__ = "0.1.0"

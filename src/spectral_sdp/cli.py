@@ -542,9 +542,15 @@ def cmd_verify(args) -> int:
     record = _load_json(args.result)
     truth = _load_json(args.truth)
     q = _parse_complex_list(record["dual_poly"], f"{args.result}: dual_poly")
-    f_solve = float(record["frame"]["solve_rate_hz"])
-    shift = float(record["frame"]["time_shift_s"])
-    freqs = np.asarray(truth["freqs_hz"], dtype=float)
+    frame = record["frame"]
+    f_solve = _parse(float, frame["solve_rate_hz"], f"{args.result}: frame.solve_rate_hz")
+    shift = _parse(float, frame["time_shift_s"], f"{args.result}: frame.time_shift_s")
+    freqs = np.array(
+        [
+            _parse(float, x, f"{args.truth}: freqs_hz[{j}]")
+            for j, x in enumerate(truth["freqs_hz"])
+        ]
+    )
     amps = _parse_complex_list(truth["amps"], f"{args.truth}: amps")
     surrogate = SpikeSpectrum(
         freqs=freqs, amps=amps * np.exp(-2j * np.pi * freqs * shift)

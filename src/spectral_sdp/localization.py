@@ -19,7 +19,7 @@ from .errors import (
     LocalizationError,
 )
 # selection_matrix is unused here; perfbench/tracing.py wraps it by this name.
-from .sampling import SelectionPattern, selection_matrix
+from .sampling import SelectionPattern, normalize_to_admissible, selection_matrix
 from .signal_model import SpikeSpectrum
 from .solver import assemble_problem, solve
 from .trigops import dense_sup_norm, grid_modulus, grid_size, poly_eval, refine_maxima
@@ -102,14 +102,12 @@ def dual_polynomial(c: np.ndarray, pattern: SelectionPattern) -> np.ndarray:
 def locate_frequencies(
     q: np.ndarray,
     f: float,
-    grid_points: int | None = None,
     peak_tol: float = 1e-3,
     max_peaks: int | None = None,
 ) -> PeakSet:
     """Find the reduced frequencies where ``|Q|`` peaks near 1.
 
-    ``|Q|`` is read on a uniform grid of ``grid_points`` points (default
-    :func:`~spectral_sdp.trigops.grid_size`, at least 8 per coefficient).
+    ``|Q|`` is read on the uniform :func:`~spectral_sdp.trigops.grid_size` grid.
     Grid local maxima of ``|Q|^2`` above ``(1 - peak_tol)^2`` are refined
     by Newton iterations on the analytic derivative; a peak falling back
     to its grid value (Newton left the bracket or stalled) is flagged.
@@ -121,14 +119,10 @@ def locate_frequencies(
     certifies nothing) or when more than ``max_peaks`` peaks survive.
     """
     q = np.asarray(q, dtype=complex)
-    n = q.size
-    if grid_points is None:
-        grid_points = grid_size(n)
-    if grid_points < 8 * n:
-        raise InvalidInputError(f"grid too coarse: need at least {8 * n} points")
     if not 0 < peak_tol < 1:
         raise InvalidInputError("peak_tol must be in (0, 1)")
 
+    grid_points = grid_size(q.size)
     g = grid_modulus(q, grid_points) ** 2
     threshold = (1.0 - peak_tol) ** 2
 
@@ -297,26 +291,24 @@ def _estimate_on_pattern(
     time_shift_s: float,
     config: EstimationConfig,
 ) -> SpectrumEstimate:
-    """The estimate in the solving frame; ``time_shift_s`` is recorded as is."""
-    spec, used, _ = assemble_problem(
+    """The estimate on an admissible ``pattern``, in its frame;
+    ``time_shift_s`` is recorded as is."""
+    spec = assemble_problem(
         y,
         pattern,
         config.tau,
         sigma=config.sigma,
         gamma=config.gamma,
-        auto_normalize=True,
         rho=config.rho,
         max_iter=config.max_iter,
         tol_primal=config.tol_primal,
         tol_dual=config.tol_dual,
     )
     report = solve(spec)
-    q = dual_polynomial(report.c_star, used)
-    sup = dense_sup_norm(q, grid_size(used.ambient))
+    q = dual_polynomial(report.c_star, pattern)
+    sup = dense_sup_norm(q)
     try:
-        peaks = locate_frequencies(
-            q, f, peak_tol=config.peak_tol, max_peaks=used.m
-        )
+        peaks = locate_frequencies(q, f, peak_tol=config.peak_tol, max_peaks=pattern.m)
     except LocalizationError:
         if report.converged:
             raise
@@ -327,7 +319,7 @@ def _estimate_on_pattern(
             moduli=np.empty(0),
             newton_ok=np.empty(0, dtype=bool),
         )
-    fit = recover_amplitudes(y, used, peaks.freqs_hz, f)
+    fit = recover_amplitudes(y, pattern, peaks.freqs_hz, f)
     diag = EstimateDiagnostics(
         peak_moduli=peaks.moduli,
         residual=fit.residual,
@@ -375,9 +367,9 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
     elif isinstance(sampler, SelectionPattern):
         if f is None or f <= 0:
             raise InvalidInputError("estimate from a pattern needs a positive rate f")
-        y_net, pattern = np.asarray(y, dtype=complex), sampler
-        # The solve shifts the pattern down by its first index k0.
-        time_shift_s = -sampler.indices[0] / f
+        y_net = np.asarray(y, dtype=complex)
+        pattern, k0 = normalize_to_admissible(sampler)
+        time_shift_s = -k0 / f
     else:
         raise InvalidInputError(
             f"sampler must be a SelectionPattern or MultirateSystem, got {type(sampler)!r}"

@@ -13,7 +13,6 @@ exact integrality condition that rounding would make ill-defined.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,24 +109,6 @@ def _rational_lcm(values: list[Fraction]) -> Fraction:
     return out
 
 
-def observation_set(
-    system: MultirateSystem, cg: CommonGrid
-) -> tuple[SelectionPattern, tuple]:
-    """Net indices on the common grid and the sample groups merged onto them."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for j, (grid, (l_j, a_j)) in enumerate(zip(system.grids, cg.expansions)):
-        for k in range(grid.n):
-            q = l_j * k - a_j
-            if not 0 <= q < cg.n0:
-                raise InvariantViolationError(
-                    f"grid {j} sample {k} maps to index {q} outside [0, {cg.n0 - 1}]"
-                )
-            groups.setdefault(q, []).append((j, k))
-    indices = tuple(sorted(groups))
-    pattern = SelectionPattern(indices=indices, ambient=cg.n0)
-    return pattern, tuple(tuple(groups[q]) for q in indices)
-
-
 def common_grid(system: MultirateSystem) -> CommonGrid:
     """Compute the minimal common supporting grid of a system.
 
@@ -158,19 +139,26 @@ def common_grid(system: MultirateSystem) -> CommonGrid:
     # Last representable sample index is max over grids; sizing is index+1.
     n0 = max(l * (g.n - 1) - a for l, a, g in zip(l_all, a_all, system.grids)) + 1
     expansions = tuple(zip(l_all, a_all))
-    partial = CommonGrid(
+    # The net indices and the (grid, sample) pairs merged onto each.
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for j, (grid, (l_j, a_j)) in enumerate(zip(system.grids, expansions)):
+        for k in range(grid.n):
+            q = l_j * k - a_j
+            if not 0 <= q < n0:
+                raise InvariantViolationError(
+                    f"grid {j} sample {k} maps to index {q} outside [0, {n0 - 1}]"
+                )
+            groups.setdefault(q, []).append((j, k))
+    indices = tuple(sorted(groups))
+    if indices[0] != 0:
+        raise InvariantViolationError("minimal common grid must start on a sample")
+    return CommonGrid(
         f0=f0,
         gamma0=gamma0,
         n0=n0,
         expansions=expansions,
-        observation_set=SelectionPattern(indices=(0,), ambient=n0),
-        duplicate_groups=((),),
-    )
-    pattern, groups = observation_set(system, partial)
-    if pattern.indices[0] != 0:
-        raise InvariantViolationError("minimal common grid must start on a sample")
-    return dataclasses.replace(
-        partial, observation_set=pattern, duplicate_groups=groups
+        observation_set=SelectionPattern(indices=indices, ambient=n0),
+        duplicate_groups=tuple(tuple(groups[q]) for q in indices),
     )
 
 

@@ -128,6 +128,8 @@ def random_selection(n: int, p: float, seed: int) -> SelectionPattern:
     Empty draws are resampled from the same stream, so the result is
     nonempty and deterministic per seed.
     """
+    if n < 1:
+        raise InvalidInputError(f"ambient length must be at least 1, got {n}")
     if not 0 < p <= 1:
         raise InvalidInputError(f"keep probability must be in (0, 1], got {p}")
     rng = np.random.default_rng(seed)

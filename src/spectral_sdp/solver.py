@@ -38,13 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .trigops import hermitian_part
 from .sampling import (
     PartitionStructure,
     SelectionPattern,
     compute_partition,
     is_admissible_selection,
-    normalize_to_admissible,
 )
 
 
@@ -125,18 +123,6 @@ def bordered_matrix(s: np.ndarray, c: np.ndarray) -> np.ndarray:
     return b
 
 
-def init_state(spec: ProblemSpec) -> AdmmState:
-    """Zero multipliers and variables; Z starts as the identity."""
-    m = spec.m
-    return AdmmState(
-        Z=np.eye(m + 1, dtype=complex),
-        S=np.zeros((m, m), dtype=complex),
-        c=np.zeros(m, dtype=complex),
-        Lambda=np.zeros((m + 1, m + 1), dtype=complex),
-        mu=np.zeros(spec.partition.p, dtype=complex),
-    )
-
-
 def update_c(state: AdmmState, spec: ProblemSpec) -> np.ndarray:
     """Minimizer of the c-part of the augmented Lagrangian.
 
@@ -178,7 +164,8 @@ def psd_project(y_mat: np.ndarray) -> np.ndarray:
     Symmetrizes, then zeroes the negative eigenvalues of a full Hermitian
     eigendecomposition.
     """
-    h = hermitian_part(np.asarray(y_mat, dtype=complex))
+    h = np.asarray(y_mat, dtype=complex)
+    h = 0.5 * (h + h.conj().T)
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -291,7 +278,7 @@ class _Packing:
         return v.reshape(self.n, self.n), mu_re + 1j * mu_im
 
 
-def solve(spec: ProblemSpec, progress=None, progress_every: int = 100) -> SolveReport:
+def solve(spec: ProblemSpec) -> SolveReport:
     """Anderson-accelerated ADMM until the residuals meet the tolerances.
 
     The iterate is one packed point ``x = (V, mu/rho)``; each iteration
@@ -299,8 +286,6 @@ def solve(spec: ProblemSpec, progress=None, progress_every: int = 100) -> SolveR
     accepted evaluation and its :func:`residuals`, the dual one against the
     previous accepted ``Z``. Non-convergence within ``max_iter`` is
     reported, not raised; non-finite iterates raise :class:`NumericalError`.
-    ``progress``, when given, is called as ``progress(iteration, residuals)``
-    with the last accepted residuals every ``progress_every`` iterations.
     """
     rho = spec.rho
     packing = _Packing(spec)
@@ -334,8 +319,6 @@ def solve(spec: ProblemSpec, progress=None, progress_every: int = 100) -> SolveR
             last = primal, constraint, dual = res
             converged = max(primal, constraint) < spec.tol_primal and dual < spec.tol_dual
         del trial, v_out, mu_out  # only the accepted part outlives the next projection
-        if progress is not None and it % progress_every == 0:
-            progress(it, last)
         if converged:
             break
         extrapolated = anderson.count > 0
@@ -364,41 +347,22 @@ def assemble_problem(
     *,
     sigma: float | None = None,
     gamma: float = 1.5,
-    auto_normalize: bool = False,
-    rho: float = 1.0,
-    max_iter: int = 20000,
-    tol_primal: float = 1e-7,
-    tol_dual: float = 1e-7,
-) -> tuple[ProblemSpec, SelectionPattern, int]:
+    **settings,
+) -> ProblemSpec:
     """Build a :class:`ProblemSpec` from observations and a pattern.
 
-    Patterns not containing index 0 are shifted when ``auto_normalize``
-    is set (the shift ``k0`` is returned for later amplitude correction)
-    and rejected otherwise. When ``tau`` is not given it defaults to the
-    noise rule ``gamma * sigma * sqrt(m log m)`` if ``sigma`` is provided,
-    else to 0.
+    The pattern must contain index 0 (shift it first with
+    :func:`~spectral_sdp.sampling.normalize_to_admissible`). When ``tau``
+    is not given it defaults to the noise rule
+    ``gamma * sigma * sqrt(m log m)`` if ``sigma`` is provided, else to 0.
+    ``settings`` (``rho``, ``max_iter``, the tolerances) go to the spec.
     """
-    k0 = 0
     if not is_admissible_selection(pattern):
-        if not auto_normalize:
-            raise InvalidInputError(
-                "selection pattern must contain index 0; pass auto_normalize=True "
-                "to shift it"
-            )
-        pattern, k0 = normalize_to_admissible(pattern)
+        raise InvalidInputError("selection pattern must contain index 0")
     if tau is None:
         if sigma is not None and sigma > 0:
             m = pattern.m
             tau = float(gamma * sigma * np.sqrt(m * np.log(m))) if m > 1 else 0.0
         else:
             tau = 0.0
-    spec = ProblemSpec(
-        y=np.asarray(y, dtype=complex),
-        partition=compute_partition(pattern),
-        tau=tau,
-        rho=rho,
-        max_iter=max_iter,
-        tol_primal=tol_primal,
-        tol_dual=tol_dual,
-    )
-    return spec, pattern, k0
+    return ProblemSpec(y=y, partition=compute_partition(pattern), tau=tau, **settings)

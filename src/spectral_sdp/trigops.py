@@ -15,11 +15,6 @@ _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-12
 
 
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Symmetrize ``(a + a*)/2``; use after floating-point accumulations."""
-    return 0.5 * (a + a.conj().T)
-
-
 def poly_eval(q: np.ndarray, nu) -> complex | np.ndarray:
     """Evaluate ``Q(e^{i 2 pi nu}) = sum_k q[k] e^{i 2 pi nu k}``.
 
@@ -100,19 +95,15 @@ def refine_maxima(q: np.ndarray, nu0, step: float) -> tuple[np.ndarray, np.ndarr
     return np.array(refined, dtype=float) % 1.0, np.array(ok_flags, dtype=bool)
 
 
-def dense_sup_norm(q: np.ndarray, grid_points: int) -> float:
+def dense_sup_norm(q: np.ndarray) -> float:
     """Max of ``|Q(e^{i 2 pi nu})|`` over [0, 1), grid plus local refinement.
 
-    The grid, read by :func:`grid_modulus`, must hold at least 4 points
-    per coefficient; the grid-local maxima near the top are refined by
+    ``|Q|`` is read by :func:`grid_modulus` on the :func:`grid_size` grid;
+    the grid-local maxima near the top are refined by
     :func:`refine_maxima` and the best value is returned.
     """
     q = np.asarray(q, dtype=complex)
-    n = q.size
-    if grid_points < 4 * n:
-        raise InvalidInputError(
-            f"grid too coarse: need at least {4 * n} points for degree {n - 1}"
-        )
+    grid_points = grid_size(q.size)
     mags = grid_modulus(q, grid_points)
 
     # Local maxima on the circular grid near the global grid max; refining a

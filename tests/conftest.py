@@ -7,7 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectral_sdp import Grid, MultirateSystem, SelectionPattern, SpikeSpectrum, torus_separation
+from spectral_sdp import (
+    AdmmState,
+    Grid,
+    MultirateSystem,
+    ProblemSpec,
+    SelectionPattern,
+    SpikeSpectrum,
+    torus_separation,
+)
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -44,6 +52,18 @@ def random_spike_spectrum(
     freqs = separated_freqs(rng, s, min_sep)
     amps = (amp_low + rng.random(s)) * np.exp(2j * np.pi * rng.random(s))
     return SpikeSpectrum(freqs=freqs, amps=amps)
+
+
+def init_state(spec: ProblemSpec) -> AdmmState:
+    """Zero multipliers and variables; Z starts as the identity."""
+    m = spec.m
+    return AdmmState(
+        Z=np.eye(m + 1, dtype=complex),
+        S=np.zeros((m, m), dtype=complex),
+        c=np.zeros(m, dtype=complex),
+        Lambda=np.zeros((m + 1, m + 1), dtype=complex),
+        mu=np.zeros(spec.partition.p, dtype=complex),
+    )
 
 
 def lagrangian_c(c, y, z, lam, rho, tau):

@@ -256,6 +256,15 @@ class TestBench:
 
 
 class TestErrors:
+    def test_random_selection_without_length_exits_one(self, tmp_path, capsys):
+        cfg_path, cfg = _full_config(tmp_path)
+        assert main(["synth", "--config", cfg_path]) == 0
+        cfg["scenario"] = "random-selection"
+        cfg["sampling"] = {"f": "1", "keep_prob": 0.5}  # no sampling.n
+        _write_config(cfg_path, cfg)
+        assert main(["sample", "--config", cfg_path]) == 1
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_unknown_scenario(self, tmp_path):
         cfg_path = _write_config(
             tmp_path / "bad.json",
@@ -304,6 +313,9 @@ class TestErrors:
             ("amp-im", "signal.amps[1].im"),
             ("bench-size", "--sizes"),
             ("bench-size-zero", "--sizes"),
+            ("truth-freq", "run_truth.json: freqs_hz[1]"),
+            ("solve-rate", "run_result.json: frame.solve_rate_hz"),
+            ("time-shift", "run_result.json: frame.time_shift_s"),
         ],
         ids=[
             "csv-field",
@@ -316,6 +328,9 @@ class TestErrors:
             "amp-im",
             "bench-size",
             "bench-size-zero",
+            "truth-freq",
+            "solve-rate",
+            "time-shift",
         ],
     )
     def test_malformed_number_exits_one(self, tmp_path, monkeypatch, capsys, case, where):
@@ -351,6 +366,19 @@ class TestErrors:
         if case.startswith("bench-size"):
             command = ["bench", "--config", cfg_path, "--iters", "2"]
             command += ["--sizes", "8,x" if case == "bench-size" else "8,0"]
+        if case in ("truth-freq", "solve-rate", "time-shift"):
+            assert main(command) == 0
+            assert main(["estimate", "--config", cfg_path]) == 0
+            result = tmp_path / "out" / "run_result.json"
+            truth = tmp_path / "out" / "run_truth.json"
+            path = truth if case == "truth-freq" else result
+            record = json.loads(_read(path))
+            if case == "truth-freq":
+                record["freqs_hz"][1] = "x"
+            else:
+                record["frame"]["solve_rate_hz" if case == "solve-rate" else "time_shift_s"] = "x"
+            path.write_text(json.dumps(record), encoding="utf-8")
+            command = ["verify", "--result", str(result), "--truth", str(truth)]
         assert main(command) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error:") and where in err

@@ -22,7 +22,7 @@ from spectral_sdp import (
     verify_certificate,
 )
 from spectral_sdp.errors import DimensionMismatchError
-from spectral_sdp.trigops import dense_sup_norm, grid_size
+from spectral_sdp.trigops import dense_sup_norm
 
 from conftest import random_complex, random_pattern, random_spike_spectrum
 
@@ -117,7 +117,7 @@ class TestLocateFrequencies:
         tracemalloc.start()
         try:
             out = locate_frequencies(q, 1.0)
-            sup = dense_sup_norm(q, grid_size(n))
+            sup = dense_sup_norm(q)
             _, peak_bytes = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -125,10 +125,6 @@ class TestLocateFrequencies:
         assert abs(out.freqs_hz[0] - nu0) < 1e-12
         assert abs(sup - 1.0) < 1e-12
         assert peak_bytes < 16 * 2**20
-
-    def test_grid_too_coarse_rejected(self):
-        with pytest.raises(InvalidInputError):
-            locate_frequencies(np.ones(16), 1.0, grid_points=64)
 
 
 class TestRecoverAmplitudes:

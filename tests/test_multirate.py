@@ -16,7 +16,6 @@ from spectral_sdp import (
     check_weak_condition,
     common_grid,
     complexity_report,
-    observation_set,
     random_bound_report,
     synthesize_grid,
 )
@@ -151,9 +150,8 @@ class TestObservationSet:
     def test_single_grid_has_no_duplicates(self):
         sys1 = MultirateSystem(grids=(Grid(f=Fraction(2), gamma=Fraction(0), n=5),))
         cg = common_grid(sys1)
-        pattern, groups = observation_set(sys1, cg)
-        assert pattern.indices == tuple(range(5))
-        assert all(len(g) == 1 for g in groups)
+        assert cg.observation_set.indices == tuple(range(5))
+        assert all(len(g) == 1 for g in cg.duplicate_groups)
 
     def test_reference_system_has_two_shared_instants(self, two_grid_system):
         cg = common_grid(two_grid_system)

@@ -173,6 +173,11 @@ class TestRandomSelection:
         with pytest.raises(InvalidInputError):
             random_selection(10, 1.5, seed=0)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_empty_ambient_range(self, n):
+        with pytest.raises(InvalidInputError):
+            random_selection(n, 0.5, seed=0)
+
 
 class TestNormalizeToAdmissible:
     def test_shifts_by_minimum(self):

@@ -247,19 +247,15 @@ class TestDenseSupNorm:
     def test_constant(self):
         q = np.zeros(3)
         q[0] = 1.0
-        assert np.isclose(dense_sup_norm(q, 32), 1.0)
+        assert np.isclose(dense_sup_norm(q), 1.0)
 
     def test_two_term_average_peaks_at_one(self):
-        assert np.isclose(dense_sup_norm([0.5, 0.5], 16), 1.0)
+        assert np.isclose(dense_sup_norm([0.5, 0.5]), 1.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(10)
         for _ in range(5):
             q = random_complex(rng, 6)
-            fast = dense_sup_norm(q, 4 * 6)
+            fast = dense_sup_norm(q)
             slow = brute_force_sup_norm(q, 10**6)
             assert abs(fast - slow) < 1e-6
-
-    def test_rejects_coarse_grid(self):
-        with pytest.raises(InvalidInputError):
-            dense_sup_norm(np.ones(8), 16)
