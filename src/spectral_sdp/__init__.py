@@ -66,7 +66,6 @@ from .solver import (
     admm_step,
     assemble_problem,
     psd_project,
-    residuals,
     solve,
     update_S_blocks,
     update_c,

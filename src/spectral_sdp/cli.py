@@ -78,6 +78,15 @@ def _parse(cast, value, what: str):
         raise InvalidInputError(f"{what}: cannot parse {value!r}") from exc
 
 
+def _shaped(kind: type, value, what: str):
+    """``value`` when it is a JSON array (``kind`` list) or object (dict);
+    otherwise an input error naming ``what``."""
+    if not isinstance(value, kind):
+        expected = "an array" if kind is list else "an object"
+        raise InvalidInputError(f"{what}: expected {expected}, got {value!r}")
+    return value
+
+
 def _write_samples_csv(path: str, y: np.ndarray) -> None:
     lines = ["index,re,im"]
     lines += [f"{k},{float(v.real)!r},{float(v.imag)!r}" for k, v in enumerate(y)]
@@ -105,7 +114,7 @@ def _read_samples_csv(path: str) -> np.ndarray:
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return _shaped(dict, json.load(fh), path)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: invalid JSON ({exc})") from exc
 
@@ -123,14 +132,17 @@ def _complex_list(values) -> list:
     return [{"re": float(v.real), "im": float(v.imag)} for v in values]
 
 
+def _parse_list(cast, items, what: str) -> list:
+    """``cast`` of every entry of the array ``items``, entry ``j`` named ``what[j]``."""
+    return [_parse(cast, x, f"{what}[{j}]") for j, x in enumerate(_shaped(list, items, what))]
+
+
 def _parse_complex_list(items, what: str) -> np.ndarray:
-    return np.array(
-        [
-            complex(*(_parse(float, d[k], f"{what}[{j}].{k}") for k in ("re", "im")))
-            for j, d in enumerate(items)
-        ],
-        dtype=complex,
-    )
+    out = []
+    for j, d in enumerate(_shaped(list, items, what)):
+        d = _shaped(dict, d, f"{what}[{j}]")
+        out.append(complex(*(_parse(float, d[k], f"{what}[{j}].{k}") for k in ("re", "im"))))
+    return np.array(out, dtype=complex)
 
 
 # ---------- config handling ----------
@@ -182,9 +194,8 @@ def _signal_from_config(cfg: dict) -> SpikeSpectrum:
     sig = cfg.get("signal")
     if not sig:
         raise InvalidInputError("config has no 'signal' section")
-    freqs = np.array(
-        [_parse(float, x, f"signal.freqs_hz[{j}]") for j, x in enumerate(sig["freqs_hz"])]
-    )
+    sig = _shaped(dict, sig, "signal")
+    freqs = np.array(_parse_list(float, sig["freqs_hz"], "signal.freqs_hz"))
     amps = _parse_complex_list(sig["amps"], "signal.amps")
     return SpikeSpectrum(freqs=freqs, amps=amps)
 
@@ -193,7 +204,8 @@ def _system_from_config(cfg: dict) -> MultirateSystem:
     grids_cfg = _get(cfg, "sampling.grids")
     if not grids_cfg:
         raise InvalidInputError("multirate scenario needs sampling.grids")
-    for j, g in enumerate(grids_cfg):
+    for j, g in enumerate(_shaped(list, grids_cfg, "sampling.grids")):
+        _shaped(dict, g, f"sampling.grids[{j}]")
         for key in ("f", "gamma"):
             if isinstance(g.get(key), float):
                 raise InvalidInputError(
@@ -234,7 +246,7 @@ def _pattern_from_config(cfg: dict, seed: int) -> SelectionPattern:
         if not idx:
             raise InvalidInputError("selection scenario needs sampling.indices")
         return SelectionPattern(
-            indices=tuple(_parse(int, i, f"sampling.indices[{j}]") for j, i in enumerate(idx)),
+            indices=tuple(_parse_list(int, idx, "sampling.indices")),
             ambient=n,
         )
     if scenario == "random-selection":
@@ -542,15 +554,10 @@ def cmd_verify(args) -> int:
     record = _load_json(args.result)
     truth = _load_json(args.truth)
     q = _parse_complex_list(record["dual_poly"], f"{args.result}: dual_poly")
-    frame = record["frame"]
+    frame = _shaped(dict, record["frame"], f"{args.result}: frame")
     f_solve = _parse(float, frame["solve_rate_hz"], f"{args.result}: frame.solve_rate_hz")
     shift = _parse(float, frame["time_shift_s"], f"{args.result}: frame.time_shift_s")
-    freqs = np.array(
-        [
-            _parse(float, x, f"{args.truth}: freqs_hz[{j}]")
-            for j, x in enumerate(truth["freqs_hz"])
-        ]
-    )
+    freqs = np.array(_parse_list(float, truth["freqs_hz"], f"{args.truth}: freqs_hz"))
     amps = _parse_complex_list(truth["amps"], f"{args.truth}: amps")
     surrogate = SpikeSpectrum(
         freqs=freqs, amps=amps * np.exp(-2j * np.pi * freqs * shift)

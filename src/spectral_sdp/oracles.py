@@ -256,6 +256,19 @@ def brute_force_partition(pattern: SelectionPattern) -> PartitionStructure:
     )
 
 
+def residuals(state, spec, z_prev: np.ndarray | None = None) -> tuple[float, float, float]:
+    """(primal, constraint, dual) residuals of an ADMM evaluation from their
+    definitions: ``||Z - [[S, c], [c*, 1]]||``, ``max |block sums of S -
+    delta|`` and ``rho ||Z - z_prev||`` (0 without ``z_prev``)."""
+    c = state.c[:, None]
+    bordered = np.block([[state.S, c], [c.conj().T, np.ones((1, 1))]])
+    primal = float(np.linalg.norm(state.Z - bordered))
+    sums = spec.partition.block_sums(state.S)
+    constraint = float(np.max(np.abs(sums - spec.partition.delta)))
+    dual = 0.0 if z_prev is None else float(spec.rho * np.linalg.norm(state.Z - z_prev))
+    return primal, constraint, dual
+
+
 def brute_force_sup_norm(q: np.ndarray, points: int = 10**6) -> float:
     """Max modulus of the polynomial over a uniform mega-grid."""
     if points < 10**5:

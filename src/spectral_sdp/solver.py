@@ -26,6 +26,8 @@ extrapolates the next input from the last ``MEMORY`` accepted
 evaluations, and keeps the extrapolated point only when its fixed-point
 residual ``T(x) - x`` is no larger than that of the point it extrapolated
 from; otherwise it takes the plain step ``T(x)`` and clears the history.
+The same residual is the stopping rule: its V-part is ``b - Z``, the
+primal residual, and its mu-part the block sums of S less delta.
 
 Every evaluation of ``T`` is one Hermitian eigendecomposition of size
 m+1, O(m^3) work, and counts as one iteration, rejected or not.
@@ -174,22 +176,6 @@ def psd_project(y_mat: np.ndarray) -> np.ndarray:
     return (vecs * clipped) @ vecs.conj().T
 
 
-def residuals(
-    state: AdmmState, spec: ProblemSpec, z_prev: np.ndarray | None = None
-) -> tuple[float, float, float]:
-    """(primal, constraint, dual) residuals of an evaluation.
-
-    Primal ``||Z - b||`` with ``b`` the bordered matrix of ``(S, c)``,
-    constraint ``max |block sums of S - delta|``, dual
-    ``rho ||Z - z_prev||`` (0 without ``z_prev``).
-    """
-    primal = float(np.linalg.norm(state.Z - bordered_matrix(state.S, state.c)))
-    sums = spec.partition.block_sums(state.S)
-    constraint = float(np.max(np.abs(sums - spec.partition.delta)))
-    dual = 0.0 if z_prev is None else float(spec.rho * np.linalg.norm(state.Z - z_prev))
-    return primal, constraint, dual
-
-
 def _dual_objective(spec: ProblemSpec, c: np.ndarray) -> float:
     obj = float(np.real(spec.y @ c))
     if spec.tau > 0:
@@ -246,65 +232,47 @@ class _Anderson:
         return f - gamma @ self.df[:k]
 
 
-class _Packing:
-    """A Hermitian ``(m+1) x (m+1)`` matrix and a length-``p`` vector as one
-    real vector: the upper triangle, off-diagonals weighted by sqrt(2) so
-    the Euclidean norm is the Frobenius norm, then the vector."""
-
-    def __init__(self, spec: ProblemSpec):
-        n = spec.m + 1
-        rows, cols = np.triu_indices(n, 1)
-        self.n = n
-        # Flat positions in the matrix: the diagonal, then the upper triangle.
-        self.triangle = np.concatenate([np.arange(n) * (n + 1), rows * n + cols])
-        self.lower = cols * n + rows
-        ends = np.cumsum([n, rows.size, rows.size, spec.partition.p, spec.partition.p])
-        self.parts = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
-        self.size = int(ends[-1])
-
-    def pack(self, v: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """The vector of ``(v, mu)``."""
-        tri = v.ravel().take(self.triangle)
-        off = np.sqrt(2.0) * tri[self.n :]
-        return np.concatenate([tri[: self.n].real, off.real, off.imag, mu.real, mu.imag])
-
-    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        diag, re, im, mu_re, mu_im = (x[part] for part in self.parts)
-        off = (re + 1j * im) / np.sqrt(2.0)
-        v = np.empty(self.n * self.n, dtype=complex)
-        v[self.triangle[self.n :]] = off
-        v[self.lower] = off.conj()
-        v[self.triangle[: self.n]] = diag
-        return v.reshape(self.n, self.n), mu_re + 1j * mu_im
-
-
 def solve(spec: ProblemSpec) -> SolveReport:
     """Anderson-accelerated ADMM until the residuals meet the tolerances.
 
-    The iterate is one packed point ``x = (V, mu/rho)``; each iteration
-    evaluates :func:`admm_step` at it once. The report returns the last
-    accepted evaluation and its :func:`residuals`, the dual one against the
-    previous accepted ``Z``. Non-convergence within ``max_iter`` is
-    reported, not raised; non-finite iterates raise :class:`NumericalError`.
+    The iterate is one point ``x = (V, mu/rho)``; each iteration evaluates
+    :func:`admm_step` at it once and reads the primal and constraint
+    residuals off ``T(x) - x``. The report returns the last accepted
+    evaluation and its residuals, the dual one against the previous
+    accepted ``Z``. Non-convergence within ``max_iter`` is reported, not
+    raised; non-finite iterates raise :class:`NumericalError`.
     """
     rho = spec.rho
-    packing = _Packing(spec)
+    n = spec.m + 1
+    # A point is one complex vector, viewed as floats: the upper triangle of
+    # V with the off-diagonals times sqrt(2), so its norm is the Frobenius
+    # norm, then mu/rho.
+    rows, cols = np.triu_indices(n)
+    upper, lower = rows * n + cols, cols * n + rows
+    weight = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    k = upper.size
+
+    def pack(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        return np.concatenate([weight * v.ravel().take(upper), mu / rho]).view(float)
+
     # V = I and mu = 0: the projection gives Z = I and Lambda = 0.
-    v = z_prev = np.eye(spec.m + 1, dtype=complex)
+    v = z_prev = np.eye(n, dtype=complex)
     mu = np.zeros(spec.partition.p, dtype=complex)
-    x = packing.pack(v, mu)
-    anderson = _Anderson(packing.size)
+    x = pack(v, mu)
+    anderson = _Anderson(x.size)
     extrapolated = converged = False
     rejected = 0
     for it in range(1, spec.max_iter + 1):
         trial, v_out, mu_out = admm_step(v, mu, spec)
-        res = residuals(trial, spec, z_prev)
+        # The image T(x) and the residual g = T(x) - x: its V-part is b - Z,
+        # the primal residual, its mu-part the block sums of S less delta.
+        f_out = pack(v_out, mu_out)
+        g_out = f_out - x
+        g_v, g_mu = np.split(g_out.view(complex), [k])
+        z_step = np.linalg.norm(trial.Z - z_prev)
+        res = float(np.linalg.norm(g_v)), float(np.max(np.abs(g_mu))), float(rho * z_step)
         if not all(np.isfinite(res)):
             raise NumericalError(f"non-finite residuals at iteration {it}: {res}")
-        # The image T(x) and the residual T(x) - x; the V-part of the
-        # residual is b - Z, the primal residual.
-        f_out = packing.pack(v_out, mu_out / rho)
-        g_out = f_out - x
         g_out_norm = np.linalg.norm(g_out)
         if extrapolated and g_out_norm > g_norm:
             rejected += 1  # the safeguard: next comes the plain step
@@ -313,21 +281,22 @@ def solve(spec: ProblemSpec) -> SolveReport:
             if it > 1:  # the first evaluation is always accepted
                 anderson.push(f, g, f_out, g_out)
             f, g, g_norm = f_out, g_out, g_out_norm
-            # Z backs the dual residual, (S, c) the report and the image a
-            # rejection; Lambda is never read again.
-            z_prev, s_star, c_star, image = trial.Z, trial.S, trial.c, (v_out, mu_out)
+            # Z backs the dual residual, (S, c) the report; Lambda is not read.
+            z_prev, s_star, c_star = trial.Z, trial.S, trial.c
             last = primal, constraint, dual = res
             converged = max(primal, constraint) < spec.tol_primal and dual < spec.tol_dual
         del trial, v_out, mu_out  # only the accepted part outlives the next projection
         if converged:
             break
         extrapolated = anderson.count > 0
-        if extrapolated:
-            x = anderson.extrapolate(f, g)
-            v, mu = packing.unpack(x)
-            mu *= rho
-        else:
-            x, (v, mu) = f, image
+        x = anderson.extrapolate(f, g) if extrapolated else f
+        point = x.view(complex)
+        tri = point[:k] / weight
+        v = np.empty(n * n, dtype=complex)  # the diagonal is in both index sets
+        v[lower] = tri.conj()
+        v[upper] = tri
+        v, mu = v.reshape(n, n), point[k:] * rho
+        del tri
 
     return SolveReport(
         c_star=c_star,

@@ -70,7 +70,7 @@ def refine_maxima(q: np.ndarray, nu0, step: float) -> tuple[np.ndarray, np.ndarr
     """
     q = np.asarray(q, dtype=complex)
     n = q.size
-    r = np.array([np.vdot(q[: n - d], q[d:]) for d in range(1, n)], dtype=complex)
+    r = np.correlate(q, q, "full")[n:]
     d1 = 2j * np.pi * np.arange(1, n)
     d2 = d1**2
     refined, ok_flags = [], []

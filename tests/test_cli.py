@@ -382,3 +382,48 @@ class TestErrors:
         assert main(command) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error:") and where in err
+
+    @pytest.mark.parametrize(
+        "case, where",
+        [
+            ("truth-freqs", "run_truth.json: freqs_hz"),
+            ("config", "config.json"),
+            ("grid", "sampling.grids[0]"),
+            ("amps", "signal.amps"),
+            ("signal", "signal"),
+            ("indices", "sampling.indices"),
+        ],
+        ids=["truth-freqs", "config", "grid", "amps", "signal", "indices"],
+    )
+    def test_malformed_shape_exits_one(self, tmp_path, capsys, case, where):
+        if case == "grid":
+            cfg_path, cfg = _multirate_config(tmp_path)
+            cfg["sampling"]["grids"] = ["x"]
+        else:
+            cfg_path, cfg = _full_config(tmp_path)
+            if case == "config":
+                cfg = []
+            elif case == "amps":
+                cfg["signal"]["amps"] = 3
+            elif case == "signal":
+                cfg["signal"] = [0.1]
+            elif case == "indices":
+                cfg["scenario"] = "selection"
+                cfg["sampling"]["indices"] = 5
+        _write_config(cfg_path, cfg)
+        command = ["synth", "--config", cfg_path]
+        if case == "indices":
+            assert main(command) == 0
+            command[0] = "sample"
+        if case == "truth-freqs":
+            assert main(command) == 0
+            assert main(["estimate", "--config", cfg_path]) == 0
+            truth = tmp_path / "out" / "run_truth.json"
+            record = json.loads(_read(truth))
+            record["freqs_hz"] = 5
+            truth.write_text(json.dumps(record), encoding="utf-8")
+            result = str(tmp_path / "out" / "run_result.json")
+            command = ["verify", "--result", result, "--truth", str(truth)]
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and where in err

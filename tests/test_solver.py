@@ -14,13 +14,12 @@ from spectral_sdp import (
     assemble_problem,
     compute_partition,
     psd_project,
-    residuals,
     solve,
     synthesize_uniform,
     update_S_blocks,
     update_c,
 )
-from spectral_sdp.oracles import finite_perturbation_check
+from spectral_sdp.oracles import finite_perturbation_check, residuals
 from spectral_sdp.solver import bordered_matrix
 
 from conftest import (
@@ -245,6 +244,33 @@ class TestResiduals:
         report = solve(spec)
         assert report.converged
         assert max(report.final_residuals) < 1e-6
+
+    def test_solve_reads_the_reference_residuals_off_its_point(self, monkeypatch):
+        from spectral_sdp import solver
+
+        rng = np.random.default_rng(24)
+        pat = random_pattern(rng, 8, admissible=True)
+        y = random_complex(rng, pat.m)
+        captured = []
+        step = solver.admm_step
+
+        def capture(v, mu, spec):
+            out = step(v, mu, spec)
+            captured.append(out[0])
+            return out
+
+        monkeypatch.setattr(solver, "admm_step", capture)
+        checked = 0
+        for max_iter in range(1, 13):
+            captured.clear()
+            prob = _spec_for(pat, y=y, max_iter=max_iter, tol_primal=0.0, tol_dual=0.0)
+            report = solve(prob)
+            if report.S_star is not captured[-1].S:
+                continue  # the budget ended on a rejected extrapolation
+            checked += 1
+            expected = residuals(captured[-1], prob)[:2]
+            assert np.allclose(report.final_residuals[:2], expected, rtol=0, atol=1e-12)
+        assert checked >= 6
 
 
 class TestSolve:
