@@ -60,7 +60,6 @@ from .signal_model import (
     torus_separation,
 )
 from .solver import (
-    AdmmState,
     ProblemSpec,
     SolveReport,
     admm_step,

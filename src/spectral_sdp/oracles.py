@@ -256,16 +256,47 @@ def brute_force_partition(pattern: SelectionPattern) -> PartitionStructure:
     )
 
 
-def residuals(state, spec, z_prev: np.ndarray | None = None) -> tuple[float, float, float]:
-    """(primal, constraint, dual) residuals of an ADMM evaluation from their
-    definitions: ``||Z - [[S, c], [c*, 1]]||``, ``max |block sums of S -
-    delta|`` and ``rho ||Z - z_prev||`` (0 without ``z_prev``)."""
-    c = state.c[:, None]
-    bordered = np.block([[state.S, c], [c.conj().T, np.ones((1, 1))]])
-    primal = float(np.linalg.norm(state.Z - bordered))
-    sums = spec.partition.block_sums(state.S)
+def bordered_matrix(s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Assemble ``[[S, c], [c*, 1]]``."""
+    c = np.asarray(c, dtype=complex)[:, None]
+    return np.block([[s, c], [c.conj().T, np.ones((1, 1))]])
+
+
+def admm_map(v: np.ndarray, mu: np.ndarray, spec) -> tuple:
+    """The plain ADMM map ``T(V, mu)`` from its definitions, on dense matrices.
+
+    ``Z`` is the projection of the Hermitian part of ``V`` onto the PSD
+    cone and ``Lambda = rho (Z - V)``. ``c`` minimizes the border terms;
+    each block of S, visited one by one, minimizes its own terms, and S is
+    mirrored to be Hermitian. The image is ``[[S, c], [c*, 1]] - Lambda/rho``
+    and ``mu + rho (block sums of S - delta)``. Returns
+    ``(Z, S, c, V', mu')``.
+    """
+    m, rho, part = spec.m, spec.rho, spec.partition
+    vals, vecs = np.linalg.eigh(0.5 * (v + v.conj().T))
+    z = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
+    lam = rho * (z - v)
+    c = (spec.y.conj() + 2.0 * rho * z[:m, m] + 2.0 * lam[:m, m]) / (2.0 * rho + spec.tau)
+    a = z[:m, :m] + lam[:m, :m] / rho
+    s = np.zeros((m, m), dtype=complex)
+    mu_next = np.array(mu, dtype=complex)
+    for pos, (lag, pairs) in enumerate(part.blocks.items()):
+        block = tuple(np.array(pairs).T - 1)
+        delta = 1.0 if lag == 0 else 0.0
+        s[block] = a[block] - (a[block].sum() - delta + mu[pos] / rho) / (len(pairs) + 1)
+        mu_next[pos] += rho * (s[block].sum() - delta)
+    s += np.triu(s, 1).conj().T  # the lower triangle, from the upper one
+    return z, s, c, bordered_matrix(s, c) - lam / rho, mu_next
+
+
+def residuals(z, s, c, spec, z_prev: np.ndarray | None = None) -> tuple[float, float, float]:
+    """(primal, constraint, dual) residuals of an ADMM evaluation ``(Z, S, c)``
+    from their definitions: ``||Z - [[S, c], [c*, 1]]||``, ``max |block sums
+    of S - delta|`` and ``rho ||Z - z_prev||`` (0 without ``z_prev``)."""
+    primal = float(np.linalg.norm(z - bordered_matrix(s, c)))
+    sums = spec.partition.block_sums(s)
     constraint = float(np.max(np.abs(sums - spec.partition.delta)))
-    dual = 0.0 if z_prev is None else float(spec.rho * np.linalg.norm(state.Z - z_prev))
+    dual = 0.0 if z_prev is None else float(spec.rho * np.linalg.norm(z - z_prev))
     return primal, constraint, dual
 
 

@@ -6,18 +6,25 @@ The program solved is
     s.t. [[S, c], [c*, 1]] >= 0,  sum over block J_k of S = delta_k,
 
 where the blocks come from the skew-symmetric partition of a selection
-pattern. ``tau = 0`` is the noiseless equality-constrained program; the
-regularized path degenerates to it smoothly in the same code.
+pattern. ``tau = 0`` is the noiseless program; the regularized path
+degenerates to it smoothly in the same code.
 
-The plain ADMM cycle is a fixed-point map ``T(V, mu)`` on the Hermitian
-matrix ``V`` handed to the PSD projection and the block-sum multipliers
-``mu``. :func:`admm_step` evaluates it: ``Z`` is the projection of ``V``
-onto the PSD cone and ``Lambda = rho (Z - V)`` its multiplier; the c and
-S updates (the block updates and the Hermitian mirror) follow, and give
-the image: ``mu`` ascended on the block sums of S, and the bordered
-matrix of ``(S, c)`` less ``Lambda/rho``. All multiplier pairings use the
-real part of the complex inner product so the Lagrangian is real-valued;
-under that convention the closed-form updates below are the exact block
+Every (m+1) x (m+1) Hermitian matrix the solver handles is held as one
+vector, its *triangle*: the upper-triangle entries in partition order,
+that is the S pairs as :class:`~spectral_sdp.sampling.PartitionStructure`
+lists them (the lag-0 diagonal first), then the border ``c``, then the
+corner (:attr:`ProblemSpec.triangle`). A block of S is then a contiguous
+slice and the border a slice after it.
+
+The plain ADMM cycle is a fixed-point map ``T(V, mu)`` on the triangle of
+the matrix ``V`` handed to the PSD projection and the block-sum
+multipliers ``mu``. :func:`admm_step` evaluates it: ``Z`` is the
+projection of ``V`` onto the PSD cone and ``Lambda = rho (Z - V)`` its
+multiplier; c and S are the block minimizers at ``Z + Lambda/rho``, and
+the image is ``mu`` ascended on the block sums of S and the triangle
+``(S, c, 1)`` less ``Lambda/rho``. All multiplier pairings use the real
+part of the complex inner product so the Lagrangian is real-valued; under
+that convention the closed-form updates below are the exact block
 minimizers (the test suite checks them against finite perturbations).
 
 :func:`solve` runs a safeguarded type-II Anderson iteration over ``T``
@@ -26,8 +33,8 @@ extrapolates the next input from the last ``MEMORY`` accepted
 evaluations, and keeps the extrapolated point only when its fixed-point
 residual ``T(x) - x`` is no larger than that of the point it extrapolated
 from; otherwise it takes the plain step ``T(x)`` and clears the history.
-The same residual is the stopping rule: its V-part is ``b - Z``, the
-primal residual, and its mu-part the block sums of S less delta.
+The same residual is the stopping rule: its V-part is ``(S, c, 1) - Z``,
+the primal residual, and its mu-part the block sums of S less delta.
 
 Every evaluation of ``T`` is one Hermitian eigendecomposition of size
 m+1, O(m^3) work, and counts as one iteration, rejected or not.
@@ -36,6 +43,7 @@ m+1, O(m^3) work, and counts as one iteration, rejected or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,18 +94,19 @@ class ProblemSpec:
     def m(self) -> int:
         return self.partition.m
 
+    @cached_property
+    def triangle(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat positions of the triangle in a raveled (m+1) x (m+1) matrix:
+        ``(upper, lower)``, the entries ``(i, j)`` and their mirrors ``(j, i)``.
 
-@dataclass(eq=False)
-class AdmmState:
-    """One evaluation of the ADMM map: the projection ``Z``, its multiplier
-    ``Lambda``, the block-sum multipliers ``mu`` it was evaluated at, and
-    the ``c`` and ``S`` updated from them."""
-
-    Z: np.ndarray
-    S: np.ndarray
-    c: np.ndarray
-    Lambda: np.ndarray
-    mu: np.ndarray
+        The order is the S pairs of the partition (the m diagonal entries
+        first), then the border ``(i, m)``, then the corner ``(m, m)``.
+        """
+        part = self.partition
+        n = part.m + 1
+        rows = np.concatenate([part.rows, np.arange(n)])
+        cols = np.concatenate([part.cols, np.full(n, n - 1)])
+        return rows * n + cols, cols * n + rows
 
 
 @dataclass(frozen=True)
@@ -114,66 +123,43 @@ class SolveReport:
 MEMORY = 5  # Anderson history: differences of the last five accepted evaluations
 
 
-def bordered_matrix(s: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Assemble [[S, c], [c*, 1]]."""
-    m = c.size
-    b = np.empty((m + 1, m + 1), dtype=complex)
-    b[:m, :m] = s
-    b[:m, m] = c
-    b[m, :m] = c.conj()
-    b[m, m] = 1.0
-    return b
-
-
-def update_c(state: AdmmState, spec: ProblemSpec) -> np.ndarray:
+def update_c(a: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Minimizer of the c-part of the augmented Lagrangian.
 
-    ``c = (conj(y) + 2 rho z + 2 lambda) / (2 rho + tau)`` with ``z`` and
-    ``lambda`` the border columns of Z and Lambda.
+    ``a`` is the border of ``Z + Lambda/rho``, the entries ``(i, m)`` of
+    the triangle; the minimizer is ``c = (conj(y) + 2 rho a) / (2 rho + tau)``.
     """
-    m = spec.m
-    z = state.Z[:m, m]
-    lam = state.Lambda[:m, m]
-    return (spec.y.conj() + 2.0 * spec.rho * z + 2.0 * lam) / (2.0 * spec.rho + spec.tau)
+    return (spec.y.conj() + 2.0 * spec.rho * a) / (2.0 * spec.rho + spec.tau)
 
 
-def update_S_blocks(state: AdmmState, spec: ProblemSpec) -> np.ndarray:
-    """Exact minimizer of every block Lagrangian, then Hermitian mirror.
+def update_S_blocks(a: np.ndarray, mu: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Exact minimizer of every block Lagrangian, as S's part of the triangle.
 
-    Per block: with ``a = (Z0 + Lambda0/rho)`` on the block and
-    ``b = delta_k - mu_k/rho``, the coupling through the block-sum penalty
-    shifts every entry by the same amount, giving
+    ``a`` is S's part of the triangle of ``Z + Lambda/rho``, in partition
+    order, so block k is the slice of ``sizes[k]`` entries at ``starts[k]``.
+    With ``b = delta_k - mu_k/rho``, the coupling through the block-sum
+    penalty shifts every entry of the block by the same amount, giving
     ``S = a - (sum(a) - b) / (|J_k| + 1)``.
     """
     part = spec.partition
-    m = spec.m
-    a_mat = state.Z[:m, :m] + state.Lambda[:m, :m] / spec.rho
-    a = a_mat[part.rows, part.cols]
-    sums = np.add.reduceat(a, part.starts)
-    b = part.delta - state.mu / spec.rho
-    shift = (sums - b) / (part.sizes + 1)
-    s_flat = a - np.repeat(shift, part.sizes)
-    s = np.zeros((m, m), dtype=complex)
-    s[part.rows, part.cols] = s_flat
-    off_rows, off_cols = part.rows[m:], part.cols[m:]  # past the diagonal group
-    s[off_cols, off_rows] = s[off_rows, off_cols].conj()
-    return s
+    b = part.delta - mu / spec.rho
+    shift = (np.add.reduceat(a, part.starts) - b) / (part.sizes + 1)
+    return a - np.repeat(shift, part.sizes)
 
 
-def psd_project(y_mat: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix.
+def psd_project(h: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest positive semidefinite matrix to the Hermitian
+    matrix held in the lower triangle of ``h``.
 
-    Symmetrizes, then zeroes the negative eigenvalues of a full Hermitian
-    eigendecomposition.
+    Only the lower triangle is read (``np.linalg.eigh``'s default; the
+    imaginary parts of the diagonal are taken as zero). The negative
+    eigenvalues of the full eigendecomposition are zeroed.
     """
-    h = np.asarray(y_mat, dtype=complex)
-    h = 0.5 * (h + h.conj().T)
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    clipped = np.maximum(vals, 0.0)
-    return (vecs * clipped) @ vecs.conj().T
+    return (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
 
 
 def _dual_objective(spec: ProblemSpec, c: np.ndarray) -> float:
@@ -185,21 +171,30 @@ def _dual_objective(spec: ProblemSpec, c: np.ndarray) -> float:
 
 def admm_step(
     v: np.ndarray, mu: np.ndarray, spec: ProblemSpec
-) -> tuple[AdmmState, np.ndarray, np.ndarray]:
-    """The plain ADMM map ``T(V, mu)``; ``v`` and ``mu`` are only read.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The plain ADMM map ``T(V, mu)`` on the triangle ``v`` of ``V``;
+    ``v`` and ``mu`` are only read.
 
-    Projects ``V`` onto the PSD cone (the one eigendecomposition), sets
-    ``Lambda = rho (Z - V)``, updates c and S, then ascends ``mu`` on the
-    block sums of S. Returns the evaluation and the image
-    ``(b - Lambda/rho, mu')``, ``b`` the bordered matrix of ``(S, c)``.
+    Writes ``V`` into the lower triangle the projection reads, projects
+    (the one eigendecomposition) and gathers the triangle ``z`` of ``Z``.
+    With ``Lambda/rho = Z - V``, c and S are the block minimizers at
+    ``Z + Lambda/rho``, and ``mu`` ascends on the block sums of S. Returns
+    ``z``, the triangle ``b`` of ``(S, c, 1)`` and the image
+    ``(b - Lambda/rho, mu')``.
     """
-    z = psd_project(v)
-    state = AdmmState(Z=z, S=None, c=None, Lambda=spec.rho * (z - v), mu=mu)
-    state.c = update_c(state, spec)
-    state.S = update_S_blocks(state, spec)
     part = spec.partition
-    mu_next = mu + spec.rho * (part.block_sums(state.S) - part.delta)
-    return state, bordered_matrix(state.S, state.c) - state.Lambda / spec.rho, mu_next
+    upper, lower = spec.triangle
+    n = spec.m + 1
+    h = np.empty((n, n), dtype=complex)
+    h.ravel()[lower] = v.conj()
+    z = psd_project(h).ravel().take(upper)
+    lam = z - v  # Lambda / rho
+    a = z + lam
+    ks = part.rows.size  # S's part of the triangle
+    s = update_S_blocks(a[:ks], mu, spec)
+    b = np.concatenate([s, update_c(a[ks:-1], spec), [1.0]])
+    mu_next = mu + spec.rho * (np.add.reduceat(s, part.starts) - part.delta)
+    return z, b, b - lam, mu_next
 
 
 class _Anderson:
@@ -243,34 +238,38 @@ def solve(spec: ProblemSpec) -> SolveReport:
     raised; non-finite iterates raise :class:`NumericalError`.
     """
     rho = spec.rho
-    n = spec.m + 1
-    # A point is one complex vector, viewed as floats: the upper triangle of
-    # V with the off-diagonals times sqrt(2), so its norm is the Frobenius
-    # norm, then mu/rho.
-    rows, cols = np.triu_indices(n)
-    upper, lower = rows * n + cols, cols * n + rows
-    weight = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    k = upper.size
+    part, m = spec.partition, spec.m
+    # A point is one float vector: the triangle of V viewed as floats, its
+    # off-diagonals times sqrt(2) so that its norm is the Frobenius norm,
+    # then mu/rho. The diagonal is the triangle's first m entries and its last.
+    weight = np.full(spec.triangle[0].size, np.sqrt(2.0))
+    weight[:m] = weight[-1] = 1.0
+    scale, unscale = np.repeat(weight, 2), np.repeat(1.0 / weight, 2)
+    k = scale.size  # the V-part of a point
 
     def pack(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        return np.concatenate([weight * v.ravel().take(upper), mu / rho]).view(float)
+        return np.concatenate([v.view(float) * scale, (mu / rho).view(float)])
 
     # V = I and mu = 0: the projection gives Z = I and Lambda = 0.
-    v = z_prev = np.eye(n, dtype=complex)
-    mu = np.zeros(spec.partition.p, dtype=complex)
+    v = z_prev = np.zeros(weight.size, dtype=complex)
+    v[:m] = v[-1] = 1.0
+    mu = np.zeros(part.p, dtype=complex)
     x = pack(v, mu)
     anderson = _Anderson(x.size)
     extrapolated = converged = False
     rejected = 0
     for it in range(1, spec.max_iter + 1):
-        trial, v_out, mu_out = admm_step(v, mu, spec)
+        z, b, v_out, mu_out = admm_step(v, mu, spec)
         # The image T(x) and the residual g = T(x) - x: its V-part is b - Z,
         # the primal residual, its mu-part the block sums of S less delta.
         f_out = pack(v_out, mu_out)
         g_out = f_out - x
-        g_v, g_mu = np.split(g_out.view(complex), [k])
-        z_step = np.linalg.norm(trial.Z - z_prev)
-        res = float(np.linalg.norm(g_v)), float(np.max(np.abs(g_mu))), float(rho * z_step)
+        z_step = np.linalg.norm((z - z_prev).view(float) * scale)  # ||Z - Z_prev||
+        res = (
+            float(np.linalg.norm(g_out[:k])),
+            float(np.max(np.abs(g_out[k:].view(complex)))),
+            float(rho * z_step),
+        )
         if not all(np.isfinite(res)):
             raise NumericalError(f"non-finite residuals at iteration {it}: {res}")
         g_out_norm = np.linalg.norm(g_out)
@@ -281,23 +280,20 @@ def solve(spec: ProblemSpec) -> SolveReport:
             if it > 1:  # the first evaluation is always accepted
                 anderson.push(f, g, f_out, g_out)
             f, g, g_norm = f_out, g_out, g_out_norm
-            # Z backs the dual residual, (S, c) the report; Lambda is not read.
-            z_prev, s_star, c_star = trial.Z, trial.S, trial.c
+            z_prev, b_star = z, b  # Z backs the dual residual, b the report
             last = primal, constraint, dual = res
             converged = max(primal, constraint) < spec.tol_primal and dual < spec.tol_dual
-        del trial, v_out, mu_out  # only the accepted part outlives the next projection
         if converged:
             break
         extrapolated = anderson.count > 0
         x = anderson.extrapolate(f, g) if extrapolated else f
-        point = x.view(complex)
-        tri = point[:k] / weight
-        v = np.empty(n * n, dtype=complex)  # the diagonal is in both index sets
-        v[lower] = tri.conj()
-        v[upper] = tri
-        v, mu = v.reshape(n, n), point[k:] * rho
-        del tri
+        v, mu = (x[:k] * unscale).view(complex), x[k:].view(complex) * rho
 
+    ks = part.rows.size  # S's part of the triangle
+    s_star = np.zeros((m, m), dtype=complex)
+    s_star[part.cols, part.rows] = b_star[:ks].conj()  # the diagonal is written next
+    s_star[part.rows, part.cols] = b_star[:ks]
+    c_star = b_star[ks:-1]
     return SolveReport(
         c_star=c_star,
         S_star=s_star,

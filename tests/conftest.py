@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from spectral_sdp import (
-    AdmmState,
     Grid,
     MultirateSystem,
     ProblemSpec,
@@ -54,16 +53,20 @@ def random_spike_spectrum(
     return SpikeSpectrum(freqs=freqs, amps=amps)
 
 
-def init_state(spec: ProblemSpec) -> AdmmState:
-    """Zero multipliers and variables; Z starts as the identity."""
-    m = spec.m
-    return AdmmState(
-        Z=np.eye(m + 1, dtype=complex),
-        S=np.zeros((m, m), dtype=complex),
-        c=np.zeros(m, dtype=complex),
-        Lambda=np.zeros((m + 1, m + 1), dtype=complex),
-        mu=np.zeros(spec.partition.p, dtype=complex),
-    )
+def triangle_of(mat, spec: ProblemSpec) -> np.ndarray:
+    """The solver's triangle (:attr:`ProblemSpec.triangle`) of a dense
+    (m+1) x (m+1) matrix."""
+    return np.asarray(mat, dtype=complex).ravel()[spec.triangle[0]]
+
+
+def from_triangle(t: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """The Hermitian (m+1) x (m+1) matrix whose triangle is ``t``."""
+    upper, lower = spec.triangle
+    n = spec.m + 1
+    out = np.empty(n * n, dtype=complex)
+    out[lower] = np.conj(t)
+    out[upper] = t
+    return out.reshape(n, n)
 
 
 def lagrangian_c(c, y, z, lam, rho, tau):

@@ -33,15 +33,14 @@ from spectral_sdp import (
 )
 from spectral_sdp import ProblemSpec, random_selection
 from spectral_sdp.oracles import (
+    bordered_matrix,
     brute_force_partition,
     finite_perturbation_check,
     gram_eval,
     toeplitz_adjoint,
 )
-from spectral_sdp.solver import bordered_matrix
 
 from conftest import (
-    init_state,
     lagrangian_block,
     lagrangian_c,
     random_complex,
@@ -49,6 +48,7 @@ from conftest import (
     random_pattern,
     random_spike_spectrum,
     separated_freqs,
+    triangle_of,
 )
 
 # sup norms of every converged dual polynomial produced by criteria 4-7,
@@ -320,18 +320,16 @@ def test_criterion_08_block_update_optimality():
             tau=float(rng.random()),
             rho=0.5 + 2.0 * rng.random(),
         )
-        state = init_state(spec)
-        state.Z = random_hermitian(rng, m + 1)
-        state.S = random_hermitian(rng, m)
-        state.c = random_complex(rng, m)
-        state.Lambda = random_hermitian(rng, m + 1)
-        state.mu = random_complex(rng, part.p)
+        z = random_hermitian(rng, m + 1)
+        random_hermitian(rng, m), random_complex(rng, m)  # S, c: kept draws, not read
+        lam = random_hermitian(rng, m + 1)
+        mu = random_complex(rng, part.p)
+        a = triangle_of(z + lam / spec.rho, spec)
+        k = part.rows.size
 
-        c_star = update_c(state, spec)
-        z = state.Z[:m, m]
-        lam = state.Lambda[:m, m]
+        c_star = update_c(a[k:-1], spec)
         all_ok &= finite_perturbation_check(
-            lambda c: lagrangian_c(c, spec.y, z, lam, spec.rho, spec.tau),
+            lambda c: lagrangian_c(c, spec.y, z[:m, m], lam[:m, m], spec.rho, spec.tau),
             c_star,
             directions=40,
             step=1e-3,
@@ -339,23 +337,20 @@ def test_criterion_08_block_update_optimality():
             tol=1e-9,
         )
 
-        s_new = update_S_blocks(state, spec)
-        z0 = state.Z[:m, :m]
-        lam0 = state.Lambda[:m, :m]
-        for pos, k in enumerate(part.positive_lags):
-            pairs = part.blocks[k]
-            rows = [i - 1 for i, _ in pairs]
-            cols = [j - 1 for _, j in pairs]
+        s_new = update_S_blocks(a[:k], mu, spec)
+        z0, lam0 = triangle_of(z, spec), triangle_of(lam, spec)
+        for pos, kk in enumerate(part.positive_lags):
+            block = slice(part.starts[pos], part.starts[pos] + part.sizes[pos])
             all_ok &= finite_perturbation_check(
-                lambda v, r=rows, c2=cols, p2=pos, kk=k: lagrangian_block(
+                lambda v, b=block, p2=pos, k2=kk: lagrangian_block(
                     v,
-                    z0[r, c2],
-                    lam0[r, c2],
-                    state.mu[p2],
-                    1.0 if kk == 0 else 0.0,
+                    z0[b],
+                    lam0[b],
+                    mu[p2],
+                    1.0 if k2 == 0 else 0.0,
                     spec.rho,
                 ),
-                s_new[rows, cols],
+                s_new[block],
                 directions=25,
                 step=1e-3,
                 seed=trial,

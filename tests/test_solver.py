@@ -12,6 +12,7 @@ from spectral_sdp import (
     SelectionPattern,
     admm_step,
     assemble_problem,
+    common_grid,
     compute_partition,
     psd_project,
     solve,
@@ -19,17 +20,17 @@ from spectral_sdp import (
     update_S_blocks,
     update_c,
 )
-from spectral_sdp.oracles import finite_perturbation_check, residuals
-from spectral_sdp.solver import bordered_matrix
+from spectral_sdp.oracles import admm_map, bordered_matrix, finite_perturbation_check, residuals
 
 from conftest import (
-    init_state,
+    from_triangle,
     lagrangian_block,
     lagrangian_c,
     random_complex,
     random_hermitian,
     random_pattern,
     random_spike_spectrum,
+    triangle_of,
 )
 
 
@@ -43,15 +44,28 @@ def _spec_for(pattern, y=None, **kw):
 
 
 def _random_state(rng, spec):
-    state = init_state(spec)
+    """Random dense ``(Z, S, c, Lambda, mu)``, with ``mu`` real at lag 0."""
     m = spec.m
-    state.Z = random_hermitian(rng, m + 1)
-    state.S = random_hermitian(rng, m)
-    state.c = random_complex(rng, m)
-    state.Lambda = random_hermitian(rng, m + 1)
-    state.mu = random_complex(rng, spec.partition.p)
-    state.mu[list(spec.partition.positive_lags).index(0)] = rng.standard_normal()
-    return state
+    z = random_hermitian(rng, m + 1)
+    s = random_hermitian(rng, m)
+    c = random_complex(rng, m)
+    lam = random_hermitian(rng, m + 1)
+    mu = random_complex(rng, spec.partition.p)
+    mu[list(spec.partition.positive_lags).index(0)] = rng.standard_normal()
+    return z, s, c, lam, mu
+
+
+def _update_inputs(spec, z, lam):
+    """S's part and the border of the triangle of ``Z + Lambda/rho``."""
+    a = triangle_of(z + lam / spec.rho, spec)
+    return a[: -spec.m - 1], a[-spec.m - 1 : -1]
+
+
+def _dense(spec, z, b):
+    """Dense ``Z``, ``S`` and ``c`` of an evaluation held as the triangles
+    ``z`` and ``b``."""
+    full = from_triangle(b, spec)
+    return from_triangle(z, spec), full[:-1, :-1], full[:-1, -1]
 
 
 class TestUpdateC:
@@ -60,18 +74,15 @@ class TestUpdateC:
         pat = _full_pattern(4)
         y = random_complex(rng, 4)
         spec = _spec_for(pat, y=y, rho=2.0)
-        state = init_state(spec)
-        state.Z[:, -1] = 0  # clear the border
-        assert np.allclose(update_c(state, spec), y.conj() / 4.0)
+        # Lambda = 0 and a zero border of Z.
+        assert np.allclose(update_c(np.zeros(4, complex), spec), y.conj() / 4.0)
 
     def test_zero_data_shrinks_border(self):
         rng = np.random.default_rng(1)
         pat = _full_pattern(3)
         spec = _spec_for(pat, tau=3.0, rho=1.0)
-        state = init_state(spec)
-        z = random_complex(rng, 3)
-        state.Z[:3, 3] = z
-        assert np.allclose(update_c(state, spec), (2.0 / 5.0) * z)
+        z = random_complex(rng, 3)  # the border of Z; Lambda = 0
+        assert np.allclose(update_c(z, spec), (2.0 / 5.0) * z)
 
     def test_is_the_block_minimizer(self):
         rng = np.random.default_rng(2)
@@ -80,10 +91,10 @@ class TestUpdateC:
             pat = _full_pattern(m)
             y = random_complex(rng, m)
             spec = _spec_for(pat, y=y, tau=float(rng.random()), rho=0.5 + rng.random())
-            state = _random_state(rng, spec)
-            c_star = update_c(state, spec)
-            z = state.Z[:m, m]
-            lam = state.Lambda[:m, m]
+            z_mat, _, _, lam_mat, _ = _random_state(rng, spec)
+            c_star = update_c(_update_inputs(spec, z_mat, lam_mat)[1], spec)
+            z = z_mat[:m, m]
+            lam = lam_mat[:m, m]
             obj = lambda c: lagrangian_c(c, spec.y, z, lam, spec.rho, spec.tau)
             assert finite_perturbation_check(obj, c_star, directions=100, step=1e-3, seed=trial)
 
@@ -91,17 +102,14 @@ class TestUpdateC:
 class TestUpdateSBlocks:
     def test_singleton_diagonal_block_from_zeros(self):
         spec = _spec_for(SelectionPattern(indices=(0,), ambient=2))
-        state = init_state(spec)
-        state.Z = np.zeros((2, 2), dtype=complex)
-        s = update_S_blocks(state, spec)
-        assert np.isclose(s[0, 0], 0.5)
+        s = update_S_blocks(np.zeros(1, complex), np.zeros(spec.partition.p, complex), spec)
+        assert np.isclose(s[0], 0.5)
 
     def test_feasible_input_is_fixed_point(self):
         rng = np.random.default_rng(3)
         pat = SelectionPattern(indices=(0, 1, 3), ambient=5)
         spec = _spec_for(pat)
         part = spec.partition
-        state = init_state(spec)
         # Build a Hermitian Z0 whose block sums hit the constraint exactly.
         z0 = random_hermitian(rng, 3)
         for k in part.positive_lags:
@@ -115,44 +123,39 @@ class TestUpdateSBlocks:
                     z0[j - 1, i - 1] += np.conj(correction)
                 else:
                     z0[i - 1, j - 1] = z0[i - 1, j - 1].real
-        state.Z[:3, :3] = z0
-        s = update_S_blocks(state, spec)
-        assert np.allclose(s, z0, atol=1e-12)
+        a = z0[part.rows, part.cols]  # Lambda = 0 and mu = 0
+        s = update_S_blocks(a, np.zeros(part.p, complex), spec)
+        assert np.allclose(s, a, atol=1e-12)
 
     def test_blocks_are_exact_minimizers(self):
         rng = np.random.default_rng(4)
         for trial in range(20):
             pat = random_pattern(rng, int(rng.integers(3, 10)), admissible=True)
             spec = _spec_for(pat, rho=0.5 + rng.random())
-            state = _random_state(rng, spec)
-            s = update_S_blocks(state, spec)
+            z, _, _, lam, mu = _random_state(rng, spec)
+            s = update_S_blocks(_update_inputs(spec, z, lam)[0], mu, spec)
             part = spec.partition
-            m = pat.m
-            z0 = state.Z[:m, :m]
-            lam0 = state.Lambda[:m, :m]
+            z0, lam0 = triangle_of(z, spec), triangle_of(lam, spec)
             for pos, k in enumerate(part.positive_lags):
-                pairs = part.blocks[k]
-                rows = [i - 1 for i, _ in pairs]
-                cols = [j - 1 for _, j in pairs]
-                s_block = s[rows, cols]
+                block = slice(part.starts[pos], part.starts[pos] + part.sizes[pos])
                 obj = lambda v: lagrangian_block(
                     v,
-                    z0[rows, cols],
-                    lam0[rows, cols],
-                    state.mu[pos],
+                    z0[block],
+                    lam0[block],
+                    mu[pos],
                     1.0 if k == 0 else 0.0,
                     spec.rho,
                 )
                 assert finite_perturbation_check(
-                    obj, s_block, directions=50, step=1e-3, seed=trial, tol=1e-9
+                    obj, s[block], directions=50, step=1e-3, seed=trial, tol=1e-9
                 )
 
     def test_output_is_hermitian(self):
+        # The triangle is all of S; the report mirrors it into a matrix.
         rng = np.random.default_rng(5)
         pat = random_pattern(rng, 12, admissible=True)
-        spec = _spec_for(pat)
-        state = _random_state(rng, spec)
-        s = update_S_blocks(state, spec)
+        spec = _spec_for(pat, y=random_complex(rng, pat.m), max_iter=20)
+        s = solve(spec).S_star
         assert np.allclose(s, s.conj().T, atol=1e-12)
 
 
@@ -177,6 +180,14 @@ class TestPsdProject:
                 cand = (vecs * np.maximum(vals, 0)) @ vecs.conj().T
                 assert np.linalg.norm(cand - y) >= base - 1e-10
 
+    def test_reads_only_the_lower_triangle(self):
+        rng = np.random.default_rng(26)
+        h = random_hermitian(rng, 7)
+        other = h.copy()
+        other[np.triu_indices(7, 1)] = np.nan
+        other[np.diag_indices(7)] += 1j * rng.standard_normal(7)
+        assert np.array_equal(psd_project(other), psd_project(h))
+
 
 class TestAdmmStep:
     def test_no_op_at_consistent_state(self):
@@ -191,24 +202,26 @@ class TestAdmmStep:
         q = np.eye(m + 1) - b / np.vdot(w, w).real
         a = random_hermitian(rng, m + 1)
         lam = q @ a @ a.conj().T @ q
-        state, _, _ = admm_step(b - lam / spec.rho, np.zeros(spec.partition.p, complex), spec)
-        assert np.allclose(state.Lambda, lam)
+        v = triangle_of(b - lam / spec.rho, spec)
+        z, _, _, _ = admm_step(v, np.zeros(spec.partition.p, complex), spec)
+        assert np.allclose(spec.rho * (z - v), triangle_of(lam, spec))
 
     def test_mu_frozen_when_block_sums_feasible(self):
         spec = _spec_for(SelectionPattern(indices=(0, 1), ambient=3))
-        state = init_state(spec)
-        state.S = np.eye(2, dtype=complex) / 2.0
-        stepped, _, mu = admm_step(bordered_matrix(state.S, state.c), state.mu, spec)
+        mu_in = np.zeros(spec.partition.p, dtype=complex)
+        v = triangle_of(bordered_matrix(np.eye(2) / 2.0, np.zeros(2)), spec)
+        z, b, _, mu = admm_step(v, mu_in, spec)
         part = spec.partition
-        assert np.allclose(mu - state.mu, spec.rho * (part.block_sums(stepped.S) - part.delta))
-        assert np.allclose(mu, state.mu)
+        s = _dense(spec, z, b)[1]
+        assert np.allclose(mu - mu_in, spec.rho * (part.block_sums(s) - part.delta))
+        assert np.allclose(mu, mu_in)
 
     def test_one_step_from_zeros(self):
         spec = _spec_for(_full_pattern(3), rho=1.0)
         part = spec.partition
-        _, v, mu = admm_step(np.zeros((4, 4), complex), np.zeros(part.p, complex), spec)
+        _, _, v, mu = admm_step(np.zeros(10, complex), np.zeros(part.p, complex), spec)
         # Each block of S sits below delta by delta/(|J|+1): S = I/4.
-        assert np.allclose(v, np.diag([0.25, 0.25, 0.25, 1.0]))
+        assert np.allclose(from_triangle(v, spec), np.diag([0.25, 0.25, 0.25, 1.0]))
         expected = np.zeros(part.p)
         expected[list(part.positive_lags).index(0)] = -0.25
         assert np.allclose(mu, expected)
@@ -217,27 +230,47 @@ class TestAdmmStep:
         rng = np.random.default_rng(25)
         pat = random_pattern(rng, 10, admissible=True)
         spec = _spec_for(pat, y=random_complex(rng, pat.m), rho=2.0)
-        v = random_hermitian(rng, pat.m + 1)
+        v = triangle_of(random_hermitian(rng, pat.m + 1), spec)
         mu = random_complex(rng, spec.partition.p)
         v_before, mu_before = v.copy(), mu.copy()
         admm_step(v, mu, spec)
         assert np.array_equal(v, v_before) and np.array_equal(mu, mu_before)
 
+    @pytest.mark.parametrize("tau", [0.0, 0.8])
+    @pytest.mark.parametrize("kind", ["full", "random", "multirate"])
+    def test_matches_the_dense_reference(self, kind, tau, two_grid_system):
+        rng = np.random.default_rng(27)
+        if kind == "full":
+            pat = _full_pattern(9)
+        elif kind == "random":
+            pat = random_pattern(rng, 16, admissible=True)
+        else:
+            pat = common_grid(two_grid_system).observation_set
+        spec = _spec_for(pat, y=random_complex(rng, pat.m), tau=tau, rho=0.5 + rng.random())
+        for _ in range(5):
+            v = random_hermitian(rng, pat.m + 1)
+            mu = random_complex(rng, spec.partition.p)
+            z, b, v_next, mu_next = admm_step(triangle_of(v, spec), mu, spec)
+            z_ref, s_ref, c_ref, v_ref, mu_ref = admm_map(v, mu, spec)
+            assert np.allclose(from_triangle(z, spec), z_ref, rtol=0, atol=1e-12)
+            assert np.allclose(from_triangle(b, spec), bordered_matrix(s_ref, c_ref), rtol=0, atol=1e-12)
+            assert np.allclose(from_triangle(v_next, spec), v_ref, rtol=0, atol=1e-12)
+            assert np.allclose(mu_next, mu_ref, rtol=0, atol=1e-12)
+
 
 class TestResiduals:
     def test_initial_constraint_residual_is_one(self):
         spec = _spec_for(_full_pattern(4), y=np.ones(4))
-        state = init_state(spec)
-        _, constraint, _ = residuals(state, spec)
+        _, constraint, _ = residuals(np.eye(5), np.zeros((4, 4)), np.zeros(4), spec)
         assert np.isclose(constraint, 1.0)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
         pat = random_pattern(rng, 8, admissible=True)
         spec = _spec_for(pat)
-        state = _random_state(rng, spec)
+        z, s, c, _, _ = _random_state(rng, spec)
         z_prev = random_hermitian(rng, pat.m + 1)
-        assert all(r >= 0 for r in residuals(state, spec, z_prev))
+        assert all(r >= 0 for r in residuals(z, s, c, spec, z_prev))
 
     def test_small_at_convergence(self):
         spec = _spec_for(_full_pattern(6), y=np.ones(6), rho=5.0)
@@ -256,7 +289,7 @@ class TestResiduals:
 
         def capture(v, mu, spec):
             out = step(v, mu, spec)
-            captured.append(out[0])
+            captured.append(out[:2])
             return out
 
         monkeypatch.setattr(solver, "admm_step", capture)
@@ -265,10 +298,11 @@ class TestResiduals:
             captured.clear()
             prob = _spec_for(pat, y=y, max_iter=max_iter, tol_primal=0.0, tol_dual=0.0)
             report = solve(prob)
-            if report.S_star is not captured[-1].S:
+            z, s, c = _dense(prob, *captured[-1])
+            if not np.array_equal(report.c_star, c):
                 continue  # the budget ended on a rejected extrapolation
             checked += 1
-            expected = residuals(captured[-1], prob)[:2]
+            expected = residuals(z, s, c, prob)[:2]
             assert np.allclose(report.final_residuals[:2], expected, rtol=0, atol=1e-12)
         assert checked >= 6
 
@@ -321,47 +355,55 @@ class TestSolve:
         pat = random_pattern(rng, 10, admissible=True)
         y = random_complex(rng, pat.m)
         prob = _spec_for(pat, y=y, max_iter=60, tol_primal=0.0, tol_dual=0.0)
-        state = init_state(prob)
+        part, n = prob.partition, pat.m + 1
+        upper, lower = prob.triangle
+        k = part.rows.size
+        # The cycle in the classical order, from Z = I and Lambda = mu = 0:
+        # c and S, then the projection, then the multipliers.
+        z = triangle_of(np.eye(n), prob)
+        lam = np.zeros_like(z)  # Lambda / rho
+        mu = np.zeros(part.p, dtype=complex)
         for _ in range(60):
-            state.c = update_c(state, prob)
-            state.S = update_S_blocks(state, prob)
-            assert np.allclose(state.S, state.S.conj().T, atol=1e-12)
-            b = bordered_matrix(state.S, state.c)
-            v = b - state.Lambda / prob.rho
-            state.Z = psd_project(v)
-            assert np.linalg.eigvalsh(state.Z).min() >= -1e-10
-            state.Lambda = prob.rho * (state.Z - v)
-            state.mu = state.mu + prob.rho * (
-                prob.partition.block_sums(state.S) - prob.partition.delta
-            )
+            a = z + lam
+            s = update_S_blocks(a[:k], mu, prob)
+            b = np.concatenate([s, update_c(a[k:-1], prob), [1.0]])
+            v = b - lam
+            h = np.empty((n, n), dtype=complex)
+            h.ravel()[lower] = v.conj()
+            z_mat = psd_project(h)
+            assert np.linalg.eigvalsh(z_mat).min() >= -1e-10
+            z = z_mat.ravel().take(upper)
+            lam = z - v
+            mu = mu + prob.rho * (np.add.reduceat(s, part.starts) - part.delta)
         # The plain map projects first; from V = I it reproduces the cycle.
-        v_in = np.eye(pat.m + 1, dtype=complex)
-        mu_in = np.zeros(prob.partition.p, dtype=complex)
+        v_in = triangle_of(np.eye(n), prob)
+        mu_in = np.zeros(part.p, dtype=complex)
         for _ in range(60):
-            plain, v_in, mu_in = admm_step(v_in, mu_in, prob)
-        assert np.array_equal(plain.c, state.c)
-        assert np.array_equal(plain.S, state.S)
+            _, plain, v_in, mu_in = admm_step(v_in, mu_in, prob)
+        assert np.array_equal(plain[:k], s)
+        assert np.array_equal(plain[k:-1], b[k:-1])
         assert np.array_equal(v_in, v)
-        assert np.array_equal(mu_in, state.mu)
+        assert np.array_equal(mu_in, mu)
 
     def test_accelerated_solve_reaches_the_plain_fixed_point(self):
         rng = np.random.default_rng(11)
         pat = random_pattern(rng, 10, admissible=True)
         y = random_complex(rng, pat.m)
         prob = _spec_for(pat, y=y, rho=2.0)
-        v, mu = np.eye(pat.m + 1, dtype=complex), np.zeros(prob.partition.p, dtype=complex)
-        z_prev = v
+        v = z_prev = triangle_of(np.eye(pat.m + 1), prob)
+        mu = np.zeros(prob.partition.p, dtype=complex)
         for _ in range(prob.max_iter):
-            plain, v, mu = admm_step(v, mu, prob)
-            primal, constraint, dual = residuals(plain, prob, z_prev)
-            z_prev = plain.Z
+            z, b, v, mu = admm_step(v, mu, prob)
+            z_mat, s, c = _dense(prob, z, b)
+            primal, constraint, dual = residuals(z_mat, s, c, prob, from_triangle(z_prev, prob))
+            z_prev = z
             if max(primal, constraint) < prob.tol_primal and dual < prob.tol_dual:
                 break
         else:
             pytest.fail("the plain map did not converge")
         report = solve(prob)
         assert report.converged
-        assert np.linalg.norm(report.c_star - plain.c) < 10 * prob.tol_primal
+        assert np.linalg.norm(report.c_star - c) < 10 * prob.tol_primal
 
     def test_every_iteration_is_one_projection(self, monkeypatch):
         from spectral_sdp import solver
