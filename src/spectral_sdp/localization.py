@@ -213,25 +213,6 @@ def recover_amplitudes(
     return AmplitudeFit(amps=amps, residual=residual, cond=cond)
 
 
-def _outside_balls(centers: np.ndarray, points: int, half: float) -> np.ndarray:
-    """Mask of the grid ``j / points`` lying more than ``half`` grid steps
-    from every center on the unit torus.
-
-    Each ball is the index range ``[lo, hi)`` of the grid points it holds,
-    moved to start in ``[0, points)``, so it ends before ``2 * points``
-    (``half`` is below ``points / 2``). A difference array over the doubled
-    grid counts the balls over each point; folding it back wraps the
-    ranges across 0, in O(points) memory.
-    """
-    lo = np.ceil(centers * points - half).astype(np.int64)
-    hi = np.floor(centers * points + half).astype(np.int64) + 1
-    shift = lo - lo % points
-    size = 2 * points + 1
-    edges = np.bincount(lo - shift, minlength=size) - np.bincount(hi - shift, minlength=size)
-    depth = np.cumsum(edges[:-1])
-    return depth[:points] + depth[points:] == 0
-
-
 def verify_certificate(
     q: np.ndarray,
     spec: SpikeSpectrum,
@@ -259,7 +240,10 @@ def verify_certificate(
     values = np.asarray(poly_eval(q, reduced), dtype=complex)
     interp_errors = np.abs(values - targets)
 
-    keep = _outside_balls(reduced, points, points / (8 * n))
+    nu = np.arange(points) / points
+    keep = np.ones(points, dtype=bool)
+    for r in reduced:  # one spike at a time: O(points) memory
+        keep &= np.abs((nu - r + 0.5) % 1.0 - 0.5) > 1.0 / (8 * n)
     sup_off = float(np.max(grid_modulus(q, points)[keep])) if keep.any() else 0.0
     margin = 1.0 - sup_off
     return CertificateReport(

@@ -10,11 +10,9 @@ pattern. ``tau = 0`` is the noiseless program; the regularized path
 degenerates to it smoothly in the same code.
 
 Every (m+1) x (m+1) Hermitian matrix the solver handles is held as one
-vector, its *triangle*: the upper-triangle entries in partition order,
-that is the S pairs as :class:`~spectral_sdp.sampling.PartitionStructure`
-lists them (the lag-0 diagonal first), then the border ``c``, then the
-corner (:attr:`ProblemSpec.triangle`). A block of S is then a contiguous
-slice and the border a slice after it.
+vector, its *triangle* (:attr:`ProblemSpec.triangle`): the upper-triangle
+entries in partition order, so a block of S is a contiguous slice and the
+border ``c`` a slice after it.
 
 The plain ADMM cycle is a fixed-point map ``T(V, mu)`` on the triangle of
 the matrix ``V`` handed to the PSD projection and the block-sum
@@ -108,6 +106,26 @@ class ProblemSpec:
         cols = np.concatenate([part.cols, np.full(n, n - 1)])
         return rows * n + cols, cols * n + rows
 
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """1 on the triangle's diagonal entries and sqrt(2) off them, so a
+        weighted triangle's Euclidean norm is its matrix's Frobenius norm."""
+        upper, lower = self.triangle
+        return np.where(upper == lower, 1.0, np.sqrt(2.0))
+
+    def split(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of S's part and of the border ``c`` of a triangle ``t``."""
+        k = self.partition.rows.size
+        return t[:k], t[k:-1]
+
+    def hermitian(self, t: np.ndarray) -> np.ndarray:
+        """The Hermitian (m+1) x (m+1) matrix whose triangle is ``t``."""
+        upper, lower = self.triangle
+        h = np.empty((self.m + 1) ** 2, dtype=complex)
+        h[lower] = t.conj()
+        h[upper] = t  # the diagonal keeps t's entries
+        return h.reshape(self.m + 1, self.m + 1)
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -162,13 +180,6 @@ def psd_project(h: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
 
 
-def _dual_objective(spec: ProblemSpec, c: np.ndarray) -> float:
-    obj = float(np.real(spec.y @ c))
-    if spec.tau > 0:
-        obj -= 0.5 * spec.tau * float(np.linalg.norm(c) ** 2)
-    return obj
-
-
 def admm_step(
     v: np.ndarray, mu: np.ndarray, spec: ProblemSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -189,10 +200,9 @@ def admm_step(
     h.ravel()[lower] = v.conj()
     z = psd_project(h).ravel().take(upper)
     lam = z - v  # Lambda / rho
-    a = z + lam
-    ks = part.rows.size  # S's part of the triangle
-    s = update_S_blocks(a[:ks], mu, spec)
-    b = np.concatenate([s, update_c(a[ks:-1], spec), [1.0]])
+    a_s, a_c = spec.split(z + lam)
+    s = update_S_blocks(a_s, mu, spec)
+    b = np.concatenate([s, update_c(a_c, spec), [1.0]])
     mu_next = mu + spec.rho * (np.add.reduceat(s, part.starts) - part.delta)
     return z, b, b - lam, mu_next
 
@@ -238,22 +248,17 @@ def solve(spec: ProblemSpec) -> SolveReport:
     raised; non-finite iterates raise :class:`NumericalError`.
     """
     rho = spec.rho
-    part, m = spec.partition, spec.m
-    # A point is one float vector: the triangle of V viewed as floats, its
-    # off-diagonals times sqrt(2) so that its norm is the Frobenius norm,
-    # then mu/rho. The diagonal is the triangle's first m entries and its last.
-    weight = np.full(spec.triangle[0].size, np.sqrt(2.0))
-    weight[:m] = weight[-1] = 1.0
-    scale, unscale = np.repeat(weight, 2), np.repeat(1.0 / weight, 2)
+    # A point is one float vector: the weighted triangle of V viewed as
+    # floats, so that its norm is the Frobenius norm, then mu/rho.
+    scale, unscale = np.repeat(spec.weight, 2), np.repeat(1.0 / spec.weight, 2)
     k = scale.size  # the V-part of a point
 
     def pack(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
         return np.concatenate([v.view(float) * scale, (mu / rho).view(float)])
 
     # V = I and mu = 0: the projection gives Z = I and Lambda = 0.
-    v = z_prev = np.zeros(weight.size, dtype=complex)
-    v[:m] = v[-1] = 1.0
-    mu = np.zeros(part.p, dtype=complex)
+    v = z_prev = np.eye(spec.m + 1, dtype=complex).ravel()[spec.triangle[0]]
+    mu = np.zeros(spec.partition.p, dtype=complex)
     x = pack(v, mu)
     anderson = _Anderson(x.size)
     extrapolated = converged = False
@@ -289,15 +294,12 @@ def solve(spec: ProblemSpec) -> SolveReport:
         x = anderson.extrapolate(f, g) if extrapolated else f
         v, mu = (x[:k] * unscale).view(complex), x[k:].view(complex) * rho
 
-    ks = part.rows.size  # S's part of the triangle
-    s_star = np.zeros((m, m), dtype=complex)
-    s_star[part.cols, part.rows] = b_star[:ks].conj()  # the diagonal is written next
-    s_star[part.rows, part.cols] = b_star[:ks]
-    c_star = b_star[ks:-1]
+    c_star = spec.split(b_star)[1]
     return SolveReport(
         c_star=c_star,
-        S_star=s_star,
-        dual_objective=_dual_objective(spec, c_star),
+        S_star=spec.hermitian(b_star)[:-1, :-1],
+        dual_objective=float(np.real(spec.y @ c_star))
+        - 0.5 * spec.tau * float(np.linalg.norm(c_star) ** 2),
         iterations=it,
         final_residuals=last,
         converged=converged,

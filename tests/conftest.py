@@ -59,16 +59,6 @@ def triangle_of(mat, spec: ProblemSpec) -> np.ndarray:
     return np.asarray(mat, dtype=complex).ravel()[spec.triangle[0]]
 
 
-def from_triangle(t: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """The Hermitian (m+1) x (m+1) matrix whose triangle is ``t``."""
-    upper, lower = spec.triangle
-    n = spec.m + 1
-    out = np.empty(n * n, dtype=complex)
-    out[lower] = np.conj(t)
-    out[upper] = t
-    return out.reshape(n, n)
-
-
 def lagrangian_c(c, y, z, lam, rho, tau):
     """Border part of the augmented Lagrangian as a function of c."""
     return float(

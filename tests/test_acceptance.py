@@ -324,10 +324,9 @@ def test_criterion_08_block_update_optimality():
         random_hermitian(rng, m), random_complex(rng, m)  # S, c: kept draws, not read
         lam = random_hermitian(rng, m + 1)
         mu = random_complex(rng, part.p)
-        a = triangle_of(z + lam / spec.rho, spec)
-        k = part.rows.size
+        a_s, a_c = spec.split(triangle_of(z + lam / spec.rho, spec))
 
-        c_star = update_c(a[k:-1], spec)
+        c_star = update_c(a_c, spec)
         all_ok &= finite_perturbation_check(
             lambda c: lagrangian_c(c, spec.y, z[:m, m], lam[:m, m], spec.rho, spec.tau),
             c_star,
@@ -337,7 +336,7 @@ def test_criterion_08_block_update_optimality():
             tol=1e-9,
         )
 
-        s_new = update_S_blocks(a[:k], mu, spec)
+        s_new = update_S_blocks(a_s, mu, spec)
         z0, lam0 = triangle_of(z, spec), triangle_of(lam, spec)
         for pos, kk in enumerate(part.positive_lags):
             block = slice(part.starts[pos], part.starts[pos] + part.sizes[pos])

@@ -22,7 +22,6 @@ from spectral_sdp import (
     verify_certificate,
 )
 from spectral_sdp.errors import DimensionMismatchError
-from spectral_sdp.localization import _outside_balls
 from spectral_sdp.trigops import dense_sup_norm
 
 from conftest import random_complex, random_pattern, random_spike_spectrum
@@ -186,20 +185,6 @@ class TestVerifyCertificate:
         report = verify_certificate(1.1 * est.dual_poly, sig, 1.0, tol=0.2)
         assert not report.is_certificate
         assert report.strict_margin < 0
-
-    def test_excluded_balls_match_the_distance_rule(self):
-        # Spikes anywhere, within 1/(8n) above 0, and within 1/(8n) below 1.
-        rng = np.random.default_rng(30)
-        for _ in range(200):
-            n = int(rng.integers(1, 300))
-            points = max(64 * n, 4096)
-            radius = 1.0 / (8 * n)
-            place, u = rng.integers(0, 3, 8), rng.random(8)
-            reduced = np.choose(place, [u, u * radius, 1.0 - u * radius]) % 1.0
-            nu = np.arange(points) / points
-            dist = np.min(np.abs((nu[:, None] - reduced[None, :] + 0.5) % 1.0 - 0.5), axis=1)
-            keep = _outside_balls(reduced, points, points / (8 * n))
-            assert np.array_equal(keep, dist > radius)
 
     def test_many_spikes_in_bounded_memory(self):
         # A (grid x spikes) distance matrix would take 16 MiB here.

@@ -23,7 +23,6 @@ from spectral_sdp import (
 from spectral_sdp.oracles import admm_map, bordered_matrix, finite_perturbation_check, residuals
 
 from conftest import (
-    from_triangle,
     lagrangian_block,
     lagrangian_c,
     random_complex,
@@ -57,15 +56,31 @@ def _random_state(rng, spec):
 
 def _update_inputs(spec, z, lam):
     """S's part and the border of the triangle of ``Z + Lambda/rho``."""
-    a = triangle_of(z + lam / spec.rho, spec)
-    return a[: -spec.m - 1], a[-spec.m - 1 : -1]
+    return spec.split(triangle_of(z + lam / spec.rho, spec))
 
 
 def _dense(spec, z, b):
     """Dense ``Z``, ``S`` and ``c`` of an evaluation held as the triangles
     ``z`` and ``b``."""
-    full = from_triangle(b, spec)
-    return from_triangle(z, spec), full[:-1, :-1], full[:-1, -1]
+    full = spec.hermitian(b)
+    return spec.hermitian(z), full[:-1, :-1], full[:-1, -1]
+
+
+class TestTriangle:
+    def test_round_trip_split_and_weighted_norm(self):
+        rng = np.random.default_rng(40)
+        for _ in range(10):
+            pat = random_pattern(rng, int(rng.integers(1, 12)), admissible=True)
+            spec = _spec_for(pat)
+            h = random_hermitian(rng, pat.m + 1)
+            t = triangle_of(h, spec)
+            assert np.array_equal(spec.hermitian(t), h)
+            s, c = spec.split(t)
+            assert np.array_equal(c, h[:-1, -1])
+            assert s.size + c.size + 1 == t.size
+            assert np.array_equal(spec.partition.block_sums(h[:-1, :-1]), np.add.reduceat(s, spec.partition.starts))
+            weighted = t.view(float) * np.repeat(spec.weight, 2)
+            assert np.isclose(np.linalg.norm(weighted), np.linalg.norm(h))
 
 
 class TestUpdateC:
@@ -221,7 +236,7 @@ class TestAdmmStep:
         part = spec.partition
         _, _, v, mu = admm_step(np.zeros(10, complex), np.zeros(part.p, complex), spec)
         # Each block of S sits below delta by delta/(|J|+1): S = I/4.
-        assert np.allclose(from_triangle(v, spec), np.diag([0.25, 0.25, 0.25, 1.0]))
+        assert np.allclose(spec.hermitian(v), np.diag([0.25, 0.25, 0.25, 1.0]))
         expected = np.zeros(part.p)
         expected[list(part.positive_lags).index(0)] = -0.25
         assert np.allclose(mu, expected)
@@ -252,9 +267,9 @@ class TestAdmmStep:
             mu = random_complex(rng, spec.partition.p)
             z, b, v_next, mu_next = admm_step(triangle_of(v, spec), mu, spec)
             z_ref, s_ref, c_ref, v_ref, mu_ref = admm_map(v, mu, spec)
-            assert np.allclose(from_triangle(z, spec), z_ref, rtol=0, atol=1e-12)
-            assert np.allclose(from_triangle(b, spec), bordered_matrix(s_ref, c_ref), rtol=0, atol=1e-12)
-            assert np.allclose(from_triangle(v_next, spec), v_ref, rtol=0, atol=1e-12)
+            assert np.allclose(spec.hermitian(z), z_ref, rtol=0, atol=1e-12)
+            assert np.allclose(spec.hermitian(b), bordered_matrix(s_ref, c_ref), rtol=0, atol=1e-12)
+            assert np.allclose(spec.hermitian(v_next), v_ref, rtol=0, atol=1e-12)
             assert np.allclose(mu_next, mu_ref, rtol=0, atol=1e-12)
 
 
@@ -357,16 +372,15 @@ class TestSolve:
         prob = _spec_for(pat, y=y, max_iter=60, tol_primal=0.0, tol_dual=0.0)
         part, n = prob.partition, pat.m + 1
         upper, lower = prob.triangle
-        k = part.rows.size
         # The cycle in the classical order, from Z = I and Lambda = mu = 0:
         # c and S, then the projection, then the multipliers.
         z = triangle_of(np.eye(n), prob)
         lam = np.zeros_like(z)  # Lambda / rho
         mu = np.zeros(part.p, dtype=complex)
         for _ in range(60):
-            a = z + lam
-            s = update_S_blocks(a[:k], mu, prob)
-            b = np.concatenate([s, update_c(a[k:-1], prob), [1.0]])
+            a_s, a_c = prob.split(z + lam)
+            s = update_S_blocks(a_s, mu, prob)
+            b = np.concatenate([s, update_c(a_c, prob), [1.0]])
             v = b - lam
             h = np.empty((n, n), dtype=complex)
             h.ravel()[lower] = v.conj()
@@ -380,8 +394,8 @@ class TestSolve:
         mu_in = np.zeros(part.p, dtype=complex)
         for _ in range(60):
             _, plain, v_in, mu_in = admm_step(v_in, mu_in, prob)
-        assert np.array_equal(plain[:k], s)
-        assert np.array_equal(plain[k:-1], b[k:-1])
+        assert np.array_equal(prob.split(plain)[0], s)
+        assert np.array_equal(prob.split(plain)[1], prob.split(b)[1])
         assert np.array_equal(v_in, v)
         assert np.array_equal(mu_in, mu)
 
@@ -395,7 +409,7 @@ class TestSolve:
         for _ in range(prob.max_iter):
             z, b, v, mu = admm_step(v, mu, prob)
             z_mat, s, c = _dense(prob, z, b)
-            primal, constraint, dual = residuals(z_mat, s, c, prob, from_triangle(z_prev, prob))
+            primal, constraint, dual = residuals(z_mat, s, c, prob, prob.hermitian(z_prev))
             z_prev = z
             if max(primal, constraint) < prob.tol_primal and dual < prob.tol_dual:
                 break
