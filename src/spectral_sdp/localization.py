@@ -8,7 +8,9 @@ certificate check validates interpolation and strict boundedness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -236,14 +238,13 @@ def verify_certificate(
     # Denser than the localization grid: the grid maximum is not refined.
     points = max(64 * n, 4096)
     reduced = np.mod(spec.freqs / f, 1.0)
+    if not np.all(np.isfinite(reduced)):
+        raise InvalidInputError("reduced spike frequencies must be finite")
     targets = np.conj(spec.amps / np.abs(spec.amps))
     values = np.asarray(poly_eval(q, reduced), dtype=complex)
     interp_errors = np.abs(values - targets)
 
-    nu = np.arange(points) / points
-    keep = np.ones(points, dtype=bool)
-    for r in reduced:  # one spike at a time: O(points) memory
-        keep &= np.abs((nu - r + 0.5) % 1.0 - 0.5) > 1.0 / (8 * n)
+    keep = _off_support(reduced, n, points)
     sup_off = float(np.max(grid_modulus(q, points)[keep])) if keep.any() else 0.0
     margin = 1.0 - sup_off
     return CertificateReport(
@@ -252,6 +253,24 @@ def verify_certificate(
         strict_margin=margin,
         sup_off_support=sup_off,
     )
+
+
+def _off_support(reduced: np.ndarray, n: int, points: int) -> np.ndarray:
+    """Mask of the grid points ``j/points`` farther than ``1/(8n)`` from
+    every reduced frequency, wrapping around the circle.
+
+    Each ball is excluded by its integer index range, whose edges are
+    computed exactly from the float frequency, so a grid point on a
+    ball's edge is decided as in exact arithmetic. One spike at a time:
+    O(points) memory.
+    """
+    keep = np.ones(points, dtype=bool)
+    radius = Fraction(points, 8 * n)
+    for r in reduced:
+        center = Fraction(float(r)) * points
+        lo, hi = math.ceil(center - radius), math.floor(center + radius)
+        keep[np.arange(lo, hi + 1) % points] = False
+    return keep
 
 
 @dataclass(frozen=True)

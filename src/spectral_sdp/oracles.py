@@ -289,12 +289,18 @@ def admm_map(v: np.ndarray, mu: np.ndarray, spec) -> tuple:
     return z, s, c, bordered_matrix(s, c) - lam / rho, mu_next
 
 
+def block_sums(partition: PartitionStructure, s: np.ndarray) -> np.ndarray:
+    """Sum of the dense m x m matrix ``s`` over each group of ``partition``,
+    in the order of ``positive_lags``."""
+    return np.add.reduceat(s[partition.rows, partition.cols], partition.starts)
+
+
 def residuals(z, s, c, spec, z_prev: np.ndarray | None = None) -> tuple[float, float, float]:
     """(primal, constraint, dual) residuals of an ADMM evaluation ``(Z, S, c)``
     from their definitions: ``||Z - [[S, c], [c*, 1]]||``, ``max |block sums
     of S - delta|`` and ``rho ||Z - z_prev||`` (0 without ``z_prev``)."""
     primal = float(np.linalg.norm(z - bordered_matrix(s, c)))
-    sums = spec.partition.block_sums(s)
+    sums = block_sums(spec.partition, s)
     constraint = float(np.max(np.abs(sums - spec.partition.delta)))
     dual = 0.0 if z_prev is None else float(spec.rho * np.linalg.norm(z - z_prev))
     return primal, constraint, dual

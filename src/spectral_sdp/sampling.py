@@ -81,10 +81,6 @@ class PartitionStructure:
         out[0] = 1.0
         return out
 
-    def block_sums(self, s: np.ndarray) -> np.ndarray:
-        """Sum of ``s`` over each group, in the order of ``positive_lags``."""
-        return np.add.reduceat(s[self.rows, self.cols], self.starts)
-
 
 def selection_matrix(pattern: SelectionPattern) -> np.ndarray:
     """Dense 0/1 matrix whose t-th row picks index ``pattern.indices[t]``."""

@@ -27,12 +27,21 @@ minimizers (the test suite checks them against finite perturbations).
 
 :func:`solve` runs a safeguarded type-II Anderson iteration over ``T``
 (Walker & Ni 2011; Zhang, O'Donoghue & Boyd, arXiv:1808.03971). It
-extrapolates the next input from the last ``MEMORY`` accepted
+extrapolates the next input from the last ``MEMORY`` = 10 accepted
 evaluations, and keeps the extrapolated point only when its fixed-point
 residual ``T(x) - x`` is no larger than that of the point it extrapolated
 from; otherwise it takes the plain step ``T(x)`` and clears the history.
 The same residual is the stopping rule: its V-part is ``(S, c, 1) - Z``,
 the primal residual, and its mu-part the block sums of S less delta.
+
+The history of differences is held in float32, so memory 10 takes the
+bytes that memory 5 took in float64. Near the fixed point the map is
+nearly linear and a deeper history captures more of its spectrum: on the
+benchmark's seeded sets the mean iterations per call fell from about 268
+to 166 (criteria 5-7 shapes, m 48-64), 142 to 90 (criterion 11's
+signals, m = 129) and 1074 to 650 (m = 61 of n = 2048). Only the history
+is rounded: every point is evaluated, judged by the safeguard and tested
+by the stopping rule in float64.
 
 Every evaluation of ``T`` is one Hermitian eigendecomposition of size
 m+1, O(m^3) work, and counts as one iteration, rejected or not.
@@ -138,7 +147,7 @@ class SolveReport:
     rejected_extrapolations: int
 
 
-MEMORY = 5  # Anderson history: differences of the last five accepted evaluations
+MEMORY = 10  # Anderson history: differences of the last ten accepted evaluations
 
 
 def update_c(a: np.ndarray, spec: ProblemSpec) -> np.ndarray:
@@ -211,16 +220,20 @@ class _Anderson:
     """Type-II Anderson extrapolation over the last :data:`MEMORY` steps.
 
     Row ``j`` of ``dg`` and ``df`` is a difference of consecutive residuals
-    ``g = T(x) - x`` and images ``T(x)``, written into a ring buffer;
-    ``gram`` holds the inner products of the ``dg`` rows and gains one row
-    per push, so the history is never stacked or copied.
+    ``g = T(x) - x`` and images ``T(x)``, computed in float64 and rounded
+    once into a float32 ring buffer: memory 10 in the bytes of memory 5 in
+    float64. ``gram`` holds the inner products of the ``dg`` rows in
+    float64 and gains one row per push. The products with the history run
+    in float32 BLAS, so no float64 copy of it is made; the extrapolated
+    point only proposes, and :func:`solve` judges it in float64.
     """
 
     def __init__(self, size: int):
-        self.dg, self.df = np.empty((2, MEMORY, size))
+        self.dg, self.df = np.empty((2, MEMORY, size), dtype=np.float32)
         self.gram = np.empty((MEMORY, MEMORY))
         self.count = 0
 
+    @np.errstate(over="ignore", invalid="ignore")  # extrapolate() checks
     def push(self, f: np.ndarray, g: np.ndarray, f_next: np.ndarray, g_next: np.ndarray) -> None:
         """Record the step from ``(f, g)`` to ``(f_next, g_next)``."""
         j = self.count % MEMORY
@@ -230,11 +243,23 @@ class _Anderson:
         k = min(self.count, MEMORY)
         self.gram[j, :k] = self.gram[:k, j] = self.dg[:k] @ self.dg[j]
 
-    def extrapolate(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """``f - dF gamma`` with ``gamma`` minimizing ``||g - dG gamma||``."""
+    @np.errstate(over="ignore", invalid="ignore")
+    def extrapolate(self, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+        """``f - dF gamma`` with ``gamma`` minimizing ``||g - dG gamma||``.
+
+        None without a history, and also when a float32 product overflowed
+        (differences beyond about 1e19); the history is then cleared.
+        """
         k = min(self.count, MEMORY)
-        gamma = np.linalg.lstsq(self.gram[:k, :k], self.dg[:k] @ g, rcond=None)[0]
-        return f - gamma @ self.df[:k]
+        if k == 0:
+            return None
+        rhs = self.dg[:k] @ g.astype(np.float32)
+        gram = self.gram[:k, :k]
+        if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+            self.count = 0
+            return None
+        gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]  # in float64, as gram is
+        return f - gamma.astype(np.float32) @ self.df[:k]
 
 
 def solve(spec: ProblemSpec) -> SolveReport:
@@ -290,8 +315,9 @@ def solve(spec: ProblemSpec) -> SolveReport:
             converged = max(primal, constraint) < spec.tol_primal and dual < spec.tol_dual
         if converged:
             break
-        extrapolated = anderson.count > 0
-        x = anderson.extrapolate(f, g) if extrapolated else f
+        proposal = anderson.extrapolate(f, g)
+        extrapolated = proposal is not None
+        x = proposal if extrapolated else f
         v, mu = (x[:k] * unscale).view(complex), x[k:].view(complex) * rho
 
     c_star = spec.split(b_star)[1]

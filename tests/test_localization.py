@@ -1,6 +1,7 @@
 """Dual polynomial to spectrum estimate: peaks, amplitudes, certificates."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from spectral_sdp import (
     verify_certificate,
 )
 from spectral_sdp.errors import DimensionMismatchError
+from spectral_sdp.localization import _off_support
 from spectral_sdp.trigops import dense_sup_norm
 
 from conftest import random_complex, random_pattern, random_spike_spectrum
@@ -200,6 +202,25 @@ class TestVerifyCertificate:
             tracemalloc.stop()
         assert 0 < report.sup_off_support < np.inf
         assert peak_bytes < 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "r, n",
+        [(7 / 6400, 100), (7 / 21312, 333), (float(np.random.default_rng(32).random()), 100)],
+    )
+    def test_ball_edges_match_exact_arithmetic(self, r, n):
+        # The first two put grid points exactly 1/(8n) from the spike.
+        points = 64 * n
+        radius, center = Fraction(1, 8 * n), Fraction(r)
+        exact = np.ones(points, dtype=bool)
+        for j in range(points):
+            d = (Fraction(j, points) - center) % 1
+            exact[j] = min(d, 1 - d) > radius
+        assert np.array_equal(_off_support(np.array([r]), n, points), exact)
+
+    def test_non_finite_frequency_rejected(self):
+        sig = SpikeSpectrum(freqs=np.array([np.nan]), amps=np.array([1.0]))
+        with pytest.raises(InvalidInputError):
+            verify_certificate(np.ones(16, dtype=complex) / 16, sig, 1.0)
 
 
 class TestEstimatePipeline:

@@ -20,7 +20,13 @@ from spectral_sdp import (
     update_S_blocks,
     update_c,
 )
-from spectral_sdp.oracles import admm_map, bordered_matrix, finite_perturbation_check, residuals
+from spectral_sdp.oracles import (
+    admm_map,
+    block_sums,
+    bordered_matrix,
+    finite_perturbation_check,
+    residuals,
+)
 
 from conftest import (
     lagrangian_block,
@@ -78,7 +84,7 @@ class TestTriangle:
             s, c = spec.split(t)
             assert np.array_equal(c, h[:-1, -1])
             assert s.size + c.size + 1 == t.size
-            assert np.array_equal(spec.partition.block_sums(h[:-1, :-1]), np.add.reduceat(s, spec.partition.starts))
+            assert np.array_equal(block_sums(spec.partition, h[:-1, :-1]), np.add.reduceat(s, spec.partition.starts))
             weighted = t.view(float) * np.repeat(spec.weight, 2)
             assert np.isclose(np.linalg.norm(weighted), np.linalg.norm(h))
 
@@ -228,7 +234,7 @@ class TestAdmmStep:
         z, b, _, mu = admm_step(v, mu_in, spec)
         part = spec.partition
         s = _dense(spec, z, b)[1]
-        assert np.allclose(mu - mu_in, spec.rho * (part.block_sums(s) - part.delta))
+        assert np.allclose(mu - mu_in, spec.rho * (block_sums(part, s) - part.delta))
         assert np.allclose(mu, mu_in)
 
     def test_one_step_from_zeros(self):
@@ -475,6 +481,63 @@ class TestSolve:
         spec = _spec_for(SelectionPattern(indices=(0,), ambient=2), y=[1e200])
         with pytest.raises(NumericalError):
             solve(spec)
+
+
+class TestAndersonHistory:
+    def test_float32_ring_buffers_in_the_bytes_of_float64_memory_five(self):
+        from spectral_sdp import solver
+
+        size = 37
+        history = solver._Anderson(size)
+        for buf in (history.dg, history.df):
+            assert buf.dtype == np.float32
+            assert buf.shape == (solver.MEMORY, size)
+        assert history.dg.nbytes + history.df.nbytes == 2 * 5 * size * 8
+        # The differences are taken in float64 and rounded once.
+        f, g, f_next, g_next = np.random.default_rng(41).standard_normal((4, size))
+        history.push(f, g, f_next, g_next)
+        assert np.array_equal(history.dg[0], (g_next - g).astype(np.float32))
+        assert np.array_equal(history.df[0], (f_next - f).astype(np.float32))
+
+    def test_float32_overflow_falls_back_to_plain_steps(self):
+        rng = np.random.default_rng(43)
+        y = 1e25 * random_complex(rng, 8)
+        report = solve(_spec_for(_full_pattern(8), y=y, rho=5.0, max_iter=60))
+        assert not report.converged and report.iterations == 60
+        assert np.isfinite(report.c_star).all()
+
+    def test_converged_solve_meets_the_tolerances_on_reference_residuals(self, monkeypatch):
+        from spectral_sdp import solver
+
+        rng = np.random.default_rng(42)
+        n = 16
+        sig = random_spike_spectrum(rng, 2, min_sep=0.2)
+        y_raw = synthesize_uniform(sig, 1.0, n)
+        pat = random_pattern(rng, n, admissible=True)
+        prob = _spec_for(pat, y=y_raw[list(pat.indices)], rho=5.0, tol_primal=1e-8)
+        captured, accepted = [], [0]  # the first evaluation is always accepted
+        step, push = solver.admm_step, solver._Anderson.push
+
+        def capture(v, mu, spec):
+            out = step(v, mu, spec)
+            captured.append(out[:2])
+            return out
+
+        def record(self, *args):
+            accepted.append(len(captured) - 1)
+            push(self, *args)
+
+        monkeypatch.setattr(solver, "admm_step", capture)
+        monkeypatch.setattr(solver._Anderson, "push", record)
+        report = solve(prob)
+        assert report.converged
+        assert accepted[-1] == len(captured) - 1 == report.iterations - 1
+        z, s, c = _dense(prob, *captured[-1])
+        assert np.array_equal(report.c_star, c)
+        z_prev = prob.hermitian(captured[accepted[-2]][0])
+        primal, constraint, dual = residuals(z, s, c, prob, z_prev)
+        assert max(primal, constraint) < prob.tol_primal
+        assert dual < prob.tol_dual
 
 
 class TestAssembleProblem:
