@@ -466,6 +466,8 @@ def cmd_estimate(args) -> int:
         "diagnostics": {
             "iterations": diag.iterations,
             "rejected_extrapolations": diag.rejected_extrapolations,
+            "full_eigh_iterations": diag.full_eigh_iterations,
+            "rank_deficit": diag.rank_deficit,
             "residuals": {
                 "primal": diag.final_residuals[0],
                 "constraint": diag.final_residuals[1],

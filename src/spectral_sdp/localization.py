@@ -36,7 +36,10 @@ class EstimateDiagnostics:
     original acquisition, so ``dual_poly`` certifies the spectrum whose
     amplitudes are rotated by ``e^{-i 2 pi xi time_shift_s}``.
     ``rejected_extrapolations`` counts the solver iterations whose Anderson
-    extrapolation the safeguard turned down.
+    extrapolation the safeguard turned down, ``full_eigh_iterations`` those
+    whose projection ran the full eigendecomposition. ``rank_deficit`` is
+    the count of negative eigenvalues the last accepted projection zeroed:
+    at the optimum of a noiseless instance, the number of spikes.
     """
 
     peak_moduli: np.ndarray
@@ -52,6 +55,8 @@ class EstimateDiagnostics:
     tau: float
     dual_objective: float
     rejected_extrapolations: int = 0
+    full_eigh_iterations: int = 0
+    rank_deficit: int = 0
 
 
 @dataclass(frozen=True)
@@ -352,6 +357,8 @@ def _estimate_on_pattern(
         tau=spec.tau,
         dual_objective=report.dual_objective,
         rejected_extrapolations=report.rejected_extrapolations,
+        full_eigh_iterations=report.full_eigh_iterations,
+        rank_deficit=report.rank_deficit,
     )
     return SpectrumEstimate(
         freqs=peaks.freqs_hz, amps=fit.amps, dual_poly=q, diagnostics=diag

@@ -43,14 +43,21 @@ signals, m = 129) and 1074 to 650 (m = 61 of n = 2048). Only the history
 is rounded: every point is evaluated, judged by the safeguard and tested
 by the stopping rule in float64.
 
-Every evaluation of ``T`` is one Hermitian eigendecomposition of size
-m+1, O(m^3) work, and counts as one iteration, rejected or not.
+Every evaluation of ``T`` is one PSD projection of size m+1 and counts as
+one iteration, rejected or not. ``V`` has few negative eigenvalues (as many
+as spikes, at the optimum), so :func:`psd_project` subtracts only those,
+warm-started from the previous iteration's eigenvectors and certified by a
+Cholesky factorization: O(m^2 s) work besides that O(m^3 / 3)
+factorization. When the certificate fails, and on the first iteration, it
+falls back to the full Hermitian eigendecomposition, O(m^3);
+:class:`SolveReport` counts those iterations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,9 +152,17 @@ class SolveReport:
     final_residuals: tuple
     converged: bool
     rejected_extrapolations: int
+    full_eigh_iterations: int
+    rank_deficit: int
 
 
 MEMORY = 10  # Anderson history: differences of the last ten accepted evaluations
+
+# The warm-started projection of psd_project.
+_KRYLOV_BLOCKS = 4  # the space [X, VX, V^2 X, V^3 X]
+_RITZ_PASSES = 4  # Rayleigh-Ritz passes before the full eigh takes over
+_RITZ_TOL = 1e-13  # residual of the negative Ritz pairs, relative to ||V||_F
+_LOW_RANK_MIN_ORDER = 64  # below this order the full eigh is the cheaper one
 
 
 def update_c(a: np.ndarray, spec: ProblemSpec) -> np.ndarray:
@@ -174,46 +189,121 @@ def update_S_blocks(a: np.ndarray, mu: np.ndarray, spec: ProblemSpec) -> np.ndar
     return a - np.repeat(shift, part.sizes)
 
 
-def psd_project(h: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix to the Hermitian
-    matrix held in the lower triangle of ``h``.
+class Projection(NamedTuple):
+    """What one projection leaves for the next: ``basis`` holds orthonormal
+    approximations of the eigenvectors of the ``negatives`` negative
+    eigenvalues, then of the next one up (the guard) when there is one.
+    ``full`` tells whether the full eigendecomposition ran."""
 
-    Only the lower triangle is read (``np.linalg.eigh``'s default; the
-    imaginary parts of the diagonal are taken as zero). The negative
-    eigenvalues of the full eigendecomposition are zeroed.
+    basis: np.ndarray
+    negatives: int
+    full: bool
+
+
+def _ritz_projection(a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, Projection] | None:
+    """``Z = A - U Theta U*`` from the negative Ritz pairs ``(Theta, U)`` of
+    the Hermitian ``a``, or None when it is not certified. ``a`` is
+    overwritten, by ``Z`` when it is returned.
+
+    Each pass is a Rayleigh-Ritz step on the block Krylov space
+    ``[X, AX, A^2 X, A^3 X]`` of the last pass's negative Ritz vectors and
+    guard ``X``. The pairs are accepted once their residual
+    ``||A U - U Theta||_F`` is at most ``_RITZ_TOL ||A||_F``, within
+    ``_RITZ_PASSES`` passes; the passes stop early when, at the rate of the
+    last one, those left would fall short. ``Z`` is accepted once
+    ``Z + eps I`` has a Cholesky factor, ``eps = order * machine eps *
+    ||A||_F``: then ``A`` has no negative eigenvalue outside ``U`` beyond
+    rounding.
     """
+    order = a.shape[0]
+    norm = np.linalg.norm(a)
+    if not np.isfinite(norm) or _KRYLOV_BLOCKS * basis.shape[1] >= order:
+        return None
+    x = basis
+    previous = np.inf
+    for left in range(_RITZ_PASSES - 1, -1, -1):
+        blocks = [x]
+        for _ in range(_KRYLOV_BLOCKS - 1):
+            blocks.append(a @ blocks[-1] / norm)  # scaled, so no power overflows
+        q = np.linalg.qr(np.hstack(blocks))[0]
+        aq = a @ q
+        theta, w = np.linalg.eigh(q.conj().T @ aq)
+        k = int(np.count_nonzero(theta < 0))
+        x, ax = q @ w[:, : k + 1], aq @ w[:, : k + 1]
+        residual = np.linalg.norm(ax[:, :k] - x[:, :k] * theta[:k]) / norm
+        if residual <= _RITZ_TOL:
+            break
+        if residual * (residual / previous) ** left > _RITZ_TOL:
+            return None  # at the last pass's rate, the passes left fall short
+        previous = residual
+    a -= (x[:, :k] * theta[:k]) @ x[:, :k].conj().T  # Z, in place
+    diagonal = a.diagonal().copy()
+    a.flat[:: order + 1] += order * np.finfo(float).eps * norm
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    a.flat[:: order + 1] = diagonal
+    return a, Projection(x, k, False)
+
+
+def psd_project(h: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.ndarray, Projection]:
+    """Frobenius-nearest positive semidefinite matrix ``Z`` to the Hermitian
+    matrix ``V`` held in the lower triangle of ``h``, and the
+    :class:`Projection` that warm-starts the next call.
+
+    Only the lower triangle is read (the imaginary parts of the diagonal
+    are taken as zero). ``Z = V - V_-`` needs only the few negative
+    eigenpairs of ``V``: from an order of ``_LOW_RANK_MIN_ORDER`` on, and
+    given the ``basis`` of the previous call, they come from a certified
+    Rayleigh-Ritz step (``_ritz_projection``) in O(order^2 k) work besides
+    one Cholesky factorization. Without a basis, below that order, or when
+    the certificate fails, the full eigendecomposition zeroes the negative
+    eigenvalues, in O(order^3) work; a call without a basis is exactly that.
+    """
+    if basis is not None and h.shape[0] >= _LOW_RANK_MIN_ORDER:
+        a = np.tril(h, -1)
+        a += a.conj().T
+        a.flat[:: a.shape[0] + 1] = h.diagonal().real
+        certified = _ritz_projection(a, basis)
+        if certified is not None:
+            return certified
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    return (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
+    k = int(np.count_nonzero(vals < 0))
+    z = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
+    return z, Projection(vecs[:, : k + 1].copy(), k, True)
 
 
 def admm_step(
-    v: np.ndarray, mu: np.ndarray, spec: ProblemSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    v: np.ndarray, mu: np.ndarray, spec: ProblemSpec, basis: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Projection]:
     """The plain ADMM map ``T(V, mu)`` on the triangle ``v`` of ``V``;
-    ``v`` and ``mu`` are only read.
+    ``v``, ``mu`` and ``basis`` are only read.
 
     Writes ``V`` into the lower triangle the projection reads, projects
-    (the one eigendecomposition) and gathers the triangle ``z`` of ``Z``.
-    With ``Lambda/rho = Z - V``, c and S are the block minimizers at
-    ``Z + Lambda/rho``, and ``mu`` ascends on the block sums of S. Returns
-    ``z``, the triangle ``b`` of ``(S, c, 1)`` and the image
-    ``(b - Lambda/rho, mu')``.
+    (warm-started from ``basis``, see :func:`psd_project`) and gathers the
+    triangle ``z`` of ``Z``. With ``Lambda/rho = Z - V``, c and S are the
+    block minimizers at ``Z + Lambda/rho``, and ``mu`` ascends on the block
+    sums of S. Returns ``z``, the triangle ``b`` of ``(S, c, 1)``, the
+    image ``(b - Lambda/rho, mu')`` and the projection's
+    :class:`Projection`.
     """
     part = spec.partition
     upper, lower = spec.triangle
     n = spec.m + 1
     h = np.empty((n, n), dtype=complex)
     h.ravel()[lower] = v.conj()
-    z = psd_project(h).ravel().take(upper)
+    z_mat, projection = psd_project(h, basis)
+    z = z_mat.ravel().take(upper)
     lam = z - v  # Lambda / rho
     a_s, a_c = spec.split(z + lam)
     s = update_S_blocks(a_s, mu, spec)
     b = np.concatenate([s, update_c(a_c, spec), [1.0]])
     mu_next = mu + spec.rho * (np.add.reduceat(s, part.starts) - part.delta)
-    return z, b, b - lam, mu_next
+    return z, b, b - lam, mu_next, projection
 
 
 class _Anderson:
@@ -287,9 +377,12 @@ def solve(spec: ProblemSpec) -> SolveReport:
     x = pack(v, mu)
     anderson = _Anderson(x.size)
     extrapolated = converged = False
-    rejected = 0
+    rejected = full = 0
+    basis = None  # the first projection has nothing to warm-start from
     for it in range(1, spec.max_iter + 1):
-        z, b, v_out, mu_out = admm_step(v, mu, spec)
+        z, b, v_out, mu_out, projection = admm_step(v, mu, spec, basis)
+        basis = projection.basis
+        full += projection.full
         # The image T(x) and the residual g = T(x) - x: its V-part is b - Z,
         # the primal residual, its mu-part the block sums of S less delta.
         f_out = pack(v_out, mu_out)
@@ -311,6 +404,7 @@ def solve(spec: ProblemSpec) -> SolveReport:
                 anderson.push(f, g, f_out, g_out)
             f, g, g_norm = f_out, g_out, g_out_norm
             z_prev, b_star = z, b  # Z backs the dual residual, b the report
+            deficit = projection.negatives
             last = primal, constraint, dual = res
             converged = max(primal, constraint) < spec.tol_primal and dual < spec.tol_dual
         if converged:
@@ -330,6 +424,8 @@ def solve(spec: ProblemSpec) -> SolveReport:
         final_residuals=last,
         converged=converged,
         rejected_extrapolations=rejected,
+        full_eigh_iterations=full,
+        rank_deficit=deficit,
     )
 
 

@@ -156,6 +156,15 @@ class TestEstimate:
         diag = json.loads(_read(tmp_path / "out" / "run_result.json"))["diagnostics"]
         assert 0 <= diag["rejected_extrapolations"] < diag["iterations"]
 
+    def test_result_reports_the_projection(self, tmp_path):
+        cfg_path, cfg = _full_config(tmp_path, n=16)
+        main(["synth", "--config", cfg_path])
+        main(["estimate", "--config", cfg_path])
+        diag = json.loads(_read(tmp_path / "out" / "run_result.json"))["diagnostics"]
+        assert diag["converged"] is True
+        assert 1 <= diag["full_eigh_iterations"] <= diag["iterations"]
+        assert diag["rank_deficit"] == len(cfg["signal"]["freqs_hz"])
+
     def test_missing_input_exits_one_without_outputs(self, tmp_path):
         cfg_path, _ = _full_config(tmp_path)
         assert main(["estimate", "--config", cfg_path]) == 1

@@ -180,20 +180,47 @@ class TestUpdateSBlocks:
         assert np.allclose(s, s.conj().T, atol=1e-12)
 
 
+def _with_spectrum(rng, vals):
+    """A Hermitian matrix with eigenvalues ``vals`` and its eigenvectors,
+    in the order of ``vals``."""
+    vecs = np.linalg.qr(random_complex(rng, vals.size, vals.size))[0]
+    return (vecs * vals) @ vecs.conj().T, vecs
+
+
+def _eigh_projection(h):
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
+
+
+def _relative_error(z, h):
+    ref = _eigh_projection(h)
+    return np.linalg.norm(z - ref) / np.linalg.norm(ref)
+
+
+def _perturbed(rng, basis, size):
+    return np.linalg.qr(basis + size * random_complex(rng, *basis.shape))[0]
+
+
 class TestPsdProject:
+    # Above this order a given basis warm-starts the projection.
+    ORDER = 80
+
     def test_identity_unchanged(self):
-        assert np.allclose(psd_project(np.eye(4)), np.eye(4))
+        assert np.allclose(psd_project(np.eye(4))[0], np.eye(4))
 
     def test_clips_negative_eigenvalue(self):
-        out = psd_project(np.diag([1.0, -1.0]))
+        out, projection = psd_project(np.diag([1.0, -1.0]))
         assert np.allclose(out, np.diag([1.0, 0.0]))
+        assert projection.negatives == 1 and projection.full
+        # The negative eigenvector, then the guard.
+        assert np.allclose(np.abs(projection.basis), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_never_beaten_by_sampled_psd_candidates(self):
         rng = np.random.default_rng(6)
         for _ in range(4):
             m = int(rng.integers(2, 9))
             y = random_hermitian(rng, m)
-            z_star = psd_project(y)
+            z_star = psd_project(y)[0]
             base = np.linalg.norm(z_star - y)
             for _ in range(2500):
                 w = z_star + rng.exponential(0.3) * random_hermitian(rng, m)
@@ -207,7 +234,73 @@ class TestPsdProject:
         other = h.copy()
         other[np.triu_indices(7, 1)] = np.nan
         other[np.diag_indices(7)] += 1j * rng.standard_normal(7)
-        assert np.array_equal(psd_project(other), psd_project(h))
+        assert np.array_equal(psd_project(other)[0], psd_project(h)[0])
+
+    def test_reads_only_the_lower_triangle_with_a_warm_basis(self):
+        rng = np.random.default_rng(26)
+        vals = np.concatenate([-1.0 - rng.random(3), 0.5 + rng.random(self.ORDER - 3)])
+        h, vecs = _with_spectrum(rng, vals)
+        basis = _perturbed(rng, vecs[:, :4], 1e-6)
+        other = h.copy()
+        other[np.triu_indices(self.ORDER, 1)] = np.nan
+        other[np.diag_indices(self.ORDER)] += 1j * rng.standard_normal(self.ORDER)
+        z, projection = psd_project(other, basis)
+        assert not projection.full
+        assert np.array_equal(z, psd_project(h, basis)[0])
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_warm_start_matches_the_full_eigendecomposition(self, k):
+        rng = np.random.default_rng(50 + k)
+        n = self.ORDER
+        # The solver's spectra: a few negatives apart from the rest.
+        vals = np.concatenate([-1.0 - rng.random(k), 0.5 * rng.random(n - k)])
+        h, vecs = _with_spectrum(rng, vals)
+        guard = k + int(np.argmin(vals[k:]))
+        basis = _perturbed(rng, vecs[:, list(range(k)) + [guard]], 1e-6)
+        z, projection = psd_project(h, basis)
+        assert not projection.full and projection.negatives == k
+        assert _relative_error(z, h) <= 1e-12
+        # The next basis: orthonormal, and spanning the negative eigenvectors.
+        assert projection.basis.shape == (n, k + 1)
+        assert np.allclose(projection.basis.conj().T @ projection.basis, np.eye(k + 1), atol=1e-12)
+        neg = vecs[:, :k]
+        assert np.allclose(neg.conj().T @ projection.basis @ projection.basis.conj().T @ neg, np.eye(k), atol=1e-10)
+
+    def test_a_basis_missing_a_negative_pair_falls_back(self):
+        # Exact eigenvectors span an invariant space, so no Krylov step can
+        # find the missing pair; the Cholesky certificate must reject Z.
+        rng = np.random.default_rng(52)
+        n = self.ORDER
+        vals = np.concatenate([[-1.5, -0.7, -1e-6], 0.5 + rng.random(n - 3)])
+        h, vecs = _with_spectrum(rng, vals)
+        basis = vecs[:, [0, 1, 3 + int(np.argmin(vals[3:]))]]
+        z, projection = psd_project(h, basis)
+        assert projection.full and projection.negatives == 3
+        assert np.array_equal(z, psd_project(h)[0])  # the full eigh, as without a basis
+        assert _relative_error(z, h) <= 1e-12
+
+    def test_psd_input_is_returned(self):
+        rng = np.random.default_rng(53)
+        n = self.ORDER
+        vals = np.concatenate([np.zeros(4), 0.1 + rng.random(n - 4)])
+        h, vecs = _with_spectrum(rng, vals)
+        z, projection = psd_project(h, _perturbed(rng, vecs[:, 4:5], 1e-3))
+        assert not projection.full and projection.negatives == 0
+        assert projection.basis.shape == (n, 1)
+        assert _relative_error(z, h) <= 1e-12
+
+    def test_near_zero_negative_cluster(self):
+        # Besides two clear negative pairs, a cluster within rounding of
+        # zero, on both sides: missing its negative part changes Z by no
+        # more than the eigendecomposition's own rounding.
+        rng = np.random.default_rng(54)
+        n = self.ORDER
+        cluster = 1e-15 * rng.uniform(-1.0, 1.0, 6)
+        vals = np.concatenate([[-2.0, -1.0], cluster, 0.3 + rng.random(n - 8)])
+        h, vecs = _with_spectrum(rng, vals)
+        z, projection = psd_project(h, _perturbed(rng, vecs[:, [0, 1, 2]], 1e-5))
+        assert projection.negatives >= 2
+        assert _relative_error(z, h) <= 1e-12
 
 
 class TestAdmmStep:
@@ -224,14 +317,14 @@ class TestAdmmStep:
         a = random_hermitian(rng, m + 1)
         lam = q @ a @ a.conj().T @ q
         v = triangle_of(b - lam / spec.rho, spec)
-        z, _, _, _ = admm_step(v, np.zeros(spec.partition.p, complex), spec)
+        z, _, _, _, _ = admm_step(v, np.zeros(spec.partition.p, complex), spec)
         assert np.allclose(spec.rho * (z - v), triangle_of(lam, spec))
 
     def test_mu_frozen_when_block_sums_feasible(self):
         spec = _spec_for(SelectionPattern(indices=(0, 1), ambient=3))
         mu_in = np.zeros(spec.partition.p, dtype=complex)
         v = triangle_of(bordered_matrix(np.eye(2) / 2.0, np.zeros(2)), spec)
-        z, b, _, mu = admm_step(v, mu_in, spec)
+        z, b, _, mu, _ = admm_step(v, mu_in, spec)
         part = spec.partition
         s = _dense(spec, z, b)[1]
         assert np.allclose(mu - mu_in, spec.rho * (block_sums(part, s) - part.delta))
@@ -240,7 +333,7 @@ class TestAdmmStep:
     def test_one_step_from_zeros(self):
         spec = _spec_for(_full_pattern(3), rho=1.0)
         part = spec.partition
-        _, _, v, mu = admm_step(np.zeros(10, complex), np.zeros(part.p, complex), spec)
+        _, _, v, mu, _ = admm_step(np.zeros(10, complex), np.zeros(part.p, complex), spec)
         # Each block of S sits below delta by delta/(|J|+1): S = I/4.
         assert np.allclose(spec.hermitian(v), np.diag([0.25, 0.25, 0.25, 1.0]))
         expected = np.zeros(part.p)
@@ -271,7 +364,7 @@ class TestAdmmStep:
         for _ in range(5):
             v = random_hermitian(rng, pat.m + 1)
             mu = random_complex(rng, spec.partition.p)
-            z, b, v_next, mu_next = admm_step(triangle_of(v, spec), mu, spec)
+            z, b, v_next, mu_next, _ = admm_step(triangle_of(v, spec), mu, spec)
             z_ref, s_ref, c_ref, v_ref, mu_ref = admm_map(v, mu, spec)
             assert np.allclose(spec.hermitian(z), z_ref, rtol=0, atol=1e-12)
             assert np.allclose(spec.hermitian(b), bordered_matrix(s_ref, c_ref), rtol=0, atol=1e-12)
@@ -308,8 +401,8 @@ class TestResiduals:
         captured = []
         step = solver.admm_step
 
-        def capture(v, mu, spec):
-            out = step(v, mu, spec)
+        def capture(v, mu, spec, basis):
+            out = step(v, mu, spec, basis)
             captured.append(out[:2])
             return out
 
@@ -359,6 +452,18 @@ class TestSolve:
         assert report.converged
         assert abs(report.dual_objective - np.abs(spec_sig.amps).sum()) < 1e-4
 
+    def test_noiseless_optimum_reports_a_rank_deficit_of_s(self):
+        # The optimal multiplier -rho V_- has one rank per spike; at order
+        # 65 the projection is warm-started after the first iteration.
+        rng = np.random.default_rng(44)
+        n = 64
+        sig = random_spike_spectrum(rng, 3, min_sep=4 / (n - 1))
+        prob = _spec_for(_full_pattern(n), y=synthesize_uniform(sig, 1.0, n), rho=30.0)
+        report = solve(prob)
+        assert report.converged
+        assert report.rank_deficit == 3
+        assert 1 <= report.full_eigh_iterations < report.iterations
+
     def test_weak_duality_under_subsampling(self):
         rng = np.random.default_rng(10)
         n = 24
@@ -390,7 +495,7 @@ class TestSolve:
             v = b - lam
             h = np.empty((n, n), dtype=complex)
             h.ravel()[lower] = v.conj()
-            z_mat = psd_project(h)
+            z_mat = psd_project(h)[0]
             assert np.linalg.eigvalsh(z_mat).min() >= -1e-10
             z = z_mat.ravel().take(upper)
             lam = z - v
@@ -399,7 +504,7 @@ class TestSolve:
         v_in = triangle_of(np.eye(n), prob)
         mu_in = np.zeros(part.p, dtype=complex)
         for _ in range(60):
-            _, plain, v_in, mu_in = admm_step(v_in, mu_in, prob)
+            _, plain, v_in, mu_in, _ = admm_step(v_in, mu_in, prob)
         assert np.array_equal(prob.split(plain)[0], s)
         assert np.array_equal(prob.split(plain)[1], prob.split(b)[1])
         assert np.array_equal(v_in, v)
@@ -413,7 +518,7 @@ class TestSolve:
         v = z_prev = triangle_of(np.eye(pat.m + 1), prob)
         mu = np.zeros(prob.partition.p, dtype=complex)
         for _ in range(prob.max_iter):
-            z, b, v, mu = admm_step(v, mu, prob)
+            z, b, v, mu, _ = admm_step(v, mu, prob)
             z_mat, s, c = _dense(prob, z, b)
             primal, constraint, dual = residuals(z_mat, s, c, prob, prob.hermitian(z_prev))
             z_prev = z
@@ -434,7 +539,7 @@ class TestSolve:
         calls = []
         project = solver.psd_project
         monkeypatch.setattr(
-            solver, "psd_project", lambda v: calls.append(1) or project(v)
+            solver, "psd_project", lambda h, basis: calls.append(1) or project(h, basis)
         )
         rejected = [0]
         for max_iter in range(1, 13):
@@ -518,8 +623,8 @@ class TestAndersonHistory:
         captured, accepted = [], [0]  # the first evaluation is always accepted
         step, push = solver.admm_step, solver._Anderson.push
 
-        def capture(v, mu, spec):
-            out = step(v, mu, spec)
+        def capture(v, mu, spec, basis):
+            out = step(v, mu, spec, basis)
             captured.append(out[:2])
             return out
 

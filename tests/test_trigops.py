@@ -20,7 +20,7 @@ from spectral_sdp.oracles import (
     toeplitz_adjoint,
     toeplitz_from_vector,
 )
-from spectral_sdp.trigops import grid_modulus
+from spectral_sdp.trigops import _autocorrelation, grid_modulus
 
 from conftest import random_complex, random_hermitian
 
@@ -192,6 +192,22 @@ class TestGridModulus:
     def test_rejects_fewer_points_than_coefficients(self):
         with pytest.raises(InvalidInputError):
             grid_modulus(np.ones(8), 7)
+
+
+class TestAutocorrelation:
+    @pytest.mark.parametrize("n", [1, 2, 128, 4097])
+    def test_matches_correlate_and_the_direct_sum(self, n):
+        # 4097 is one past a power of two, so the padding rounds up to 2^13.
+        rng = np.random.default_rng(n)
+        q = random_complex(rng, n)
+        fast = _autocorrelation(q)
+        assert fast.shape == (n - 1,)
+        scale = np.vdot(q, q).real  # r_0 bounds every lag
+        assert np.max(np.abs(fast - np.correlate(q, q, "full")[n:]), initial=0.0) <= 1e-13 * scale
+        lags = range(1, n) if n < 200 else rng.choice(np.arange(1, n), 40, replace=False)
+        for d in lags:
+            direct = np.sum(q[:-d].conj() * q[d:])
+            assert abs(fast[d - 1] - direct) <= 1e-13 * scale
 
 
 class TestGramEval:
