@@ -162,7 +162,7 @@ MEMORY = 10  # Anderson history: differences of the last ten accepted evaluation
 _KRYLOV_BLOCKS = 4  # the space [X, VX, V^2 X, V^3 X]
 _RITZ_PASSES = 4  # Rayleigh-Ritz passes before the full eigh takes over
 _RITZ_TOL = 1e-13  # residual of the negative Ritz pairs, relative to ||V||_F
-_LOW_RANK_MIN_ORDER = 64  # below this order the full eigh is the cheaper one
+_LOW_RANK_MIN_ORDER = 64  # below it, eigh was as fast on random selections (order sweep)
 
 
 def update_c(a: np.ndarray, spec: ProblemSpec) -> np.ndarray:
