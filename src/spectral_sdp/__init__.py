@@ -14,7 +14,6 @@ from .errors import (
     InvariantViolationError,
     LocalizationError,
     NumericalError,
-    SearchBudgetError,
     SpectralSDPError,
 )
 from .localization import (
@@ -31,14 +30,12 @@ from .localization import (
 )
 from .multirate import (
     CommonGrid,
-    ComplexityReport,
     Grid,
     MultirateSystem,
     align_measurements,
     check_strong_condition,
     check_weak_condition,
     common_grid,
-    complexity_report,
     random_bound_report,
 )
 from .sampling import (

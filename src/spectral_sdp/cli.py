@@ -32,13 +32,7 @@ from .errors import (
     SpectralSDPError,
 )
 from .localization import EstimationConfig, estimate, verify_certificate
-from .multirate import (
-    Grid,
-    MultirateSystem,
-    align_measurements,
-    common_grid,
-    complexity_report,
-)
+from .multirate import Grid, MultirateSystem, align_measurements, common_grid
 from .sampling import SelectionPattern, compute_partition, random_selection
 from .signal_model import (
     RNG_ALGORITHM,
@@ -270,8 +264,10 @@ _CONFIG_FIELDS = (
 
 
 def _estimation_config(cfg: dict, args, sigma: float) -> EstimationConfig:
-    """Only the fields the config or a flag of the same name sets (the flag
-    wins); ``EstimationConfig`` holds the defaults of the rest."""
+    """``sigma`` as read, and only the fields the config or a flag of the
+    same name sets (the flag wins); ``EstimationConfig`` holds the defaults
+    of the rest and :func:`~spectral_sdp.solver.assemble_problem` checks
+    them."""
     fields = {}
     for section, name, cast in _CONFIG_FIELDS:
         value = getattr(args, name, None)
@@ -279,12 +275,7 @@ def _estimation_config(cfg: dict, args, sigma: float) -> EstimationConfig:
             value = _get(cfg, f"{section}.{name}")
         if value is not None:
             fields[name] = _parse(cast, value, f"{section}.{name}")
-    if sigma > 0:
-        fields["sigma"] = sigma
-    est_cfg = EstimationConfig(**fields)
-    if sigma > 0 and est_cfg.tau is None and est_cfg.gamma <= 1:
-        raise InvalidInputError("solver.gamma must exceed 1 for the noise rule")
-    return est_cfg
+    return EstimationConfig(sigma=sigma, **fields)
 
 
 # ---------- synthesis ----------
@@ -401,7 +392,7 @@ def cmd_check_grid(args) -> int:
         raise InvalidInputError("check-grid needs a multirate scenario config")
     system = _system_from_config(cfg)
     cg = common_grid(system)
-    rep = complexity_report(system, cg)
+    ratio = Fraction(cg.m, cg.n0)
     out = {
         "schema": SCHEMA_VERSION,
         "exists": True,
@@ -410,14 +401,14 @@ def cmd_check_grid(args) -> int:
         "n0": cg.n0,
         "expansions": [{"l": l, "a": a} for l, a in cg.expansions],
         "indices": list(cg.observation_set.indices),
-        "m": rep.m,
-        "m_tilde": rep.m_tilde,
-        "ratio": str(rep.ratio),
-        "ratio_float": float(rep.ratio),
+        "m": cg.m,
+        "m_tilde": system.m_tilde,
+        "ratio": str(ratio),
+        "ratio_float": float(ratio),
     }
     print(
         f"common grid: f0={out['f0']} Hz, gamma0={out['gamma0']}, n0={cg.n0}, "
-        f"m={rep.m}, m_tilde={rep.m_tilde}, ratio={rep.ratio}"
+        f"m={cg.m}, m_tilde={system.m_tilde}, ratio={ratio}"
     )
     out_dir, prefix = _out_paths(cfg, args)
     _atomic_write(os.path.join(out_dir, f"{prefix}_grid_report.json"), _dump_json(out))
@@ -468,6 +459,7 @@ def cmd_estimate(args) -> int:
             "rejected_extrapolations": diag.rejected_extrapolations,
             "full_eigh_iterations": diag.full_eigh_iterations,
             "rank_deficit": diag.rank_deficit,
+            "newton_fallbacks": diag.newton_fallbacks,
             "residuals": {
                 "primal": diag.final_residuals[0],
                 "constraint": diag.final_residuals[1],

@@ -29,13 +29,5 @@ class InvariantViolationError(SpectralSDPError, RuntimeError):
     """An internal consistency check failed; indicates a bug."""
 
 
-class SearchBudgetError(SpectralSDPError, RuntimeError):
-    """An exhaustive search ran out of budget before covering its space.
-
-    Distinct from a definite "no result exists" answer, which is returned
-    as ``None`` by the search routines.
-    """
-
-
 class LocalizationError(SpectralSDPError, RuntimeError):
     """Frequency localization failed (degenerate or overcrowded dual)."""

@@ -81,7 +81,6 @@ class PeakSet:
 class AmplitudeFit:
     amps: np.ndarray
     residual: float
-    cond: float
 
 
 @dataclass(frozen=True)
@@ -140,13 +139,12 @@ def locate_frequencies(
             "identifiable from it"
         )
     is_peak = above & (g >= np.roll(g, 1)) & (g >= np.roll(g, -1))
-    step = 1.0 / grid_points
-    refined, ok_flags = refine_maxima(q, np.flatnonzero(is_peak) / grid_points, step)
+    refined, ok_flags = refine_maxima(q, np.flatnonzero(is_peak))
 
     # Merge refinements that collapsed onto the same maximum.
     merged: list[float] = []
     merged_ok: list[bool] = []
-    radius = 0.25 * step
+    radius = 0.25 / grid_points
     for nu, ok in sorted(zip(refined.tolist(), ok_flags.tolist())):
         dist = min(abs(nu - merged[-1]), 1.0 - abs(nu - merged[-1])) if merged else np.inf
         if merged and dist < radius:
@@ -181,8 +179,9 @@ def recover_amplitudes(
 
     Minimizes ``||y - M V a||``, where ``M V`` is the Vandermonde matrix on
     the kept indices only, ``(M V)[t, r] = e^{i 2 pi (xi_r / f) I[t]}``,
-    via an SVD factorization. A condition number above 1e12 (near-collision
-    of frequencies) raises :class:`ConditioningError`.
+    by ``np.linalg.lstsq``. A condition number above 1e12 (near-collision
+    of frequencies), read off the singular values it returns, raises
+    :class:`ConditioningError`.
     """
     y = np.asarray(y, dtype=complex)
     freqs = np.asarray(freqs, dtype=float)
@@ -194,7 +193,6 @@ def recover_amplitudes(
         return AmplitudeFit(
             amps=np.empty(0, dtype=complex),
             residual=float(np.linalg.norm(y)),
-            cond=0.0,
         )
     if freqs.size > pattern.m:
         raise InvalidInputError(
@@ -203,7 +201,7 @@ def recover_amplitudes(
     if np.unique(freqs).size != freqs.size:
         raise InvalidInputError("frequencies must be distinct")
     a_mat = np.exp(2j * np.pi * np.outer(pattern.indices, freqs / f))
-    sv = np.linalg.svd(a_mat, compute_uv=False)
+    amps, _, _, sv = np.linalg.lstsq(a_mat, y, rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if cond > 1e12:
         reduced = np.sort(np.mod(freqs / f, 1.0))
@@ -215,9 +213,8 @@ def recover_amplitudes(
             if gaps.size
             else f"amplitude system condition {cond:.2e}"
         )
-    amps, *_ = np.linalg.lstsq(a_mat, y, rcond=None)
     residual = float(np.linalg.norm(y - a_mat @ amps))
-    return AmplitudeFit(amps=amps, residual=residual, cond=cond)
+    return AmplitudeFit(amps=amps, residual=residual)
 
 
 def verify_certificate(

@@ -53,10 +53,6 @@ class Grid:
         if self.n < 1:
             raise InvalidInputError("grid must acquire at least one sample")
 
-    def sample_instants(self) -> list[Fraction]:
-        """Exact acquisition times (k - gamma) / f for k = 0..n-1."""
-        return [(Fraction(k) - self.gamma) / self.f for k in range(self.n)]
-
 
 @dataclass(frozen=True)
 class MultirateSystem:
@@ -209,19 +205,19 @@ def check_strong_condition(system: MultirateSystem, spec: SpikeSpectrum) -> bool
 
 
 def check_weak_condition(
-    system: MultirateSystem, spec: SpikeSpectrum, m: int, cg: CommonGrid
+    system: MultirateSystem, spec: SpikeSpectrum, cg: CommonGrid
 ) -> int | None:
     """First grid index satisfying the one-sampler recoverability branch.
 
     Requires separation and n > 2000 at that sampler plus enough net
-    measurements: ``m >= (l_j + 1) s``. Returns the 0-based grid index or
-    ``None``.
+    measurements on the common grid: ``cg.m >= (l_j + 1) s``. Returns the
+    0-based grid index or ``None``.
     """
     for j, (grid, (l_j, _)) in enumerate(zip(system.grids, cg.expansions)):
         if (
             grid.n > 2000
             and _separation_ok(spec, grid.f, grid.n)
-            and m >= (l_j + 1) * spec.s
+            and cg.m >= (l_j + 1) * spec.s
         ):
             return j
     return None
@@ -240,20 +236,3 @@ def random_bound_report(n: int, m: int, s: int, delta: float, C: float) -> bool:
     bound = C * max(log(n / delta) ** 2, s * log(s / delta) * log(n / delta))
     return m >= bound
 
-
-@dataclass(frozen=True)
-class ComplexityReport:
-    n0: int
-    m_tilde: int
-    m: int
-    ratio: Fraction
-
-
-def complexity_report(system: MultirateSystem, cg: CommonGrid) -> ComplexityReport:
-    """Problem-size counts: ambient grid length, gross and net observations."""
-    return ComplexityReport(
-        n0=cg.n0,
-        m_tilde=system.m_tilde,
-        m=cg.m,
-        ratio=Fraction(cg.m, cg.n0),
-    )

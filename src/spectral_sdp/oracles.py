@@ -22,10 +22,18 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
     NumericalError,
-    SearchBudgetError,
+    SpectralSDPError,
 )
-from .multirate import CommonGrid, MultirateSystem
+from .multirate import CommonGrid, Grid, MultirateSystem
 from .sampling import PartitionStructure, SelectionPattern
+
+
+class SearchBudgetError(SpectralSDPError, RuntimeError):
+    """An exhaustive search ran out of budget before covering its space.
+
+    Distinct from a definite "no result exists" answer, which is returned
+    as ``None`` by the search routines.
+    """
 
 
 def toeplitz_from_vector(u: np.ndarray) -> np.ndarray:
@@ -157,6 +165,11 @@ def _rational_lcm(values):
     return out
 
 
+def sample_instants(grid: Grid) -> list[Fraction]:
+    """Exact acquisition times (k - gamma) / f for k = 0..n-1."""
+    return [(Fraction(k) - grid.gamma) / grid.f for k in range(grid.n)]
+
+
 def brute_force_common_grid(
     system: MultirateSystem, n_max: int = 256, max_candidates: int = 100000
 ) -> CommonGrid | None:
@@ -174,7 +187,7 @@ def brute_force_common_grid(
         raise InvalidInputError("oracle search is capped at n_max <= 256")
     instants = []
     for j, grid in enumerate(system.grids):
-        for k, t in enumerate(grid.sample_instants()):
+        for k, t in enumerate(sample_instants(grid)):
             instants.append((t, j, k))
     earliest = min(t for t, _, _ in instants)
     span = max(t for t, _, _ in instants) - earliest
@@ -252,8 +265,16 @@ def brute_force_partition(pattern: SelectionPattern) -> PartitionStructure:
         starts=np.cumsum(sizes) - sizes,
         sizes=sizes,
         m=m,
-        ambient=n,
     )
+
+
+def blocks(partition: PartitionStructure) -> dict[int, list]:
+    """``{lag: [(row, col), ...]}`` with 1-based positions, lags ascending."""
+    pairs = list(zip((partition.rows + 1).tolist(), (partition.cols + 1).tolist()))
+    groups = zip(
+        partition.positive_lags, partition.starts.tolist(), partition.sizes.tolist()
+    )
+    return {k: pairs[s : s + n] for k, s, n in groups}
 
 
 def bordered_matrix(s: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -280,7 +301,7 @@ def admm_map(v: np.ndarray, mu: np.ndarray, spec) -> tuple:
     a = z[:m, :m] + lam[:m, :m] / rho
     s = np.zeros((m, m), dtype=complex)
     mu_next = np.array(mu, dtype=complex)
-    for pos, (lag, pairs) in enumerate(part.blocks.items()):
+    for pos, (lag, pairs) in enumerate(blocks(part).items()):
         block = tuple(np.array(pairs).T - 1)
         delta = 1.0 if lag == 0 else 0.0
         s[block] = a[block] - (a[block].sum() - delta + mu[pos] / rho) / (len(pairs) + 1)

@@ -8,10 +8,8 @@ downstream relies on that order.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -61,18 +59,10 @@ class PartitionStructure:
     starts: np.ndarray
     sizes: np.ndarray
     m: int
-    ambient: int
 
     @property
     def p(self) -> int:
         return len(self.positive_lags)
-
-    @cached_property
-    def blocks(self) -> Mapping[int, list]:
-        """Read-only ``{lag: [(row, col), ...]}`` with 1-based positions."""
-        pairs = list(zip((self.rows + 1).tolist(), (self.cols + 1).tolist()))
-        groups = zip(self.positive_lags, self.starts.tolist(), self.sizes.tolist())
-        return MappingProxyType({k: pairs[s : s + n] for k, s, n in groups})
 
     @cached_property
     def delta(self) -> np.ndarray:
@@ -114,7 +104,6 @@ def compute_partition(pattern: SelectionPattern) -> PartitionStructure:
         starts=starts,
         sizes=sizes,
         m=idx.size,
-        ambient=pattern.ambient,
     )
 
 

@@ -94,14 +94,14 @@ class ProblemSpec:
             raise InvalidInputError(
                 f"y must have length {self.partition.m}, got shape {y.shape}"
             )
-        if self.tau < 0:
-            raise InvalidInputError("tau must be nonnegative")
-        if self.rho <= 0:
-            raise InvalidInputError("rho must be positive")
+        if not (np.isfinite(self.tau) and self.tau >= 0):
+            raise InvalidInputError(f"tau must be finite and nonnegative, got {self.tau}")
+        if not (np.isfinite(self.rho) and self.rho > 0):
+            raise InvalidInputError(f"rho must be finite and positive, got {self.rho}")
         if self.max_iter < 1:
             raise InvalidInputError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.tol_primal < 0 or self.tol_dual < 0:
-            raise InvalidInputError("tolerances must be nonnegative")
+        if not all(np.isfinite(t) and t >= 0 for t in (self.tol_primal, self.tol_dual)):
+            raise InvalidInputError("tolerances must be finite and nonnegative")
         object.__setattr__(self, "y", y)
 
     @property
@@ -443,13 +443,18 @@ def assemble_problem(
     The pattern must contain index 0 (shift it first with
     :func:`~spectral_sdp.sampling.normalize_to_admissible`). When ``tau``
     is not given it defaults to the noise rule
-    ``gamma * sigma * sqrt(m log m)`` if ``sigma`` is provided, else to 0.
+    ``gamma * sigma * sqrt(m log m)`` if ``sigma`` is positive, else to 0;
+    the rule needs ``gamma > 1``. ``sigma`` must be finite and nonnegative.
     ``settings`` (``rho``, ``max_iter``, the tolerances) go to the spec.
     """
     if not is_admissible_selection(pattern):
         raise InvalidInputError("selection pattern must contain index 0")
+    if sigma is not None and not (np.isfinite(sigma) and sigma >= 0):
+        raise InvalidInputError(f"sigma must be finite and nonnegative, got {sigma}")
     if tau is None:
         if sigma is not None and sigma > 0:
+            if not gamma > 1:
+                raise InvalidInputError(f"gamma must exceed 1 for the noise rule, got {gamma}")
             m = pattern.m
             tau = float(gamma * sigma * np.sqrt(m * np.log(m))) if m > 1 else 0.0
         else:

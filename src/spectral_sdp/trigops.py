@@ -68,21 +68,26 @@ def _autocorrelation(q: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum.real**2 + spectrum.imag**2)[1:n]
 
 
-def refine_maxima(q: np.ndarray, nu0, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Newton ascent on ``|Q(e^{i 2 pi nu})|^2`` from each start in ``nu0``.
+def refine_maxima(q: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Newton ascent on ``|Q(e^{i 2 pi nu})|^2`` from each grid point in ``starts``.
 
+    ``starts`` are indices ``j`` of the :func:`grid_size` grid, whose
+    points are ``nu0 = j / grid_size(n)``.
     ``|Q|^2 = r_0 + 2 Re sum_d r_d e^{i 2 pi nu d}`` with the
     autocorrelation ``r[d] = sum_k conj(q[k]) q[k+d]``, so both
     derivatives are analytic; :func:`_autocorrelation` takes ``r`` in
     O(n log n) time. A start succeeds when a Newton step falls below 1e-12
     within 50 iterations. It fails, and keeps its start value, when the
-    curvature is not negative or the iterate leaves
-    ``[nu0 - step, nu0 + step]`` (it diverged from the grid cell).
+    curvature is not negative or the iterate leaves the one-cell bracket
+    ``[nu0 - 1/grid_size(n), nu0 + 1/grid_size(n)]`` (it diverged from the
+    grid cell).
 
     Returns the refined points reduced modulo 1 and the success flags.
     """
     q = np.asarray(q, dtype=complex)
     n = q.size
+    points = grid_size(n)
+    nu0, step = np.asarray(starts) / points, 1.0 / points
     r = _autocorrelation(q)
     d1 = 2j * np.pi * np.arange(1, n)
     d2 = d1**2
@@ -128,5 +133,5 @@ def dense_sup_norm(q: np.ndarray) -> float:
     order = np.argsort(mags[local_max])[::-1]
     candidates = local_max[order][:5]
 
-    peaks, _ = refine_maxima(q, candidates / grid_points, 1.0 / grid_points)
+    peaks, _ = refine_maxima(q, candidates)
     return max(float(mags.max()), float(np.abs(poly_eval(q, peaks)).max()))

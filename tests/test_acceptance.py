@@ -33,6 +33,7 @@ from spectral_sdp import (
 )
 from spectral_sdp import ProblemSpec, random_selection
 from spectral_sdp.oracles import (
+    blocks,
     bordered_matrix,
     brute_force_partition,
     finite_perturbation_check,
@@ -102,16 +103,17 @@ def test_criterion_02_partition_axioms():
         pat = random_pattern(rng, n)
         part = compute_partition(pat)
         oracle = brute_force_partition(pat)
+        part_blocks, oracle_blocks = blocks(part), blocks(oracle)
         assert part.positive_lags == oracle.positive_lags
         for k in part.positive_lags:
-            assert sorted(part.blocks[k]) == sorted(oracle.blocks[k])
+            assert sorted(part_blocks[k]) == sorted(oracle_blocks[k])
         m = pat.m
         seen = {}
-        for k, pairs in part.blocks.items():
+        for k, pairs in part_blocks.items():
             for i, j in pairs:
                 assert (i, j) not in seen, "blocks overlap"
                 seen[(i, j)] = k
-        assert sum(len(b) for b in part.blocks.values()) == m * (m + 1) // 2
+        assert sum(len(b) for b in part_blocks.values()) == m * (m + 1) // 2
         for i in range(1, m + 1):
             assert (i, i) in seen, "diagonal pair missing"
             for j in range(i + 1, m + 1):

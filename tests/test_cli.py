@@ -164,11 +164,23 @@ class TestEstimate:
         assert diag["converged"] is True
         assert 1 <= diag["full_eigh_iterations"] <= diag["iterations"]
         assert diag["rank_deficit"] == len(cfg["signal"]["freqs_hz"])
+        assert diag["newton_fallbacks"] == 0
+        assert diag["reliable"] is True
 
     def test_missing_input_exits_one_without_outputs(self, tmp_path):
         cfg_path, _ = _full_config(tmp_path)
         assert main(["estimate", "--config", cfg_path]) == 1
         assert not os.path.exists(tmp_path / "out" / "run_result.json")
+
+    def test_bad_noise_or_tau_exits_one_without_outputs(self, tmp_path):
+        cfg_path, cfg = _full_config(tmp_path, n=16)
+        main(["synth", "--config", cfg_path])
+        assert main(["estimate", "--config", cfg_path, "--tau", "nan"]) == 1
+        cfg["noise"]["sigma"] = -0.1
+        _write_config(cfg_path, cfg)
+        assert main(["estimate", "--config", cfg_path]) == 1
+        for name in ("run_result.json", "run_dualpoly.tsv", "run_spikes.tsv"):
+            assert not os.path.exists(tmp_path / "out" / name)
 
     def test_nonconvergence_exits_two_with_flagged_record(self, tmp_path):
         cfg_path, _ = _full_config(tmp_path, n=16)

@@ -15,7 +15,6 @@ from spectral_sdp import (
     check_strong_condition,
     check_weak_condition,
     common_grid,
-    complexity_report,
     random_bound_report,
     synthesize_grid,
 )
@@ -24,7 +23,7 @@ from spectral_sdp.localization import (
     SpectrumEstimate,
     unshift_amplitudes,
 )
-from spectral_sdp.oracles import brute_force_common_grid
+from spectral_sdp.oracles import brute_force_common_grid, sample_instants
 
 
 def _estimate_stub(freqs, amps, cg):
@@ -112,7 +111,7 @@ class TestCommonGrid:
                 for q in cg.observation_set.indices
             }
             grid_instants = {
-                t for g in system.grids for t in g.sample_instants()
+                t for g in system.grids for t in sample_instants(g)
             }
             assert grid_instants == net_instants
 
@@ -252,7 +251,7 @@ class TestConditionCheckers:
         )
         cg = common_grid(system)
         spec = SpikeSpectrum(freqs=np.array([0.1, 0.35]), amps=np.array([1.0, 1.0]))
-        assert check_weak_condition(system, spec, cg.m, cg) == 0
+        assert check_weak_condition(system, spec, cg) == 0
 
     def test_weak_absent_when_measurements_scarce(self, two_grid_system):
         cg = common_grid(two_grid_system)
@@ -261,7 +260,7 @@ class TestConditionCheckers:
             amps=np.ones(5, dtype=complex),
         )
         # m = 9 < (l_j + 1) * 5 for every grid, so no branch can pass.
-        assert check_weak_condition(two_grid_system, spec, cg.m, cg) is None
+        assert check_weak_condition(two_grid_system, spec, cg) is None
 
     def test_weak_inequality_is_evaluated_literally(self, two_grid_system):
         # l_2 = 2 and s = 3 make m >= 9 hold exactly, but both grids are far
@@ -271,7 +270,7 @@ class TestConditionCheckers:
             freqs=np.array([0.05, 0.4, 0.75]), amps=np.ones(3, dtype=complex)
         )
         assert cg.m == 9 >= (cg.expansions[1][0] + 1) * spec.s
-        assert check_weak_condition(two_grid_system, spec, cg.m, cg) is None
+        assert check_weak_condition(two_grid_system, spec, cg) is None
 
 
 class TestRandomBoundReport:
@@ -300,13 +299,13 @@ class TestRandomBoundReport:
 class TestComplexityReport:
     def test_single_grid_ratio_one(self):
         sys1 = MultirateSystem(grids=(Grid(f=Fraction(2), gamma=Fraction(0), n=9),))
-        rep = complexity_report(sys1, common_grid(sys1))
-        assert rep.ratio == 1
+        cg = common_grid(sys1)
+        assert Fraction(cg.m, cg.n0) == 1
 
     def test_reference_system_ratio(self, two_grid_system):
-        rep = complexity_report(two_grid_system, common_grid(two_grid_system))
-        assert rep.ratio == Fraction(9, 13)
-        assert (rep.n0, rep.m_tilde, rep.m) == (13, 11, 9)
+        cg = common_grid(two_grid_system)
+        assert Fraction(cg.m, cg.n0) == Fraction(9, 13)
+        assert (cg.n0, two_grid_system.m_tilde, cg.m) == (13, 11, 9)
 
     def test_coprime_pair_counts(self):
         # Rates 2f and 3f over the window [0, 4): the gross count follows
@@ -319,8 +318,8 @@ class TestComplexityReport:
                 Grid(f=3 * f, gamma=Fraction(0), n=3 * L),
             )
         )
-        rep = complexity_report(system, common_grid(system))
-        assert rep.n0 == 6 * L - 1
-        assert rep.m_tilde == 5 * L
-        assert rep.m == 5 * L - L
-        assert abs(rep.m_tilde / rep.n0 - Fraction(5, 6)) < Fraction(1, L)
+        cg = common_grid(system)
+        assert cg.n0 == 6 * L - 1
+        assert system.m_tilde == 5 * L
+        assert cg.m == 5 * L - L
+        assert abs(system.m_tilde / cg.n0 - Fraction(5, 6)) < Fraction(1, L)

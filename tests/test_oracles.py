@@ -9,11 +9,12 @@ from spectral_sdp import (
     Grid,
     InvalidInputError,
     MultirateSystem,
-    SearchBudgetError,
     SelectionPattern,
     common_grid,
 )
 from spectral_sdp.oracles import (
+    SearchBudgetError,
+    blocks,
     brute_force_common_grid,
     brute_force_partition,
     brute_force_sup_norm,
@@ -70,12 +71,12 @@ class TestBruteForcePartition:
             SelectionPattern(indices=tuple(range(n)), ambient=n)
         )
         for k in range(n):
-            assert part.blocks[k] == [(i + 1, i + 1 + k) for i in range(n - k)]
+            assert blocks(part)[k] == [(i + 1, i + 1 + k) for i in range(n - k)]
 
     def test_absent_lags_have_no_block(self):
         part = brute_force_partition(SelectionPattern(indices=(0, 3), ambient=6))
         assert part.positive_lags == (0, 3)
-        assert 1 not in part.blocks and 2 not in part.blocks
+        assert 1 not in blocks(part) and 2 not in blocks(part)
 
 
 class TestBruteForceSupNorm:

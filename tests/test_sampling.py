@@ -19,6 +19,7 @@ from spectral_sdp.localization import (
 )
 from spectral_sdp.oracles import (
     apply_subsampling,
+    blocks,
     brute_force_partition,
     is_admissible_general,
     r_op_adjoint,
@@ -81,20 +82,20 @@ class TestComputePartition:
     def test_two_adjacent_indices(self):
         part = compute_partition(SelectionPattern(indices=(0, 1), ambient=4))
         assert part.positive_lags == (0, 1)
-        assert part.blocks[0] == [(1, 1), (2, 2)]
-        assert part.blocks[1] == [(1, 2)]
+        assert blocks(part)[0] == [(1, 1), (2, 2)]
+        assert blocks(part)[1] == [(1, 2)]
 
     def test_full_pattern_gives_superdiagonals(self):
         n = 6
         part = compute_partition(SelectionPattern(indices=tuple(range(n)), ambient=n))
         assert part.p == n
         for k in part.positive_lags:
-            assert part.blocks[k] == [(i + 1, i + 1 + k) for i in range(n - k)]
+            assert blocks(part)[k] == [(i + 1, i + 1 + k) for i in range(n - k)]
 
     def test_reference_pattern_covers_half_square(self):
         pat = SelectionPattern(indices=(0, 1, 3, 5, 6, 7, 9, 11, 12), ambient=13)
         part = compute_partition(pat)
-        assert sum(len(b) for b in part.blocks.values()) == 45
+        assert sum(len(b) for b in blocks(part).values()) == 45
 
     def test_axioms_and_oracle_agreement(self):
         rng = np.random.default_rng(1)
@@ -102,18 +103,19 @@ class TestComputePartition:
             pat = random_pattern(rng, int(rng.integers(4, 48)))
             part = compute_partition(pat)
             oracle = brute_force_partition(pat)
+            part_blocks, oracle_blocks = blocks(part), blocks(oracle)
             assert part.positive_lags == oracle.positive_lags
             for k in part.positive_lags:
-                assert sorted(part.blocks[k]) == sorted(oracle.blocks[k])
+                assert sorted(part_blocks[k]) == sorted(oracle_blocks[k])
             for name in ("rows", "cols", "starts", "sizes"):
                 assert np.array_equal(getattr(part, name), getattr(oracle, name)), name
             m = pat.m
             seen = {}
-            for k, pairs in part.blocks.items():
+            for k, pairs in part_blocks.items():
                 for i, j in pairs:
                     assert (i, j) not in seen
                     seen[(i, j)] = k
-            assert sum(len(b) for b in part.blocks.values()) == m * (m + 1) // 2
+            assert sum(len(b) for b in part_blocks.values()) == m * (m + 1) // 2
             for i in range(1, m + 1):
                 assert (i, i) in seen
                 for j in range(i + 1, m + 1):
@@ -123,13 +125,13 @@ class TestComputePartition:
         rng = np.random.default_rng(2)
         for _ in range(20):
             pat = random_pattern(rng, int(rng.integers(3, 24)))
-            part = compute_partition(pat)
+            part_blocks = blocks(compute_partition(pat))
             s = random_hermitian(rng, pat.m)
             out = r_op_adjoint(selection_matrix(pat), s)
             # supported on the positive lags, real at lag zero
             assert abs(out[0].imag) < 1e-12
             for k in range(pat.ambient):
-                block_sum = sum(s[i - 1, j - 1] for i, j in part.blocks.get(k, []))
+                block_sum = sum(s[i - 1, j - 1] for i, j in part_blocks.get(k, []))
                 assert abs(out[k] - block_sum) < 1e-12
 
 

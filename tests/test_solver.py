@@ -23,6 +23,7 @@ from spectral_sdp import (
 from spectral_sdp.oracles import (
     admm_map,
     block_sums,
+    blocks,
     bordered_matrix,
     finite_perturbation_check,
     residuals,
@@ -134,7 +135,7 @@ class TestUpdateSBlocks:
         # Build a Hermitian Z0 whose block sums hit the constraint exactly.
         z0 = random_hermitian(rng, 3)
         for k in part.positive_lags:
-            pairs = part.blocks[k]
+            pairs = blocks(part)[k]
             total = sum(z0[i - 1, j - 1] for i, j in pairs)
             target = 1.0 if k == 0 else 0.0
             correction = (target - total) / len(pairs)
@@ -576,7 +577,19 @@ class TestSolve:
         assert not report.converged and report.iterations == 5
 
     @pytest.mark.parametrize(
-        "knob", [{"max_iter": 0}, {"max_iter": -3}, {"tol_primal": -1e-9}, {"tol_dual": -1.0}]
+        "knob",
+        [
+            {"max_iter": 0},
+            {"max_iter": -3},
+            {"tol_primal": -1e-9},
+            {"tol_dual": -1.0},
+            {"tau": np.nan},
+            {"tau": np.inf},
+            {"rho": np.nan},
+            {"rho": np.inf},
+            {"tol_primal": np.nan},
+            {"tol_dual": np.nan},
+        ],
     )
     def test_rejects_empty_budget_and_negative_tolerances(self, knob):
         with pytest.raises(InvalidInputError):
@@ -650,7 +663,7 @@ class TestAssembleProblem:
         rng = np.random.default_rng(13)
         pat = random_pattern(rng, 20, admissible=True)
         prob = assemble_problem(np.zeros(pat.m), pat)
-        total = sum(len(b) for b in prob.partition.blocks.values())
+        total = sum(len(b) for b in blocks(prob.partition).values())
         assert total == pat.m * (pat.m + 1) // 2
 
     def test_rejects_pattern_without_index_zero(self):
@@ -663,6 +676,21 @@ class TestAssembleProblem:
         sigma = 0.25
         prob = assemble_problem(np.zeros(16), pat, sigma=sigma, gamma=1.5)
         assert np.isclose(prob.tau, 1.5 * sigma * np.sqrt(16 * np.log(16)))
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            {"sigma": -0.1},
+            {"sigma": np.nan},
+            {"sigma": np.inf},
+            {"sigma": 0.25, "gamma": 1.0},
+            {"sigma": 0.25, "gamma": 0.5},
+        ],
+    )
+    def test_rejects_bad_noise_rule_settings(self, noise):
+        pat = SelectionPattern(indices=tuple(range(4)), ambient=4)
+        with pytest.raises(InvalidInputError):
+            assemble_problem(np.zeros(4), pat, **noise)
 
     def test_explicit_tau_wins(self):
         pat = SelectionPattern(indices=tuple(range(4)), ambient=4)

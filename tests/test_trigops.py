@@ -20,7 +20,7 @@ from spectral_sdp.oracles import (
     toeplitz_adjoint,
     toeplitz_from_vector,
 )
-from spectral_sdp.trigops import _autocorrelation, grid_modulus
+from spectral_sdp.trigops import _autocorrelation, grid_modulus, grid_size, refine_maxima
 
 from conftest import random_complex, random_hermitian
 
@@ -208,6 +208,24 @@ class TestAutocorrelation:
         for d in lags:
             direct = np.sum(q[:-d].conj() * q[d:])
             assert abs(fast[d - 1] - direct) <= 1e-13 * scale
+
+
+class TestRefineMaxima:
+    def test_converges_to_a_peak_half_a_cell_off_the_grid(self):
+        n = 16
+        points = grid_size(n)
+        j = 1000
+        peak = (j + 0.5) / points
+        q = np.exp(-2j * np.pi * peak * np.arange(n)) / n  # |Q| peaks at 1 at `peak`
+        refined, ok = refine_maxima(q, np.array([j, j + 1]))
+        assert ok.all()
+        assert np.abs(refined - peak).max() < 1e-12
+
+    def test_start_at_a_minimum_fails_and_keeps_its_grid_value(self):
+        q = np.array([1.0, 0.5])  # |Q| is smallest at nu = 1/2
+        refined, ok = refine_maxima(q, [grid_size(2) // 2])
+        assert not ok[0]
+        assert refined[0] == 0.5
 
 
 class TestGramEval:
