@@ -33,7 +33,7 @@ from .errors import (
 )
 from .localization import EstimationConfig, estimate, verify_certificate
 from .multirate import Grid, MultirateSystem, align_measurements, common_grid
-from .sampling import SelectionPattern, compute_partition, random_selection
+from .sampling import SelectionPattern, random_selection
 from .signal_model import (
     RNG_ALGORITHM,
     NoiseSpec,
@@ -42,7 +42,7 @@ from .signal_model import (
     synthesize_grid,
     synthesize_uniform,
 )
-from .solver import ProblemSpec, solve
+from .solver import assemble_problem, solve
 from .trigops import grid_modulus, grid_size
 
 SCHEMA_VERSION = 1
@@ -68,7 +68,7 @@ def _parse(cast, value, what: str):
     input error naming ``what`` (a file and line, or a field)."""
     try:
         return cast(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InvalidInputError(f"{what}: cannot parse {value!r}") from exc
 
 
@@ -101,6 +101,8 @@ def _read_samples_csv(path: str) -> np.ndarray:
             if len(parts) != 3:
                 raise InvalidInputError(f"{path}:{lineno}: expected 3 fields")
             re, im = (_parse(float, v, f"{path}:{lineno}") for v in parts[1:])
+            if not (np.isfinite(re) and np.isfinite(im)):
+                raise InvalidInputError(f"{path}:{lineno}: non-finite sample {line!r}")
             values.append(complex(re, im))
     return np.array(values, dtype=complex)
 
@@ -222,7 +224,7 @@ def _rate_from_config(cfg: dict) -> float:
     f = _get(cfg, "sampling.f")
     if f is None:
         raise InvalidInputError("config needs sampling.f")
-    return float(_parse(Fraction, f, "sampling.f"))
+    return _parse(lambda v: float(Fraction(v)), f, "sampling.f")
 
 
 def _child_seed(seed: int, key: int) -> int:
@@ -249,6 +251,14 @@ def _pattern_from_config(cfg: dict, seed: int) -> SelectionPattern:
             raise InvalidInputError("random-selection scenario needs sampling.keep_prob")
         return random_selection(n, _parse(float, p, "sampling.keep_prob"), _child_seed(seed, 0))
     raise InvalidInputError(f"no selection pattern for scenario {scenario!r}")
+
+
+def _sampler(cfg: dict, seed: int):
+    """``(sampler, f)``: the config's :class:`MultirateSystem` with no rate,
+    or its :class:`SelectionPattern` with ``sampling.f``."""
+    if cfg["scenario"] == "multirate":
+        return _system_from_config(cfg), None
+    return _pattern_from_config(cfg, seed), _rate_from_config(cfg)
 
 
 # (config section, EstimationConfig field, type)
@@ -333,51 +343,47 @@ def cmd_synth(args) -> int:
 
 # ---------- sub-sampling ----------
 
-def _load_inputs(cfg: dict, args):
-    out_dir, prefix = _out_paths(cfg, args)
+def _load_inputs(args, sampler, out_dir: str, prefix: str):
+    """The samples ``estimate()`` takes with ``sampler``: the per-grid vectors
+    of a multirate system, or the samples a pattern keeps from the raw
+    uniform acquisition."""
     in_prefix = getattr(args, "input_prefix", None) or prefix
-    if cfg["scenario"] == "multirate":
-        system = _system_from_config(cfg)
-        paths = [
-            os.path.join(out_dir, f"{in_prefix}_grid{j}.csv")
-            for j in range(system.p)
-        ]
+    multirate = isinstance(sampler, MultirateSystem)
+    if multirate:
+        names = [f"{in_prefix}_grid{j}.csv" for j in range(sampler.p)]
     else:
-        paths = [os.path.join(out_dir, f"{in_prefix}_samples.csv")]
+        names = [f"{in_prefix}_samples.csv"]
+    paths = [os.path.join(out_dir, name) for name in names]
     missing = [p for p in paths if not os.path.exists(p)]
     if missing:
         raise InvalidInputError(f"missing input file(s): {', '.join(missing)}")
-    return [_read_samples_csv(p) for p in paths]
-
-
-def _net_samples(raw: np.ndarray, pattern: SelectionPattern) -> np.ndarray:
-    """The samples a pattern keeps from a raw uniform acquisition."""
-    if raw.size != pattern.ambient:
+    vectors = [_read_samples_csv(p) for p in paths]
+    if multirate:
+        return vectors
+    raw = vectors[0]
+    if raw.size != sampler.ambient:
         raise InvalidInputError(
-            f"raw file has {raw.size} samples, config expects {pattern.ambient}"
+            f"raw file has {raw.size} samples, config expects {sampler.ambient}"
         )
-    return raw[list(pattern.indices)]
+    return raw[list(sampler.indices)]
 
 
 def cmd_sample(args) -> int:
     cfg = _load_config(args)
     seed = _resolve_seed(cfg, args)
     out_dir, prefix = _out_paths(cfg, args)
-    vectors = _load_inputs(cfg, args)
+    sampler, _ = _sampler(cfg, seed)
+    y = _load_inputs(args, sampler, out_dir, prefix)
     meta = {"schema": SCHEMA_VERSION, "scenario": cfg["scenario"], "seed": seed}
-    if cfg["scenario"] == "multirate":
-        system = _system_from_config(cfg)
-        cg = common_grid(system)
-        y = align_measurements(system, vectors, cg)
-        meta["ambient_n"] = cg.n0
-        meta["indices"] = list(cg.observation_set.indices)
+    pattern = sampler
+    if isinstance(sampler, MultirateSystem):
+        cg = common_grid(sampler)
+        y = align_measurements(sampler, y, cg)
+        pattern = cg.observation_set
         meta["f0"] = str(cg.f0)
         meta["gamma0"] = str(cg.gamma0)
-    else:
-        pattern = _pattern_from_config(cfg, seed)
-        y = _net_samples(vectors[0], pattern)
-        meta["ambient_n"] = pattern.ambient
-        meta["indices"] = list(pattern.indices)
+    meta["ambient_n"] = pattern.ambient
+    meta["indices"] = list(pattern.indices)
     _write_samples_csv(os.path.join(out_dir, f"{prefix}_net.csv"), y)
     _atomic_write(os.path.join(out_dir, f"{prefix}_pattern.json"), _dump_json(meta))
     print(f"net observation vector of length {y.size} written")
@@ -433,19 +439,9 @@ def cmd_estimate(args) -> int:
     seed = _resolve_seed(cfg, args)
     sigma = _resolve_sigma(cfg, args)
     out_dir, prefix = _out_paths(cfg, args)
-    vectors = _load_inputs(cfg, args)
-    est_cfg = _estimation_config(cfg, args, sigma)
-
-    if cfg["scenario"] == "multirate":
-        system = _system_from_config(cfg)
-        result = estimate(vectors, system, config=est_cfg)
-        frame_f = result.diagnostics.solve_rate_hz
-    else:
-        pattern = _pattern_from_config(cfg, seed)
-        f = _rate_from_config(cfg)
-        result = estimate(_net_samples(vectors[0], pattern), pattern, f, config=est_cfg)
-        frame_f = f
-
+    sampler, f = _sampler(cfg, seed)
+    y = _load_inputs(args, sampler, out_dir, prefix)
+    result = estimate(y, sampler, f, config=_estimation_config(cfg, args, sigma))
     diag = result.diagnostics
     record = {
         "schema": SCHEMA_VERSION,
@@ -513,13 +509,7 @@ def _bench_one(m: int, n: int, iters: int, seed: int) -> tuple:
         indices=tuple(sorted([0] + [int(i) for i in others])), ambient=n
     )
     y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    spec = ProblemSpec(
-        y=y,
-        partition=compute_partition(pattern),
-        max_iter=iters,
-        tol_primal=0.0,
-        tol_dual=0.0,
-    )
+    spec = assemble_problem(y, pattern, max_iter=iters, tol_primal=0.0, tol_dual=0.0)
     start = time.perf_counter()
     report = solve(spec)
     total = time.perf_counter() - start
@@ -584,9 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", dest="out_dir", default=None)
         p.add_argument("--prefix", default=None)

@@ -9,7 +9,7 @@ certificate check validates interpolation and strict boundedness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import (
 # selection_matrix is unused here; perfbench/tracing.py wraps it by this name.
 from .sampling import SelectionPattern, normalize_to_admissible, selection_matrix
 from .signal_model import SpikeSpectrum
-from .solver import assemble_problem, solve
+from .solver import ProblemSpec, assemble_problem, solve
 from .trigops import dense_sup_norm, grid_modulus, grid_size, poly_eval, refine_maxima
 
 
@@ -54,9 +54,9 @@ class EstimateDiagnostics:
     time_shift_s: float
     tau: float
     dual_objective: float
-    rejected_extrapolations: int = 0
-    full_eigh_iterations: int = 0
-    rank_deficit: int = 0
+    rejected_extrapolations: int
+    full_eigh_iterations: int
+    rank_deficit: int
 
 
 @dataclass(frozen=True)
@@ -282,37 +282,51 @@ class EstimationConfig:
     tau: float | None = None
     sigma: float | None = None
     gamma: float = 1.5
-    rho: float = 1.0
-    max_iter: int = 20000
-    tol_primal: float = 1e-7
-    tol_dual: float = 1e-7
+    rho: float = ProblemSpec.rho
+    max_iter: int = ProblemSpec.max_iter
+    tol_primal: float = ProblemSpec.tol_primal
+    tol_dual: float = ProblemSpec.tol_dual
     peak_tol: float = 1e-3
 
 
-def unshift_amplitudes(est: SpectrumEstimate) -> SpectrumEstimate:
-    """Rotate amplitudes from the solving frame to the original time origin.
+def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None = None) -> SpectrumEstimate:
+    """End-to-end estimation from sub-sampled or multirate observations.
 
-    Multiplies each amplitude by ``e^{i 2 pi xi_r time_shift_s}``, with
-    ``time_shift_s`` read from the estimate's own diagnostics (the frame
-    convention of :class:`EstimateDiagnostics`); the frequencies are
-    unchanged. A zero shift returns ``est`` itself.
+    Two call shapes:
+
+    * ``estimate(y, pattern, f)`` with ``y`` the selected samples of a
+      rate-``f`` uniform acquisition; a non-admissible pattern is solved
+      shifted down by its first index.
+    * ``estimate(per_grid_samples, system)`` with a
+      :class:`~spectral_sdp.multirate.MultirateSystem`; samples are
+      aligned on the minimal common grid and solved in its frame.
+
+    Right after the least-squares fit, the amplitudes are rotated by
+    ``e^{i 2 pi xi time_shift_s}`` from that frame to the original time
+    origin; ``dual_poly`` stays in the frame.
+
+    Non-convergence of the solver yields an estimate whose diagnostics
+    are flagged unreliable rather than an exception.
     """
-    shift = est.diagnostics.time_shift_s
-    if shift == 0.0:
-        return est
-    rot = np.exp(2j * np.pi * shift * np.asarray(est.freqs, dtype=float))
-    return replace(est, amps=np.asarray(est.amps) * rot)
+    # Local import and module-global steps: perfbench/tracing.py swaps them at call time.
+    from .multirate import MultirateSystem, align_measurements, common_grid
 
-
-def _estimate_on_pattern(
-    y: np.ndarray,
-    pattern: SelectionPattern,
-    f: float,
-    time_shift_s: float,
-    config: EstimationConfig,
-) -> SpectrumEstimate:
-    """The estimate on an admissible ``pattern``, in its frame;
-    ``time_shift_s`` is recorded as is."""
+    config = config or EstimationConfig()
+    if isinstance(sampler, MultirateSystem):
+        cg = common_grid(sampler)
+        y = align_measurements(sampler, y, cg)
+        pattern, f = cg.observation_set, float(cg.f0)
+        time_shift_s = float(cg.gamma0 / cg.f0)
+    elif isinstance(sampler, SelectionPattern):
+        if f is None or f <= 0:
+            raise InvalidInputError("estimate from a pattern needs a positive rate f")
+        y = np.asarray(y, dtype=complex)
+        pattern, k0 = normalize_to_admissible(sampler)
+        time_shift_s = -k0 / f
+    else:
+        raise InvalidInputError(
+            f"sampler must be a SelectionPattern or MultirateSystem, got {type(sampler)!r}"
+        )
     spec = assemble_problem(
         y,
         pattern,
@@ -340,6 +354,9 @@ def _estimate_on_pattern(
             newton_ok=np.empty(0, dtype=bool),
         )
     fit = recover_amplitudes(y, pattern, peaks.freqs_hz, f)
+    amps = fit.amps
+    if time_shift_s != 0.0:
+        amps = amps * np.exp(2j * np.pi * time_shift_s * peaks.freqs_hz)
     diag = EstimateDiagnostics(
         peak_moduli=peaks.moduli,
         residual=fit.residual,
@@ -357,43 +374,4 @@ def _estimate_on_pattern(
         full_eigh_iterations=report.full_eigh_iterations,
         rank_deficit=report.rank_deficit,
     )
-    return SpectrumEstimate(
-        freqs=peaks.freqs_hz, amps=fit.amps, dual_poly=q, diagnostics=diag
-    )
-
-
-def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None = None) -> SpectrumEstimate:
-    """End-to-end estimation from sub-sampled or multirate observations.
-
-    Two call shapes:
-
-    * ``estimate(y, pattern, f)`` with ``y`` the selected samples of a
-      rate-``f`` uniform acquisition; non-admissible patterns are shifted
-      and the amplitudes re-phased afterwards.
-    * ``estimate(per_grid_samples, system)`` with a
-      :class:`~spectral_sdp.multirate.MultirateSystem`; samples are
-      aligned on the minimal common grid and amplitudes are translated
-      back to the original time origin.
-
-    Non-convergence of the solver yields an estimate whose diagnostics
-    are flagged unreliable rather than an exception.
-    """
-    from .multirate import MultirateSystem, align_measurements, common_grid
-
-    config = config or EstimationConfig()
-    if isinstance(sampler, MultirateSystem):
-        cg = common_grid(sampler)
-        y_net = align_measurements(sampler, y, cg)
-        pattern, f = cg.observation_set, float(cg.f0)
-        time_shift_s = float(cg.gamma0 / cg.f0)
-    elif isinstance(sampler, SelectionPattern):
-        if f is None or f <= 0:
-            raise InvalidInputError("estimate from a pattern needs a positive rate f")
-        y_net = np.asarray(y, dtype=complex)
-        pattern, k0 = normalize_to_admissible(sampler)
-        time_shift_s = -k0 / f
-    else:
-        raise InvalidInputError(
-            f"sampler must be a SelectionPattern or MultirateSystem, got {type(sampler)!r}"
-        )
-    return unshift_amplitudes(_estimate_on_pattern(y_net, pattern, f, time_shift_s, config))
+    return SpectrumEstimate(freqs=peaks.freqs_hz, amps=amps, dual_poly=q, diagnostics=diag)

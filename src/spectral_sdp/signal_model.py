@@ -56,8 +56,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise InvalidInputError("sigma must be nonnegative")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise InvalidInputError(f"sigma must be finite and nonnegative, got {self.sigma}")
 
 
 def synthesize_uniform(spec: SpikeSpectrum, f: float, n: int) -> np.ndarray:

@@ -94,6 +94,8 @@ class ProblemSpec:
             raise InvalidInputError(
                 f"y must have length {self.partition.m}, got shape {y.shape}"
             )
+        if not np.all(np.isfinite(y)):
+            raise InvalidInputError("y must be finite")
         if not (np.isfinite(self.tau) and self.tau >= 0):
             raise InvalidInputError(f"tau must be finite and nonnegative, got {self.tau}")
         if not (np.isfinite(self.rho) and self.rho > 0):

@@ -325,8 +325,11 @@ class TestErrors:
         "case, where",
         [
             ("csv-field", "run_samples.csv:3"),
+            ("csv-nan", "run_samples.csv:3"),
+            ("sigma-nan", "sigma"),
             ("env-seed", "SPECTRAL_SDP_SEED"),
             ("rate", "sampling.f"),
+            ("rate-overflow", "sampling.f"),
             ("grid-rate", "sampling.grids[1].f"),
             ("index", "sampling.indices[1]"),
             ("freq", "signal.freqs_hz[1]"),
@@ -340,8 +343,11 @@ class TestErrors:
         ],
         ids=[
             "csv-field",
+            "csv-nan",
+            "sigma-nan",
             "env-seed",
             "rate",
+            "rate-overflow",
             "grid-rate",
             "index",
             "freq",
@@ -362,6 +368,8 @@ class TestErrors:
             cfg_path, cfg = _full_config(tmp_path)
             if case == "rate":
                 cfg["sampling"]["f"] = "1/0x"
+            elif case == "rate-overflow":
+                cfg["sampling"]["f"] = "1e400"
             elif case == "index":
                 cfg["scenario"] = "selection"
                 cfg["sampling"]["indices"] = [0, "x", 5]
@@ -375,13 +383,15 @@ class TestErrors:
         if case == "env-seed":
             monkeypatch.setenv("SPECTRAL_SDP_SEED", "abc")
         command = ["synth", "--config", cfg_path]
-        if case in ("csv-field", "index"):
+        if case == "sigma-nan":
+            command += ["--sigma", "nan"]
+        if case in ("csv-field", "csv-nan", "index"):
             assert main(["synth", "--config", cfg_path]) == 0
             command[0] = "sample"
-        if case == "csv-field":
+        if case in ("csv-field", "csv-nan"):
             samples = tmp_path / "out" / "run_samples.csv"
             lines = _read(samples).splitlines()
-            lines[2] = "1,abc,0.0"
+            lines[2] = "1,abc,0.0" if case == "csv-field" else "1,nan,0.0"
             samples.write_text("\n".join(lines) + "\n", encoding="utf-8")
             command[0] = "estimate"
         if case.startswith("bench-size"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spectral_sdp import (
+    EstimationConfig,
     Grid,
     InvalidInputError,
     MultirateSystem,
@@ -15,39 +16,11 @@ from spectral_sdp import (
     check_strong_condition,
     check_weak_condition,
     common_grid,
+    estimate,
     random_bound_report,
     synthesize_grid,
 )
-from spectral_sdp.localization import (
-    EstimateDiagnostics,
-    SpectrumEstimate,
-    unshift_amplitudes,
-)
 from spectral_sdp.oracles import brute_force_common_grid, sample_instants
-
-
-def _estimate_stub(freqs, amps, cg):
-    """An estimate in the solving frame of ``cg``, as ``estimate()`` records it."""
-    diag = EstimateDiagnostics(
-        peak_moduli=np.ones(len(freqs)),
-        residual=0.0,
-        sup_norm=1.0,
-        iterations=0,
-        final_residuals=(0.0, 0.0, 0.0),
-        converged=True,
-        reliable=True,
-        newton_fallbacks=0,
-        solve_rate_hz=float(cg.f0),
-        time_shift_s=float(cg.gamma0 / cg.f0),
-        tau=0.0,
-        dual_objective=0.0,
-    )
-    return SpectrumEstimate(
-        freqs=np.asarray(freqs, dtype=float),
-        amps=np.asarray(amps, dtype=complex),
-        dual_poly=np.zeros(1, dtype=complex),
-        diagnostics=diag,
-    )
 
 
 class TestGridValidation:
@@ -191,22 +164,9 @@ class TestAlignMeasurements:
 
 
 class TestUnshiftSpectrum:
-    def test_zero_shift_is_identity(self):
-        sys1 = MultirateSystem(grids=(Grid(f=Fraction(4), gamma=Fraction(0), n=4),))
-        cg = common_grid(sys1)
-        est = _estimate_stub([1.0], [1.0 + 0j], cg)
-        assert unshift_amplitudes(est) is est
-
-    def test_quarter_rate_spike_with_two_sample_delay(self):
-        sys1 = MultirateSystem(grids=(Grid(f=Fraction(8), gamma=Fraction(2), n=4),))
-        cg = common_grid(sys1)
-        assert cg.gamma0 == 2
-        est = _estimate_stub([2.0], [1.0 + 0j], cg)  # xi = f0/4
-        out = unshift_amplitudes(est)
-        assert np.isclose(out.amps[0], -1.0)
-
-    def test_round_trip_reproduces_grid_samples(self, two_grid_system):
-        # Synthesize, shift into the surrogate frame, unshift, re-synthesize.
+    def test_round_trip_reproduces_grid_samples(self):
+        # The common grid's frame is 0.5 s off the original time origin, so
+        # only amplitudes rotated back by the right sign re-synthesize the grids.
         spec = SpikeSpectrum(freqs=np.array([0.7, 2.3]), amps=np.array([1j, 2.0]))
         sys2 = MultirateSystem(
             grids=(
@@ -214,17 +174,14 @@ class TestUnshiftSpectrum:
                 Grid(f=Fraction(3), gamma=Fraction(1, 2), n=6),
             )
         )
-        cg = common_grid(sys2)
-        shift = float(cg.gamma0 / cg.f0)
-        surrogate = _estimate_stub(
-            spec.freqs, spec.amps * np.exp(-2j * np.pi * spec.freqs * shift), cg
+        ys = [synthesize_grid(spec, g) for g in sys2.grids]
+        est = estimate(
+            ys, sys2, config=EstimationConfig(rho=30.0, tol_primal=1e-9, tol_dual=1e-9)
         )
-        restored = unshift_amplitudes(surrogate)
-        rebuilt = SpikeSpectrum(freqs=restored.freqs, amps=restored.amps)
-        for g, expected in zip(
-            sys2.grids, [synthesize_grid(spec, g) for g in sys2.grids]
-        ):
-            assert np.allclose(synthesize_grid(rebuilt, g), expected, atol=1e-12)
+        assert est.diagnostics.converged and est.diagnostics.time_shift_s == 0.5
+        rebuilt = SpikeSpectrum(freqs=est.freqs, amps=est.amps)
+        for g, expected in zip(sys2.grids, ys):
+            assert np.allclose(synthesize_grid(rebuilt, g), expected, atol=1e-8)
 
 
 class TestConditionCheckers:

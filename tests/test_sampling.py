@@ -12,11 +12,6 @@ from spectral_sdp import (
     random_selection,
     selection_matrix,
 )
-from spectral_sdp.localization import (
-    EstimateDiagnostics,
-    SpectrumEstimate,
-    unshift_amplitudes,
-)
 from spectral_sdp.oracles import (
     apply_subsampling,
     blocks,
@@ -200,41 +195,3 @@ class TestNormalizeToAdmissible:
             pat = random_pattern(rng, int(rng.integers(2, 64)))
             shifted, _ = normalize_to_admissible(pat)
             assert is_admissible_selection(shifted)
-
-
-class TestPhaseUnshift:
-    def test_zero_shift_returns_same_object(self):
-        est = _stub_estimate([0.25], [1.0 + 0j], k0=0, f=1.0)
-        assert unshift_amplitudes(est) is est
-
-    def test_quarter_rate_single_shift_rotates_by_minus_i(self):
-        est = _stub_estimate([0.25], [1.0 + 0j], k0=1, f=1.0)  # xi = f/4
-        out = unshift_amplitudes(est)
-        assert np.isclose(out.amps[0], -1j)
-        assert np.array_equal(out.freqs, est.freqs)
-
-
-def _stub_estimate(freqs, amps, k0, f):
-    """An estimate solved on a pattern shifted down by ``k0`` samples, with
-    the frame ``estimate()`` records for it."""
-
-    diag = EstimateDiagnostics(
-        peak_moduli=np.ones(len(freqs)),
-        residual=0.0,
-        sup_norm=1.0,
-        iterations=0,
-        final_residuals=(0.0, 0.0, 0.0),
-        converged=True,
-        reliable=True,
-        newton_fallbacks=0,
-        solve_rate_hz=f,
-        time_shift_s=-k0 / f,
-        tau=0.0,
-        dual_objective=0.0,
-    )
-    return SpectrumEstimate(
-        freqs=np.asarray(freqs, dtype=float),
-        amps=np.asarray(amps, dtype=complex),
-        dual_poly=np.zeros(2, dtype=complex),
-        diagnostics=diag,
-    )

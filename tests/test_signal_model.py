@@ -143,5 +143,6 @@ class TestAddNoise:
         assert abs(np.mean(np.abs(w) ** 2) - sigma**2) < 0.02 * sigma**2
 
     def test_rejects_negative_sigma(self):
-        with pytest.raises(InvalidInputError):
-            NoiseSpec(sigma=-1.0, seed=0)
+        for sigma in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                NoiseSpec(sigma=sigma, seed=0)

@@ -589,6 +589,8 @@ class TestSolve:
             {"rho": np.inf},
             {"tol_primal": np.nan},
             {"tol_dual": np.nan},
+            {"y": [0.0, np.nan, 0.0, 0.0]},
+            {"y": [0.0, 0.0, complex(0.0, np.inf), 0.0]},
         ],
     )
     def test_rejects_empty_budget_and_negative_tolerances(self, knob):
@@ -597,7 +599,7 @@ class TestSolve:
 
     def test_overflow_raises_numerical_error(self):
         spec = _spec_for(SelectionPattern(indices=(0,), ambient=2), y=[1e200])
-        with pytest.raises(NumericalError):
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericalError):
             solve(spec)
 
 
