@@ -251,22 +251,19 @@ def _ritz_projection(a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, Proj
 
 def psd_project(h: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.ndarray, Projection]:
     """Frobenius-nearest positive semidefinite matrix ``Z`` to the Hermitian
-    matrix ``V`` held in the lower triangle of ``h``, and the
-    :class:`Projection` that warm-starts the next call.
+    matrix ``h``, and the :class:`Projection` that warm-starts the next call.
 
-    Only the lower triangle is read (the imaginary parts of the diagonal
-    are taken as zero). ``Z = V - V_-`` needs only the few negative
-    eigenpairs of ``V``: from an order of ``_LOW_RANK_MIN_ORDER`` on, and
-    given the ``basis`` of the previous call, they come from a certified
-    Rayleigh-Ritz step (``_ritz_projection``) in O(order^2 k) work besides
-    one Cholesky factorization. Without a basis, below that order, or when
-    the certificate fails, the full eigendecomposition zeroes the negative
+    ``h`` must hold both triangles and a real diagonal; it is only read.
+    ``Z = h - h_-`` needs only the few negative eigenpairs of ``h``: from
+    an order of ``_LOW_RANK_MIN_ORDER`` on, and given the ``basis`` of the
+    previous call, they come from a certified Rayleigh-Ritz step
+    (``_ritz_projection``) in O(order^2 k) work besides one Cholesky
+    factorization. Without a basis, below that order, or when the
+    certificate fails, the full eigendecomposition zeroes the negative
     eigenvalues, in O(order^3) work; a call without a basis is exactly that.
     """
     if basis is not None and h.shape[0] >= _LOW_RANK_MIN_ORDER:
-        a = np.tril(h, -1)
-        a += a.conj().T
-        a.flat[:: a.shape[0] + 1] = h.diagonal().real
+        a = h.copy()
         certified = _ritz_projection(a, basis)
         if certified is not None:
             return certified
@@ -285,7 +282,8 @@ def admm_step(
     """The plain ADMM map ``T(V, mu)`` on the triangle ``v`` of ``V``;
     ``v``, ``mu`` and ``basis`` are only read.
 
-    Writes ``V`` into the lower triangle the projection reads, projects
+    Writes ``V`` into both triangles of the Hermitian the projection reads
+    (the diagonal's real part), projects
     (warm-started from ``basis``, see :func:`psd_project`) and gathers the
     triangle ``z`` of ``Z``. With ``Lambda/rho = Z - V``, c and S are the
     block minimizers at ``Z + Lambda/rho``, and ``mu`` ascends on the block
@@ -298,6 +296,8 @@ def admm_step(
     n = spec.m + 1
     h = np.empty((n, n), dtype=complex)
     h.ravel()[lower] = v.conj()
+    h.ravel()[upper] = v
+    np.fill_diagonal(h.imag, 0.0)
     z_mat, projection = psd_project(h, basis)
     z = z_mat.ravel().take(upper)
     lam = z - v  # Lambda / rho

@@ -237,17 +237,24 @@ class TestPsdProject:
         other[np.diag_indices(7)] += 1j * rng.standard_normal(7)
         assert np.array_equal(psd_project(other)[0], psd_project(h)[0])
 
-    def test_reads_only_the_lower_triangle_with_a_warm_basis(self):
+    def test_reads_the_full_hermitian_with_a_warm_basis(self):
         rng = np.random.default_rng(26)
         vals = np.concatenate([-1.0 - rng.random(3), 0.5 + rng.random(self.ORDER - 3)])
         h, vecs = _with_spectrum(rng, vals)
+        h = 0.5 * (h + h.conj().T)  # both triangles, a real diagonal
         basis = _perturbed(rng, vecs[:, :4], 1e-6)
+        before = h.copy()
+        z, projection = psd_project(h, basis)
+        assert not projection.full and projection.negatives == 3
+        assert np.array_equal(h, before)
+        assert _relative_error(z, h) <= 1e-12
+        # The warm path reads the upper triangle too: a NaN there fails its
+        # certificate, and the full eigh, which reads the lower one, takes over.
         other = h.copy()
         other[np.triu_indices(self.ORDER, 1)] = np.nan
-        other[np.diag_indices(self.ORDER)] += 1j * rng.standard_normal(self.ORDER)
         z, projection = psd_project(other, basis)
-        assert not projection.full
-        assert np.array_equal(z, psd_project(h, basis)[0])
+        assert projection.full
+        assert np.array_equal(z, psd_project(h)[0])
 
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_warm_start_matches_the_full_eigendecomposition(self, k):
