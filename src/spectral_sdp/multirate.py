@@ -26,14 +26,21 @@ from .signal_model import SpikeSpectrum, torus_separation
 
 
 def _as_fraction(value, what: str) -> Fraction:
+    """``value`` as an exact fraction that a float can also hold: sample
+    times and rates are computed in floats downstream."""
     if isinstance(value, float):
         raise InvalidInputError(
             f"{what} must be exact (int, Fraction, or 'num/den' string), got float {value!r}"
         )
     try:
-        return Fraction(value)
+        out = Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"cannot parse {what} from {value!r}") from exc
+    try:
+        float(out)
+    except OverflowError as exc:
+        raise InvalidInputError(f"{what} is beyond float range") from exc
+    return out
 
 
 @dataclass(frozen=True)

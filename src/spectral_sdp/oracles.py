@@ -283,15 +283,15 @@ def bordered_matrix(s: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.block([[s, c], [c.conj().T, np.ones((1, 1))]])
 
 
-def admm_map(v: np.ndarray, mu: np.ndarray, spec) -> tuple:
-    """The plain ADMM map ``T(V, mu)`` from its definitions, on dense matrices.
+def admm_map(v: np.ndarray, spec) -> tuple:
+    """The plain ADMM map ``T(V)`` from its definitions, on dense matrices.
 
     ``Z`` is the projection of the Hermitian part of ``V`` onto the PSD
     cone and ``Lambda = rho (Z - V)``. ``c`` minimizes the border terms;
-    each block of S, visited one by one, minimizes its own terms, and S is
-    mirrored to be Hermitian. The image is ``[[S, c], [c*, 1]] - Lambda/rho``
-    and ``mu + rho (block sums of S - delta)``. Returns
-    ``(Z, S, c, V', mu')``.
+    each block of S, visited one by one, is the projection of its entries
+    of ``Z + Lambda/rho`` onto the affine set where they sum to ``delta``,
+    and S is mirrored to be Hermitian. The image is
+    ``[[S, c], [c*, 1]] - Lambda/rho``. Returns ``(Z, S, c, V')``.
     """
     m, rho, part = spec.m, spec.rho, spec.partition
     vals, vecs = np.linalg.eigh(0.5 * (v + v.conj().T))
@@ -300,14 +300,12 @@ def admm_map(v: np.ndarray, mu: np.ndarray, spec) -> tuple:
     c = (spec.y.conj() + 2.0 * rho * z[:m, m] + 2.0 * lam[:m, m]) / (2.0 * rho + spec.tau)
     a = z[:m, :m] + lam[:m, :m] / rho
     s = np.zeros((m, m), dtype=complex)
-    mu_next = np.array(mu, dtype=complex)
-    for pos, (lag, pairs) in enumerate(blocks(part).items()):
+    for lag, pairs in blocks(part).items():
         block = tuple(np.array(pairs).T - 1)
         delta = 1.0 if lag == 0 else 0.0
-        s[block] = a[block] - (a[block].sum() - delta + mu[pos] / rho) / (len(pairs) + 1)
-        mu_next[pos] += rho * (s[block].sum() - delta)
+        s[block] = a[block] - (a[block].sum() - delta) / len(pairs)
     s += np.triu(s, 1).conj().T  # the lower triangle, from the upper one
-    return z, s, c, bordered_matrix(s, c) - lam / rho, mu_next
+    return z, s, c, bordered_matrix(s, c) - lam / rho
 
 
 def block_sums(partition: PartitionStructure, s: np.ndarray) -> np.ndarray:

@@ -14,16 +14,20 @@ vector, its *triangle* (:attr:`ProblemSpec.triangle`): the upper-triangle
 entries in partition order, so a block of S is a contiguous slice and the
 border ``c`` a slice after it.
 
-The plain ADMM cycle is a fixed-point map ``T(V, mu)`` on the triangle of
-the matrix ``V`` handed to the PSD projection and the block-sum
-multipliers ``mu``. :func:`admm_step` evaluates it: ``Z`` is the
-projection of ``V`` onto the PSD cone and ``Lambda = rho (Z - V)`` its
-multiplier; c and S are the block minimizers at ``Z + Lambda/rho``, and
-the image is ``mu`` ascended on the block sums of S and the triangle
-``(S, c, 1)`` less ``Lambda/rho``. All multiplier pairings use the real
-part of the complex inner product so the Lagrangian is real-valued; under
-that convention the closed-form updates below are the exact block
-minimizers (the test suite checks them against finite perturbations).
+The ADMM is the classical two-block splitting (Boyd et al. 2011, §5;
+SCS, O'Donoghue et al., arXiv:1312.3039): ``X = [[S, c], [c*, 1]]`` with
+S in the affine set of the block sums, ``Z`` in the PSD cone, and the
+consensus ``X = Z``. Its plain cycle is a fixed-point map ``T(V)`` on the
+triangle of the matrix ``V`` handed to the PSD projection.
+:func:`admm_step` evaluates it: ``Z`` is the projection of ``V`` onto the
+PSD cone and ``Lambda = rho (Z - V)`` its multiplier; c and S are the
+block minimizers at ``Z + Lambda/rho``, S by the exact projection onto
+the block sums, and the image is the triangle ``(S, c, 1)`` less
+``Lambda/rho``. So every iterate meets the block sums exactly. All
+multiplier pairings use the real part of the complex inner product so the
+Lagrangian is real-valued; under that convention the closed-form updates
+below are the exact block minimizers (the test suite checks them against
+finite perturbations).
 
 :func:`solve` runs a safeguarded type-II Anderson iteration over ``T``
 (Walker & Ni 2011; Zhang, O'Donoghue & Boyd, arXiv:1808.03971). It
@@ -31,8 +35,9 @@ extrapolates the next input from the last ``MEMORY`` = 10 accepted
 evaluations, and keeps the extrapolated point only when its fixed-point
 residual ``T(x) - x`` is no larger than that of the point it extrapolated
 from; otherwise it takes the plain step ``T(x)`` and clears the history.
-The same residual is the stopping rule: its V-part is ``(S, c, 1) - Z``,
-the primal residual, and its mu-part the block sums of S less delta.
+The same residual is the stopping rule: it is ``(S, c, 1) - Z``, the
+primal residual. The block sums of the returned S are checked once, at
+the end, and reported as the constraint residual.
 
 The history of differences is held in float32, so memory 10 takes the
 bytes that memory 5 took in float64. Near the fixed point the map is
@@ -75,9 +80,9 @@ class ProblemSpec:
     """Data and knobs of one reduced dual solve.
 
     ``tau = 0`` selects the noiseless program. ``rho`` is the augmented
-    Lagrangian weight. The primal and constraint residuals are compared
-    against ``tol_primal``, the dual residual against ``tol_dual``
-    (absolute, Frobenius).
+    Lagrangian weight. The primal residual is compared against
+    ``tol_primal``, the dual residual against ``tol_dual`` (absolute,
+    Frobenius).
     """
 
     y: np.ndarray
@@ -176,18 +181,18 @@ def update_c(a: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     return (spec.y.conj() + 2.0 * spec.rho * a) / (2.0 * spec.rho + spec.tau)
 
 
-def update_S_blocks(a: np.ndarray, mu: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Exact minimizer of every block Lagrangian, as S's part of the triangle.
+def update_S_blocks(a: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Exact minimizer of every block Lagrangian on its block-sum set, as
+    S's part of the triangle.
 
     ``a`` is S's part of the triangle of ``Z + Lambda/rho``, in partition
     order, so block k is the slice of ``sizes[k]`` entries at ``starts[k]``.
-    With ``b = delta_k - mu_k/rho``, the coupling through the block-sum
-    penalty shifts every entry of the block by the same amount, giving
-    ``S = a - (sum(a) - b) / (|J_k| + 1)``.
+    The minimizer is the projection of ``a`` onto the affine set
+    ``sum(S) = delta_k``; the entries of a block share one weight, so it
+    shifts every entry by the same amount, ``S = a - (sum(a) - delta_k) / |J_k|``.
     """
     part = spec.partition
-    b = part.delta - mu / spec.rho
-    shift = (np.add.reduceat(a, part.starts) - b) / (part.sizes + 1)
+    shift = (np.add.reduceat(a, part.starts) - part.delta) / part.sizes
     return a - np.repeat(shift, part.sizes)
 
 
@@ -277,21 +282,19 @@ def psd_project(h: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.ndar
 
 
 def admm_step(
-    v: np.ndarray, mu: np.ndarray, spec: ProblemSpec, basis: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Projection]:
-    """The plain ADMM map ``T(V, mu)`` on the triangle ``v`` of ``V``;
-    ``v``, ``mu`` and ``basis`` are only read.
+    v: np.ndarray, spec: ProblemSpec, basis: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Projection]:
+    """The plain ADMM map ``T(V)`` on the triangle ``v`` of ``V``; ``v`` and
+    ``basis`` are only read.
 
     Writes ``V`` into both triangles of the Hermitian the projection reads
     (the diagonal's real part), projects
     (warm-started from ``basis``, see :func:`psd_project`) and gathers the
     triangle ``z`` of ``Z``. With ``Lambda/rho = Z - V``, c and S are the
-    block minimizers at ``Z + Lambda/rho``, and ``mu`` ascends on the block
-    sums of S. Returns ``z``, the triangle ``b`` of ``(S, c, 1)``, the
-    image ``(b - Lambda/rho, mu')`` and the projection's
-    :class:`Projection`.
+    block minimizers at ``Z + Lambda/rho``. Returns ``z``, the triangle
+    ``b`` of ``(S, c, 1)``, the image ``b - Lambda/rho`` and the
+    projection's :class:`Projection`.
     """
-    part = spec.partition
     upper, lower = spec.triangle
     n = spec.m + 1
     h = np.empty((n, n), dtype=complex)
@@ -302,10 +305,8 @@ def admm_step(
     z = z_mat.ravel().take(upper)
     lam = z - v  # Lambda / rho
     a_s, a_c = spec.split(z + lam)
-    s = update_S_blocks(a_s, mu, spec)
-    b = np.concatenate([s, update_c(a_c, spec), [1.0]])
-    mu_next = mu + spec.rho * (np.add.reduceat(s, part.starts) - part.delta)
-    return z, b, b - lam, mu_next, projection
+    b = np.concatenate([update_S_blocks(a_s, spec), update_c(a_c, spec), [1.0]])
+    return z, b, b - lam, projection
 
 
 class _Anderson:
@@ -357,47 +358,38 @@ class _Anderson:
 def solve(spec: ProblemSpec) -> SolveReport:
     """Anderson-accelerated ADMM until the residuals meet the tolerances.
 
-    The iterate is one point ``x = (V, mu/rho)``; each iteration evaluates
-    :func:`admm_step` at it once and reads the primal and constraint
-    residuals off ``T(x) - x``. The report returns the last accepted
-    evaluation and its residuals, the dual one against the previous
-    accepted ``Z``. Non-convergence within ``max_iter`` is reported, not
-    raised; non-finite iterates raise :class:`NumericalError`.
+    The iterate is one point ``x``, the triangle of ``V``; each iteration
+    evaluates :func:`admm_step` at it once and reads the primal residual
+    off ``T(x) - x``. The report returns the last accepted evaluation and
+    its residuals: the dual one against the previous accepted ``Z``, the
+    constraint one from the block sums of the returned S. Non-convergence
+    within ``max_iter`` is reported, not raised; non-finite iterates raise
+    :class:`NumericalError`.
     """
-    rho = spec.rho
-    # A point is one float vector: the weighted triangle of V viewed as
-    # floats, so that its norm is the Frobenius norm, then mu/rho.
+    # A point is the weighted triangle of V viewed as floats, so that its
+    # norm is the Frobenius norm.
     scale, unscale = np.repeat(spec.weight, 2), np.repeat(1.0 / spec.weight, 2)
-    k = scale.size  # the V-part of a point
 
-    def pack(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        return np.concatenate([v.view(float) * scale, (mu / rho).view(float)])
-
-    # V = I and mu = 0: the projection gives Z = I and Lambda = 0.
+    # V = I: the projection gives Z = I and Lambda = 0.
     v = z_prev = np.eye(spec.m + 1, dtype=complex).ravel()[spec.triangle[0]]
-    mu = np.zeros(spec.partition.p, dtype=complex)
-    x = pack(v, mu)
+    x = v.view(float) * scale
     anderson = _Anderson(x.size)
     extrapolated = converged = False
     rejected = full = 0
     basis = None  # the first projection has nothing to warm-start from
     for it in range(1, spec.max_iter + 1):
-        z, b, v_out, mu_out, projection = admm_step(v, mu, spec, basis)
+        z, b, v_out, projection = admm_step(v, spec, basis)
         basis = projection.basis
         full += projection.full
-        # The image T(x) and the residual g = T(x) - x: its V-part is b - Z,
-        # the primal residual, its mu-part the block sums of S less delta.
-        f_out = pack(v_out, mu_out)
+        # The image T(x) and the residual g = T(x) - x = b - Z, the primal
+        # residual.
+        f_out = v_out.view(float) * scale
         g_out = f_out - x
+        g_out_norm = np.linalg.norm(g_out)
         z_step = np.linalg.norm((z - z_prev).view(float) * scale)  # ||Z - Z_prev||
-        res = (
-            float(np.linalg.norm(g_out[:k])),
-            float(np.max(np.abs(g_out[k:].view(complex)))),
-            float(rho * z_step),
-        )
+        res = (float(g_out_norm), float(spec.rho * z_step))
         if not all(np.isfinite(res)):
             raise NumericalError(f"non-finite residuals at iteration {it}: {res}")
-        g_out_norm = np.linalg.norm(g_out)
         if extrapolated and g_out_norm > g_norm:
             rejected += 1  # the safeguard: next comes the plain step
             anderson.count = 0
@@ -407,23 +399,25 @@ def solve(spec: ProblemSpec) -> SolveReport:
             f, g, g_norm = f_out, g_out, g_out_norm
             z_prev, b_star = z, b  # Z backs the dual residual, b the report
             deficit = projection.negatives
-            last = primal, constraint, dual = res
-            converged = max(primal, constraint) < spec.tol_primal and dual < spec.tol_dual
+            primal, dual = res
+            converged = primal < spec.tol_primal and dual < spec.tol_dual
         if converged:
             break
         proposal = anderson.extrapolate(f, g)
         extrapolated = proposal is not None
         x = proposal if extrapolated else f
-        v, mu = (x[:k] * unscale).view(complex), x[k:].view(complex) * rho
+        v = (x * unscale).view(complex)
 
-    c_star = spec.split(b_star)[1]
+    part = spec.partition
+    s_star, c_star = spec.split(b_star)
+    constraint = float(np.max(np.abs(np.add.reduceat(s_star, part.starts) - part.delta)))
     return SolveReport(
         c_star=c_star,
         S_star=spec.hermitian(b_star)[:-1, :-1],
         dual_objective=float(np.real(spec.y @ c_star))
         - 0.5 * spec.tau * float(np.linalg.norm(c_star) ** 2),
         iterations=it,
-        final_residuals=last,
+        final_residuals=(primal, constraint, dual),
         converged=converged,
         rejected_extrapolations=rejected,
         full_eigh_iterations=full,

@@ -69,15 +69,18 @@ def lagrangian_c(c, y, z, lam, rho, tau):
     )
 
 
-def lagrangian_block(s_block, z0_block, lam0_block, mu_k, delta_k, rho):
+def lagrangian_block(s_block, z0_block, lam0_block, rho):
     """One block of the augmented Lagrangian as a function of its S entries."""
-    gap = np.sum(s_block) - delta_k
     return float(
         np.real(np.vdot(lam0_block, z0_block - s_block))
-        + np.real(np.conj(mu_k) * gap)
         + 0.5 * rho * np.linalg.norm(z0_block - s_block) ** 2
-        + 0.5 * rho * abs(gap) ** 2
     )
+
+
+def on_block_sum_set(objective, point):
+    """``objective`` read along the block-sum affine set through ``point``:
+    a perturbation ``v - point`` is first projected to zero sum."""
+    return lambda v: objective(point + (v - point) - np.mean(v - point))
 
 
 @pytest.fixture

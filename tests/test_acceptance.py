@@ -44,6 +44,7 @@ from spectral_sdp.oracles import (
 from conftest import (
     lagrangian_block,
     lagrangian_c,
+    on_block_sum_set,
     random_complex,
     random_hermitian,
     random_pattern,
@@ -325,7 +326,7 @@ def test_criterion_08_block_update_optimality():
         z = random_hermitian(rng, m + 1)
         random_hermitian(rng, m), random_complex(rng, m)  # S, c: kept draws, not read
         lam = random_hermitian(rng, m + 1)
-        mu = random_complex(rng, part.p)
+        random_complex(rng, part.p)  # a kept draw, not read
         a_s, a_c = spec.split(triangle_of(z + lam / spec.rho, spec))
 
         c_star = update_c(a_c, spec)
@@ -338,18 +339,19 @@ def test_criterion_08_block_update_optimality():
             tol=1e-9,
         )
 
-        s_new = update_S_blocks(a_s, mu, spec)
+        # S minimizes its block Lagrangians on the block-sum affine sets:
+        # it meets every block sum, and no perturbation inside a set, a
+        # direction projected to zero block sum, lowers its block's terms.
+        s_new = update_S_blocks(a_s, spec)
+        sums = np.add.reduceat(s_new, part.starts)
+        all_ok &= bool(np.max(np.abs(sums - part.delta)) <= 1e-12)
         z0, lam0 = triangle_of(z, spec), triangle_of(lam, spec)
-        for pos, kk in enumerate(part.positive_lags):
+        for pos in range(part.p):
             block = slice(part.starts[pos], part.starts[pos] + part.sizes[pos])
             all_ok &= finite_perturbation_check(
-                lambda v, b=block, p2=pos, k2=kk: lagrangian_block(
-                    v,
-                    z0[b],
-                    lam0[b],
-                    mu[p2],
-                    1.0 if k2 == 0 else 0.0,
-                    spec.rho,
+                on_block_sum_set(
+                    lambda v, b=block: lagrangian_block(v, z0[b], lam0[b], spec.rho),
+                    s_new[block],
                 ),
                 s_new[block],
                 directions=25,

@@ -321,6 +321,16 @@ class TestErrors:
         assert main(["check-grid", "--config", cfg_path]) == 1
         assert "'f'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["f", "gamma"])
+    def test_grid_beyond_float_range_exits_one(self, tmp_path, capsys, key):
+        cfg_path, cfg = _multirate_config(tmp_path)
+        cfg["sampling"]["grids"][0][key] = "1e400"
+        _write_config(cfg_path, cfg)
+        for command in ("synth", "check-grid"):
+            assert main([command, "--config", cfg_path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("input error:") and "beyond float range" in err
+
     @pytest.mark.parametrize(
         "case, where",
         [

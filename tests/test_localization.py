@@ -269,6 +269,18 @@ class TestEstimatePipeline:
         with pytest.raises(InvalidInputError):
             estimate(np.ones(4), _full_pattern(4))
 
+    @pytest.mark.parametrize("f", [np.nan, np.inf])
+    def test_rejects_a_non_finite_rate_before_solving(self, f, monkeypatch):
+        from spectral_sdp import localization
+
+        def no_solve(spec):
+            raise AssertionError("solve() ran")
+
+        monkeypatch.setattr(localization, "solve", no_solve)
+        shifted = SelectionPattern(indices=tuple(range(3, 24)), ambient=24)
+        with pytest.raises(InvalidInputError, match="finite positive rate"):
+            estimate(np.ones(21), shifted, f)
+
     def test_certificate_implies_peak_count(self):
         sig, _, est = _solved_instance(seed=9, n=32, s=3)
         report = verify_certificate(est.dual_poly, sig, 1.0, tol=1e-3)

@@ -30,6 +30,12 @@ class TestGridValidation:
             with pytest.raises(InvalidInputError):
                 Grid(f=f, gamma=gamma, n=4)
 
+    def test_rejects_values_beyond_float_range(self):
+        # Exact fractions, but the sample times are computed in floats.
+        for f, gamma in (("1e400", 0), (Fraction(10**400), 0), (1, "-1e400")):
+            with pytest.raises(InvalidInputError, match="beyond float range"):
+                Grid(f=f, gamma=gamma, n=4)
+
     def test_parses_rational_strings(self):
         g = Grid(f="3/2", gamma="-1/2", n=4)
         assert g.f == Fraction(3, 2) and g.gamma == Fraction(-1, 2)

@@ -32,6 +32,7 @@ from spectral_sdp.oracles import (
 from conftest import (
     lagrangian_block,
     lagrangian_c,
+    on_block_sum_set,
     random_complex,
     random_hermitian,
     random_pattern,
@@ -50,15 +51,13 @@ def _spec_for(pattern, y=None, **kw):
 
 
 def _random_state(rng, spec):
-    """Random dense ``(Z, S, c, Lambda, mu)``, with ``mu`` real at lag 0."""
+    """Random dense ``(Z, S, c, Lambda)``."""
     m = spec.m
     z = random_hermitian(rng, m + 1)
     s = random_hermitian(rng, m)
     c = random_complex(rng, m)
     lam = random_hermitian(rng, m + 1)
-    mu = random_complex(rng, spec.partition.p)
-    mu[list(spec.partition.positive_lags).index(0)] = rng.standard_normal()
-    return z, s, c, lam, mu
+    return z, s, c, lam
 
 
 def _update_inputs(spec, z, lam):
@@ -113,7 +112,7 @@ class TestUpdateC:
             pat = _full_pattern(m)
             y = random_complex(rng, m)
             spec = _spec_for(pat, y=y, tau=float(rng.random()), rho=0.5 + rng.random())
-            z_mat, _, _, lam_mat, _ = _random_state(rng, spec)
+            z_mat, _, _, lam_mat = _random_state(rng, spec)
             c_star = update_c(_update_inputs(spec, z_mat, lam_mat)[1], spec)
             z = z_mat[:m, m]
             lam = lam_mat[:m, m]
@@ -124,8 +123,8 @@ class TestUpdateC:
 class TestUpdateSBlocks:
     def test_singleton_diagonal_block_from_zeros(self):
         spec = _spec_for(SelectionPattern(indices=(0,), ambient=2))
-        s = update_S_blocks(np.zeros(1, complex), np.zeros(spec.partition.p, complex), spec)
-        assert np.isclose(s[0], 0.5)
+        s = update_S_blocks(np.zeros(1, complex), spec)
+        assert np.isclose(s[0], 1.0)  # the block sum of the one diagonal pair
 
     def test_feasible_input_is_fixed_point(self):
         rng = np.random.default_rng(3)
@@ -145,8 +144,8 @@ class TestUpdateSBlocks:
                     z0[j - 1, i - 1] += np.conj(correction)
                 else:
                     z0[i - 1, j - 1] = z0[i - 1, j - 1].real
-        a = z0[part.rows, part.cols]  # Lambda = 0 and mu = 0
-        s = update_S_blocks(a, np.zeros(part.p, complex), spec)
+        a = z0[part.rows, part.cols]  # Lambda = 0
+        s = update_S_blocks(a, spec)
         assert np.allclose(s, a, atol=1e-12)
 
     def test_blocks_are_exact_minimizers(self):
@@ -154,22 +153,21 @@ class TestUpdateSBlocks:
         for trial in range(20):
             pat = random_pattern(rng, int(rng.integers(3, 10)), admissible=True)
             spec = _spec_for(pat, rho=0.5 + rng.random())
-            z, _, _, lam, mu = _random_state(rng, spec)
-            s = update_S_blocks(_update_inputs(spec, z, lam)[0], mu, spec)
+            z, _, _, lam = _random_state(rng, spec)
+            s = update_S_blocks(_update_inputs(spec, z, lam)[0], spec)
             part = spec.partition
+            assert np.allclose(np.add.reduceat(s, part.starts), part.delta, rtol=0, atol=1e-12)
             z0, lam0 = triangle_of(z, spec), triangle_of(lam, spec)
-            for pos, k in enumerate(part.positive_lags):
+            for pos in range(part.p):
                 block = slice(part.starts[pos], part.starts[pos] + part.sizes[pos])
-                obj = lambda v: lagrangian_block(
-                    v,
-                    z0[block],
-                    lam0[block],
-                    mu[pos],
-                    1.0 if k == 0 else 0.0,
-                    spec.rho,
-                )
+                obj = lambda v: lagrangian_block(v, z0[block], lam0[block], spec.rho)
                 assert finite_perturbation_check(
-                    obj, s[block], directions=50, step=1e-3, seed=trial, tol=1e-9
+                    on_block_sum_set(obj, s[block]),
+                    s[block],
+                    directions=50,
+                    step=1e-3,
+                    seed=trial,
+                    tol=1e-9,
                 )
 
     def test_output_is_hermitian(self):
@@ -325,38 +323,34 @@ class TestAdmmStep:
         a = random_hermitian(rng, m + 1)
         lam = q @ a @ a.conj().T @ q
         v = triangle_of(b - lam / spec.rho, spec)
-        z, _, _, _, _ = admm_step(v, np.zeros(spec.partition.p, complex), spec)
+        z, _, _, _ = admm_step(v, spec)
         assert np.allclose(spec.rho * (z - v), triangle_of(lam, spec))
 
-    def test_mu_frozen_when_block_sums_feasible(self):
-        spec = _spec_for(SelectionPattern(indices=(0, 1), ambient=3))
-        mu_in = np.zeros(spec.partition.p, dtype=complex)
-        v = triangle_of(bordered_matrix(np.eye(2) / 2.0, np.zeros(2)), spec)
-        z, b, _, mu, _ = admm_step(v, mu_in, spec)
-        part = spec.partition
-        s = _dense(spec, z, b)[1]
-        assert np.allclose(mu - mu_in, spec.rho * (block_sums(part, s) - part.delta))
-        assert np.allclose(mu, mu_in)
+    def test_every_image_meets_the_block_sums(self):
+        rng = np.random.default_rng(28)
+        for _ in range(6):
+            pat = random_pattern(rng, int(rng.integers(2, 16)), admissible=True)
+            spec = _spec_for(pat, y=random_complex(rng, pat.m), tau=float(rng.random()), rho=0.5 + rng.random())
+            v = triangle_of(random_hermitian(rng, pat.m + 1), spec)
+            for _ in range(5):  # from a random V, then along the plain map
+                z, b, v, _ = admm_step(v, spec)
+                s = _dense(spec, z, b)[1]
+                assert np.allclose(block_sums(spec.partition, s), spec.partition.delta, rtol=0, atol=1e-12)
 
     def test_one_step_from_zeros(self):
         spec = _spec_for(_full_pattern(3), rho=1.0)
-        part = spec.partition
-        _, _, v, mu, _ = admm_step(np.zeros(10, complex), np.zeros(part.p, complex), spec)
-        # Each block of S sits below delta by delta/(|J|+1): S = I/4.
-        assert np.allclose(spec.hermitian(v), np.diag([0.25, 0.25, 0.25, 1.0]))
-        expected = np.zeros(part.p)
-        expected[list(part.positive_lags).index(0)] = -0.25
-        assert np.allclose(mu, expected)
+        _, _, v, _ = admm_step(np.zeros(10, complex), spec)
+        # Each block of S is moved onto its block sum: S = I/3.
+        assert np.allclose(spec.hermitian(v), np.diag([1 / 3, 1 / 3, 1 / 3, 1.0]))
 
     def test_inputs_are_only_read(self):
         rng = np.random.default_rng(25)
         pat = random_pattern(rng, 10, admissible=True)
         spec = _spec_for(pat, y=random_complex(rng, pat.m), rho=2.0)
         v = triangle_of(random_hermitian(rng, pat.m + 1), spec)
-        mu = random_complex(rng, spec.partition.p)
-        v_before, mu_before = v.copy(), mu.copy()
-        admm_step(v, mu, spec)
-        assert np.array_equal(v, v_before) and np.array_equal(mu, mu_before)
+        v_before = v.copy()
+        admm_step(v, spec)
+        assert np.array_equal(v, v_before)
 
     @pytest.mark.parametrize("tau", [0.0, 0.8])
     @pytest.mark.parametrize("kind", ["full", "random", "multirate"])
@@ -371,13 +365,11 @@ class TestAdmmStep:
         spec = _spec_for(pat, y=random_complex(rng, pat.m), tau=tau, rho=0.5 + rng.random())
         for _ in range(5):
             v = random_hermitian(rng, pat.m + 1)
-            mu = random_complex(rng, spec.partition.p)
-            z, b, v_next, mu_next, _ = admm_step(triangle_of(v, spec), mu, spec)
-            z_ref, s_ref, c_ref, v_ref, mu_ref = admm_map(v, mu, spec)
+            z, b, v_next, _ = admm_step(triangle_of(v, spec), spec)
+            z_ref, s_ref, c_ref, v_ref = admm_map(v, spec)
             assert np.allclose(spec.hermitian(z), z_ref, rtol=0, atol=1e-12)
             assert np.allclose(spec.hermitian(b), bordered_matrix(s_ref, c_ref), rtol=0, atol=1e-12)
             assert np.allclose(spec.hermitian(v_next), v_ref, rtol=0, atol=1e-12)
-            assert np.allclose(mu_next, mu_ref, rtol=0, atol=1e-12)
 
 
 class TestResiduals:
@@ -390,7 +382,7 @@ class TestResiduals:
         rng = np.random.default_rng(8)
         pat = random_pattern(rng, 8, admissible=True)
         spec = _spec_for(pat)
-        z, s, c, _, _ = _random_state(rng, spec)
+        z, s, c, _ = _random_state(rng, spec)
         z_prev = random_hermitian(rng, pat.m + 1)
         assert all(r >= 0 for r in residuals(z, s, c, spec, z_prev))
 
@@ -409,8 +401,8 @@ class TestResiduals:
         captured = []
         step = solver.admm_step
 
-        def capture(v, mu, spec, basis):
-            out = step(v, mu, spec, basis)
+        def capture(v, spec, basis):
+            out = step(v, spec, basis)
             captured.append(out[:2])
             return out
 
@@ -489,34 +481,30 @@ class TestSolve:
         pat = random_pattern(rng, 10, admissible=True)
         y = random_complex(rng, pat.m)
         prob = _spec_for(pat, y=y, max_iter=60, tol_primal=0.0, tol_dual=0.0)
-        part, n = prob.partition, pat.m + 1
-        upper, lower = prob.triangle
-        # The cycle in the classical order, from Z = I and Lambda = mu = 0:
-        # c and S, then the projection, then the multipliers.
+        n = pat.m + 1
+        upper = prob.triangle[0]
+        # The cycle in the classical order, from Z = I and Lambda = 0:
+        # c and S, then the projection, then the multiplier.
         z = triangle_of(np.eye(n), prob)
         lam = np.zeros_like(z)  # Lambda / rho
-        mu = np.zeros(part.p, dtype=complex)
         for _ in range(60):
             a_s, a_c = prob.split(z + lam)
-            s = update_S_blocks(a_s, mu, prob)
+            s = update_S_blocks(a_s, prob)
             b = np.concatenate([s, update_c(a_c, prob), [1.0]])
             v = b - lam
-            h = np.empty((n, n), dtype=complex)
-            h.ravel()[lower] = v.conj()
+            h = prob.hermitian(v)
+            np.fill_diagonal(h.imag, 0.0)
             z_mat = psd_project(h)[0]
             assert np.linalg.eigvalsh(z_mat).min() >= -1e-10
             z = z_mat.ravel().take(upper)
             lam = z - v
-            mu = mu + prob.rho * (np.add.reduceat(s, part.starts) - part.delta)
         # The plain map projects first; from V = I it reproduces the cycle.
         v_in = triangle_of(np.eye(n), prob)
-        mu_in = np.zeros(part.p, dtype=complex)
         for _ in range(60):
-            _, plain, v_in, mu_in, _ = admm_step(v_in, mu_in, prob)
+            _, plain, v_in, _ = admm_step(v_in, prob)
         assert np.array_equal(prob.split(plain)[0], s)
         assert np.array_equal(prob.split(plain)[1], prob.split(b)[1])
         assert np.array_equal(v_in, v)
-        assert np.array_equal(mu_in, mu)
 
     def test_accelerated_solve_reaches_the_plain_fixed_point(self):
         rng = np.random.default_rng(11)
@@ -524,9 +512,8 @@ class TestSolve:
         y = random_complex(rng, pat.m)
         prob = _spec_for(pat, y=y, rho=2.0)
         v = z_prev = triangle_of(np.eye(pat.m + 1), prob)
-        mu = np.zeros(prob.partition.p, dtype=complex)
         for _ in range(prob.max_iter):
-            z, b, v, mu, _ = admm_step(v, mu, prob)
+            z, b, v, _ = admm_step(v, prob)
             z_mat, s, c = _dense(prob, z, b)
             primal, constraint, dual = residuals(z_mat, s, c, prob, prob.hermitian(z_prev))
             z_prev = z
@@ -645,8 +632,8 @@ class TestAndersonHistory:
         captured, accepted = [], [0]  # the first evaluation is always accepted
         step, push = solver.admm_step, solver._Anderson.push
 
-        def capture(v, mu, spec, basis):
-            out = step(v, mu, spec, basis)
+        def capture(v, spec, basis):
+            out = step(v, spec, basis)
             captured.append(out[:2])
             return out
 
