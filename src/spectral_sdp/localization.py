@@ -318,8 +318,12 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
         pattern, f = cg.observation_set, float(cg.f0)
         time_shift_s = float(cg.gamma0 / cg.f0)
     elif isinstance(sampler, SelectionPattern):
-        if f is None or not (math.isfinite(f) and f > 0):
-            raise InvalidInputError(f"estimate from a pattern needs a finite positive rate f, got {f}")
+        try:
+            valid = f > 0 and math.isfinite(f)
+        except (TypeError, OverflowError):  # None, or beyond float range
+            valid = False
+        if not valid:
+            raise InvalidInputError("estimate from a pattern needs a finite positive rate f")
         y = np.asarray(y, dtype=complex)
         pattern, k0 = normalize_to_admissible(sampler)
         time_shift_s = -k0 / f

@@ -287,22 +287,17 @@ def admm_step(
     """The plain ADMM map ``T(V)`` on the triangle ``v`` of ``V``; ``v`` and
     ``basis`` are only read.
 
-    Writes ``V`` into both triangles of the Hermitian the projection reads
-    (the diagonal's real part), projects
+    Builds the Hermitian ``V`` with a real diagonal, projects it
     (warm-started from ``basis``, see :func:`psd_project`) and gathers the
     triangle ``z`` of ``Z``. With ``Lambda/rho = Z - V``, c and S are the
     block minimizers at ``Z + Lambda/rho``. Returns ``z``, the triangle
     ``b`` of ``(S, c, 1)``, the image ``b - Lambda/rho`` and the
     projection's :class:`Projection`.
     """
-    upper, lower = spec.triangle
-    n = spec.m + 1
-    h = np.empty((n, n), dtype=complex)
-    h.ravel()[lower] = v.conj()
-    h.ravel()[upper] = v
+    h = spec.hermitian(v)
     np.fill_diagonal(h.imag, 0.0)
     z_mat, projection = psd_project(h, basis)
-    z = z_mat.ravel().take(upper)
+    z = z_mat.ravel().take(spec.triangle[0])
     lam = z - v  # Lambda / rho
     a_s, a_c = spec.split(z + lam)
     b = np.concatenate([update_S_blocks(a_s, spec), update_c(a_c, spec), [1.0]])

@@ -269,7 +269,7 @@ class TestEstimatePipeline:
         with pytest.raises(InvalidInputError):
             estimate(np.ones(4), _full_pattern(4))
 
-    @pytest.mark.parametrize("f", [np.nan, np.inf])
+    @pytest.mark.parametrize("f", [np.nan, np.inf, 10**400], ids=["nan", "inf", "beyond-float"])
     def test_rejects_a_non_finite_rate_before_solving(self, f, monkeypatch):
         from spectral_sdp import localization
 

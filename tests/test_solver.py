@@ -330,12 +330,14 @@ class TestAdmmStep:
         rng = np.random.default_rng(28)
         for _ in range(6):
             pat = random_pattern(rng, int(rng.integers(2, 16)), admissible=True)
-            spec = _spec_for(pat, y=random_complex(rng, pat.m), tau=float(rng.random()), rho=0.5 + rng.random())
+            y = random_complex(rng, pat.m)
+            spec = _spec_for(pat, y=y, tau=float(rng.random()), rho=0.5 + rng.random())
+            part = spec.partition
             v = triangle_of(random_hermitian(rng, pat.m + 1), spec)
             for _ in range(5):  # from a random V, then along the plain map
                 z, b, v, _ = admm_step(v, spec)
                 s = _dense(spec, z, b)[1]
-                assert np.allclose(block_sums(spec.partition, s), spec.partition.delta, rtol=0, atol=1e-12)
+                assert np.allclose(block_sums(part, s), part.delta, rtol=0, atol=1e-12)
 
     def test_one_step_from_zeros(self):
         spec = _spec_for(_full_pattern(3), rho=1.0)
