@@ -454,6 +454,7 @@ def cmd_estimate(args) -> int:
             "iterations": diag.iterations,
             "rejected_extrapolations": diag.rejected_extrapolations,
             "full_eigh_iterations": diag.full_eigh_iterations,
+            "history_depth": diag.history_depth,
             "rank_deficit": diag.rank_deficit,
             "newton_fallbacks": diag.newton_fallbacks,
             "residuals": {

@@ -40,6 +40,8 @@ class EstimateDiagnostics:
     whose projection ran the full eigendecomposition. ``rank_deficit`` is
     the count of negative eigenvalues the last accepted projection zeroed:
     at the optimum of a noiseless instance, the number of spikes.
+    ``history_depth`` is the depth of the Anderson history, set by the
+    solver's byte budget from the problem's size.
     """
 
     peak_moduli: np.ndarray
@@ -57,6 +59,7 @@ class EstimateDiagnostics:
     rejected_extrapolations: int
     full_eigh_iterations: int
     rank_deficit: int
+    history_depth: int
 
 
 @dataclass(frozen=True)
@@ -377,5 +380,6 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
         rejected_extrapolations=report.rejected_extrapolations,
         full_eigh_iterations=report.full_eigh_iterations,
         rank_deficit=report.rank_deficit,
+        history_depth=report.history_depth,
     )
     return SpectrumEstimate(freqs=peaks.freqs_hz, amps=amps, dual_poly=q, diagnostics=diag)

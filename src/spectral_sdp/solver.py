@@ -161,9 +161,15 @@ class SolveReport:
     rejected_extrapolations: int
     full_eigh_iterations: int
     rank_deficit: int
+    history_depth: int
 
 
-MEMORY = 10  # Anderson history: differences of the last ten accepted evaluations
+# The Anderson history: as many float32 dg/df row pairs as fit in
+# HISTORY_BYTES, between DEPTH_MIN and DEPTH_MAX of them. Iterations per
+# call fell with depth up to about 30 on the benchmark's shapes, little
+# more to 40, while the Gram solve grows as depth^3.
+HISTORY_BYTES = 5 * 2**19  # 2.5 MiB: depth 40 up to order ~90, 19 at order 129
+DEPTH_MIN, DEPTH_MAX = 10, 40  # the floor binds from order 173 on
 
 # The warm-started projection of psd_project.
 _KRYLOV_BLOCKS = 4  # the space [X, VX, V^2 X, V^3 X]
@@ -305,49 +311,60 @@ def admm_step(
 
 
 class _Anderson:
-    """Type-II Anderson extrapolation over the last :data:`MEMORY` steps.
+    """Type-II Anderson extrapolation over the last ``depth`` steps.
 
+    ``depth`` is the number of float32 row pairs of ``size`` entries that
+    fit in :data:`HISTORY_BYTES`, clamped to ``[DEPTH_MIN, DEPTH_MAX]``.
     Row ``j`` of ``dg`` and ``df`` is a difference of consecutive residuals
     ``g = T(x) - x`` and images ``T(x)``, computed in float64 and rounded
-    once into a float32 ring buffer: memory 10 in the bytes of memory 5 in
-    float64. ``gram`` holds the inner products of the ``dg`` rows in
-    float64 and gains one row per push. The products with the history run
-    in float32 BLAS, so no float64 copy of it is made; the extrapolated
-    point only proposes, and :func:`solve` judges it in float64.
+    once into a float32 ring buffer. ``gram`` holds the inner products of
+    the ``dg`` rows in float64 and gains one row per push. The products
+    with the history run in float32 BLAS, so no float64 copy of it is
+    made; the extrapolated point only proposes, and :func:`solve` judges
+    it in float64.
     """
 
     def __init__(self, size: int):
-        self.dg, self.df = np.empty((2, MEMORY, size), dtype=np.float32)
-        self.gram = np.empty((MEMORY, MEMORY))
+        self.depth = min(max(HISTORY_BYTES // (8 * size), DEPTH_MIN), DEPTH_MAX)
+        self.dg, self.df = np.empty((2, self.depth, size), dtype=np.float32)
+        self.gram = np.empty((self.depth, self.depth))
         self.count = 0
 
     @np.errstate(over="ignore", invalid="ignore")  # extrapolate() checks
     def push(self, f: np.ndarray, g: np.ndarray, f_next: np.ndarray, g_next: np.ndarray) -> None:
         """Record the step from ``(f, g)`` to ``(f_next, g_next)``."""
-        j = self.count % MEMORY
+        j = self.count % self.depth
         np.subtract(g_next, g, out=self.dg[j])
         np.subtract(f_next, f, out=self.df[j])
         self.count += 1
-        k = min(self.count, MEMORY)
+        k = min(self.count, self.depth)
         self.gram[j, :k] = self.gram[:k, j] = self.dg[:k] @ self.dg[j]
 
     @np.errstate(over="ignore", invalid="ignore")
     def extrapolate(self, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
         """``f - dF gamma`` with ``gamma`` minimizing ``||g - dG gamma||``.
 
-        None without a history, and also when a float32 product overflowed
-        (differences beyond about 1e19); the history is then cleared.
+        The Gram system is solved directly, in float64 as ``gram`` is, and by
+        least squares only when it is exactly singular. None without a
+        history, and also when a float32 product overflowed (differences
+        beyond about 1e19) or a near-singular Gram gave a point that is not
+        finite; the history is then cleared.
         """
-        k = min(self.count, MEMORY)
+        k = min(self.count, self.depth)
         if k == 0:
             return None
         rhs = self.dg[:k] @ g.astype(np.float32)
         gram = self.gram[:k, :k]
-        if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
-            self.count = 0
-            return None
-        gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]  # in float64, as gram is
-        return f - gamma.astype(np.float32) @ self.df[:k]
+        if np.isfinite(gram).all() and np.isfinite(rhs).all():
+            try:
+                gamma = np.linalg.solve(gram, rhs)
+            except np.linalg.LinAlgError:
+                gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            proposal = f - gamma.astype(np.float32) @ self.df[:k]
+            if np.isfinite(proposal).all():
+                return proposal
+        self.count = 0
+        return None
 
 
 def solve(spec: ProblemSpec) -> SolveReport:
@@ -417,6 +434,7 @@ def solve(spec: ProblemSpec) -> SolveReport:
         rejected_extrapolations=rejected,
         full_eigh_iterations=full,
         rank_deficit=deficit,
+        history_depth=anderson.depth,
     )
 
 

@@ -167,6 +167,17 @@ class TestEstimate:
         assert diag["newton_fallbacks"] == 0
         assert diag["reliable"] is True
 
+    def test_result_reports_the_history_depth(self, tmp_path):
+        # 16 samples: order 17, whose history fits the budget at the most
+        # rows, 40.
+        cfg_path, _ = _full_config(tmp_path, n=16)
+        main(["synth", "--config", cfg_path])
+        main(["estimate", "--config", cfg_path])
+        diag = json.loads(_read(tmp_path / "out" / "run_result.json"))["diagnostics"]
+        assert diag["history_depth"] == 40
+        keys = list(diag)
+        assert keys.index("history_depth") == keys.index("full_eigh_iterations") + 1
+
     def test_missing_input_exits_one_without_outputs(self, tmp_path):
         cfg_path, _ = _full_config(tmp_path)
         assert main(["estimate", "--config", cfg_path]) == 1
