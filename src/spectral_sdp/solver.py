@@ -31,22 +31,27 @@ finite perturbations).
 
 :func:`solve` runs a safeguarded type-II Anderson iteration over ``T``
 (Walker & Ni 2011; Zhang, O'Donoghue & Boyd, arXiv:1808.03971). It
-extrapolates the next input from the last ``MEMORY`` = 10 accepted
-evaluations, and keeps the extrapolated point only when its fixed-point
-residual ``T(x) - x`` is no larger than that of the point it extrapolated
-from; otherwise it takes the plain step ``T(x)`` and clears the history.
-The same residual is the stopping rule: it is ``(S, c, 1) - Z``, the
-primal residual. The block sums of the returned S are checked once, at
-the end, and reported as the constraint residual.
+extrapolates the next input from the last accepted evaluations, and keeps
+the extrapolated point only when its fixed-point residual ``T(x) - x`` is
+no larger than that of the point it extrapolated from; otherwise it takes
+the plain step ``T(x)`` and clears the history. The same residual is the
+stopping rule: it is ``(S, c, 1) - Z``, the primal residual. The block
+sums of the returned S are checked once, at the end, and reported as the
+constraint residual.
 
-The history of differences is held in float32, so memory 10 takes the
-bytes that memory 5 took in float64. Near the fixed point the map is
-nearly linear and a deeper history captures more of its spectrum: on the
-benchmark's seeded sets the mean iterations per call fell from about 268
-to 166 (criteria 5-7 shapes, m 48-64), 142 to 90 (criterion 11's
-signals, m = 129) and 1074 to 650 (m = 61 of n = 2048). Only the history
-is rounded: every point is evaluated, judged by the safeguard and tested
-by the stopping rule in float64.
+The history of differences is held in float32 and sized by a byte budget,
+:data:`HISTORY_BYTES` = 2.5 MiB: as many evaluations as fit, from 10 to
+40 (40 up to order 90, 19 at order 129, 10 from order 173 on; from
+order 181 the floor of 10 takes more than the budget). Near the fixed
+point the map is nearly linear and Anderson acts like GMRES on it, so a
+deeper history captures more of its spectrum: on the benchmark's seeded
+sets the mean iterations per call fell from about 202 to 62 (criterion
+5's shape, m = 64, depth 40), 246 to 51 (criterion 6's, m = 48, depth
+40) and 79 to 63 (criterion 11's signals, m = 128, depth 19) against the
+fixed depth of 10. The Gram system is solved directly, which keeps a
+depth-40 solve at tens of µs where least squares took hundreds. Only the
+history is rounded: every point is evaluated, judged by the safeguard
+and tested by the stopping rule in float64.
 
 Every evaluation of ``T`` is one PSD projection of size m+1 and counts as
 one iteration, rejected or not. ``V`` has few negative eigenvalues (as many
@@ -164,12 +169,11 @@ class SolveReport:
     history_depth: int
 
 
-# The Anderson history: as many float32 dg/df row pairs as fit in
-# HISTORY_BYTES, between DEPTH_MIN and DEPTH_MAX of them. Iterations per
-# call fell with depth up to about 30 on the benchmark's shapes, little
-# more to 40, while the Gram solve grows as depth^3.
-HISTORY_BYTES = 5 * 2**19  # 2.5 MiB: depth 40 up to order ~90, 19 at order 129
-DEPTH_MIN, DEPTH_MAX = 10, 40  # the floor binds from order 173 on
+# The depth of the Anderson history (see _Anderson). Iterations per call
+# fell with depth up to about 30 on the benchmark's shapes and little more
+# to 40, while the Gram solve grows as depth^3.
+HISTORY_BYTES = 5 * 2**19  # 2.5 MiB: depth 40 up to order 90, 19 at order 129
+DEPTH_MIN, DEPTH_MAX = 10, 40  # depth 10 from order 173 on; the floor binds from 181
 
 # The warm-started projection of psd_project.
 _KRYLOV_BLOCKS = 4  # the space [X, VX, V^2 X, V^3 X]

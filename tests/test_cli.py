@@ -168,8 +168,8 @@ class TestEstimate:
         assert diag["reliable"] is True
 
     def test_result_reports_the_history_depth(self, tmp_path):
-        # 16 samples: order 17, whose history fits the budget at the most
-        # rows, 40.
+        # 16 samples: order 17, where the budget would hold far more rows
+        # than the cap of 40.
         cfg_path, _ = _full_config(tmp_path, n=16)
         main(["synth", "--config", cfg_path])
         main(["estimate", "--config", cfg_path])
