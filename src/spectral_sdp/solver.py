@@ -322,7 +322,7 @@ class _Anderson:
     Row ``j`` of ``dg`` and ``df`` is a difference of consecutive residuals
     ``g = T(x) - x`` and images ``T(x)``, computed in float64 and rounded
     once into a float32 ring buffer. ``gram`` holds the inner products of
-    the ``dg`` rows in float64 and gains one row per push. The products
+    the ``dg`` rows in float64 and gains one row per step. The products
     with the history run in float32 BLAS, so no float64 copy of it is
     made; the extrapolated point only proposes, and :func:`solve` judges
     it in float64.
@@ -334,37 +334,33 @@ class _Anderson:
         self.gram = np.empty((self.depth, self.depth))
         self.count = 0
 
-    @np.errstate(over="ignore", invalid="ignore")  # extrapolate() checks
-    def push(self, f: np.ndarray, g: np.ndarray, f_next: np.ndarray, g_next: np.ndarray) -> None:
-        """Record the step from ``(f, g)`` to ``(f_next, g_next)``."""
+    @np.errstate(over="ignore", invalid="ignore")
+    def step(
+        self, f: np.ndarray, g: np.ndarray, f_next: np.ndarray, g_next: np.ndarray
+    ) -> np.ndarray | None:
+        """Record the step from ``(f, g)`` to ``(f_next, g_next)`` and return
+        the next proposal, ``f_next - dF gamma`` with ``gamma`` minimizing
+        ``||g_next - dG gamma||``.
+
+        The Gram system is solved directly, in float64 as ``gram`` is, and by
+        least squares only when it is exactly singular. None when a float32
+        product overflowed (differences beyond about 1e19) or a near-singular
+        Gram gave a point that is not finite; the history is then cleared.
+        """
         j = self.count % self.depth
         np.subtract(g_next, g, out=self.dg[j])
         np.subtract(f_next, f, out=self.df[j])
         self.count += 1
         k = min(self.count, self.depth)
         self.gram[j, :k] = self.gram[:k, j] = self.dg[:k] @ self.dg[j]
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def extrapolate(self, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-        """``f - dF gamma`` with ``gamma`` minimizing ``||g - dG gamma||``.
-
-        The Gram system is solved directly, in float64 as ``gram`` is, and by
-        least squares only when it is exactly singular. None without a
-        history, and also when a float32 product overflowed (differences
-        beyond about 1e19) or a near-singular Gram gave a point that is not
-        finite; the history is then cleared.
-        """
-        k = min(self.count, self.depth)
-        if k == 0:
-            return None
-        rhs = self.dg[:k] @ g.astype(np.float32)
+        rhs = self.dg[:k] @ g_next.astype(np.float32)
         gram = self.gram[:k, :k]
         if np.isfinite(gram).all() and np.isfinite(rhs).all():
             try:
                 gamma = np.linalg.solve(gram, rhs)
             except np.linalg.LinAlgError:
                 gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-            proposal = f - gamma.astype(np.float32) @ self.df[:k]
+            proposal = f_next - gamma.astype(np.float32) @ self.df[:k]
             if np.isfinite(proposal).all():
                 return proposal
         self.count = 0
@@ -390,7 +386,7 @@ def solve(spec: ProblemSpec) -> SolveReport:
     v = z_prev = np.eye(spec.m + 1, dtype=complex).ravel()[spec.triangle[0]]
     x = v.view(float) * scale
     anderson = _Anderson(x.size)
-    extrapolated = converged = False
+    extrapolated = False
     rejected = full = 0
     basis = None  # the first projection has nothing to warm-start from
     for it in range(1, spec.max_iter + 1):
@@ -409,17 +405,16 @@ def solve(spec: ProblemSpec) -> SolveReport:
         if extrapolated and g_out_norm > g_norm:
             rejected += 1  # the safeguard: next comes the plain step
             anderson.count = 0
-        else:
-            if it > 1:  # the first evaluation is always accepted
-                anderson.push(f, g, f_out, g_out)
-            f, g, g_norm = f_out, g_out, g_out_norm
+            proposal = None
+        else:  # the first evaluation is always accepted
             z_prev, b_star = z, b  # Z backs the dual residual, b the report
             deficit = projection.negatives
             primal, dual = res
             converged = primal < spec.tol_primal and dual < spec.tol_dual
-        if converged:
-            break
-        proposal = anderson.extrapolate(f, g)
+            if converged:
+                break
+            proposal = anderson.step(f, g, f_out, g_out) if it > 1 else None
+            f, g, g_norm = f_out, g_out, g_out_norm
         extrapolated = proposal is not None
         x = proposal if extrapolated else f
         v = (x * unscale).view(complex)

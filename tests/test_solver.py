@@ -636,7 +636,7 @@ class TestAndersonHistory:
         size = 37
         history = solver._Anderson(size)
         f, g, f_next, g_next = np.random.default_rng(41).standard_normal((4, size))
-        history.push(f, g, f_next, g_next)
+        history.step(f, g, f_next, g_next)
         assert np.array_equal(history.dg[0], (g_next - g).astype(np.float32))
         assert np.array_equal(history.df[0], (f_next - f).astype(np.float32))
 
@@ -644,14 +644,19 @@ class TestAndersonHistory:
         from spectral_sdp import solver
 
         # The Gram [[1, 1], [1, 1 + 2^-22]] is exact in float32 and nearly
-        # singular: with this residual g, gamma is about 2e39, beyond float32.
+        # singular: with the residual (0, 2^18), gamma is (-2^29, 2^29), and
+        # gamma dF reaches 5e38, beyond float32.
         history = solver._Anderson(2)
         zero = np.zeros(2)
-        history.push(zero, zero, np.array([1e10, 0.0]), np.array([1.0, 0.0]))
-        history.push(zero, zero, np.array([0.0, 1e10]), np.array([1.0, 2.0**-11]))
-        assert history.extrapolate(zero, np.array([0.0, 1e36])) is None
+        history.step(zero, zero, np.array([1e30, 0.0]), np.array([1.0, 0.0]))
+        g, g_next = np.array([-1.0, 2.0**18 - 2.0**-11]), np.array([0.0, 2.0**18])
+        assert history.step(zero, g, np.array([0.0, 1e30]), g_next) is None
         assert history.count == 0
-        assert history.extrapolate(zero, np.ones(2)) is None
+        # The cleared rows take no part in the next proposal.
+        f, f_next = np.zeros(2), np.array([1.0, 1.0])
+        g, g_next = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        assert np.array_equal(history.step(f, g, f_next, g_next), f_next - 0.5 * (f_next - f))
+        assert history.count == 1
 
     def test_singular_gram_falls_back_to_least_squares(self):
         from spectral_sdp import solver
@@ -662,17 +667,14 @@ class TestAndersonHistory:
         g, g_next = np.array([1.0, 2.0, 0.0]), np.array([2.0, 2.0, 1.0])
         f_next = np.array([3.0, 0.0, 1.0])
         one, two = solver._Anderson(3), solver._Anderson(3)
-        one.push(f, g, f_next, g_next)
-        two.push(f, g, f_next, g_next)
-        two.push(f, g, f_next, g_next)
+        expected = one.step(f, g, f_next, g_next)
+        two.step(f, g, f_next, g_next)
+        proposal = two.step(f, g, f_next, g_next)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(two.gram[:2, :2], np.ones(2))
-        x = np.array([0.5, 0.5, 0.5])
-        r = np.array([1.0, -1.0, 3.0])
-        expected = one.extrapolate(x, r)
-        assert np.allclose(two.extrapolate(x, r), expected, rtol=1e-6, atol=0)
+        assert np.allclose(proposal, expected, rtol=1e-6, atol=0)
         dg = g_next - g
-        assert np.allclose(expected, x - dg @ r / (dg @ dg) * (f_next - f))
+        assert np.allclose(expected, f_next - dg @ g_next / (dg @ dg) * (f_next - f))
 
     def test_float32_overflow_falls_back_to_plain_steps(self):
         rng = np.random.default_rng(43)
@@ -690,26 +692,28 @@ class TestAndersonHistory:
         y_raw = synthesize_uniform(sig, 1.0, n)
         pat = random_pattern(rng, n, admissible=True)
         prob = _spec_for(pat, y=y_raw[list(pat.indices)], rho=5.0, tol_primal=1e-8)
-        captured, accepted = [], [0]  # the first evaluation is always accepted
-        step, push = solver.admm_step, solver._Anderson.push
+        # The first evaluation is always accepted; every later accepted one
+        # takes an Anderson step, except the converged one.
+        captured, accepted = [], [0]
+        admm_step, anderson_step = solver.admm_step, solver._Anderson.step
 
         def capture(v, spec, basis):
-            out = step(v, spec, basis)
+            out = admm_step(v, spec, basis)
             captured.append(out[:2])
             return out
 
         def record(self, *args):
             accepted.append(len(captured) - 1)
-            push(self, *args)
+            return anderson_step(self, *args)
 
         monkeypatch.setattr(solver, "admm_step", capture)
-        monkeypatch.setattr(solver._Anderson, "push", record)
+        monkeypatch.setattr(solver._Anderson, "step", record)
         report = solve(prob)
         assert report.converged
-        assert accepted[-1] == len(captured) - 1 == report.iterations - 1
+        assert accepted[-1] < len(captured) - 1 == report.iterations - 1
         z, s, c = _dense(prob, *captured[-1])
-        assert np.array_equal(report.c_star, c)
-        z_prev = prob.hermitian(captured[accepted[-2]][0])
+        assert np.array_equal(report.c_star, c)  # the last evaluation is reported
+        z_prev = prob.hermitian(captured[accepted[-1]][0])
         primal, constraint, dual = residuals(z, s, c, prob, z_prev)
         assert max(primal, constraint) < prob.tol_primal
         assert dual < prob.tol_dual
