@@ -56,11 +56,13 @@ and tested by the stopping rule in float64.
 Every evaluation of ``T`` is one PSD projection of size m+1 and counts as
 one iteration, rejected or not. ``V`` has few negative eigenvalues (as many
 as spikes, at the optimum), so :func:`psd_project` subtracts only those,
-warm-started from the previous iteration's eigenvectors and certified by a
-Cholesky factorization: O(m^2 s) work besides that O(m^3 / 3)
-factorization. When the certificate fails, and on the first iteration, it
-falls back to the full Hermitian eigendecomposition, O(m^3);
-:class:`SolveReport` counts those iterations.
+warm-started from the previous iteration's eigenvectors (the first from
+any unit vector, since ``V = I``) and certified by a Cholesky
+factorization: O(m^2 s) work besides that O(m^3 / 3) factorization. The
+certificate alone picks the path: when it fails, the projection falls back
+to the full Hermitian eigendecomposition, O(m^3), and :func:`solve` backs
+off to full ones for the next 1, 2, 4, ... iterations, doubling with each
+failure in a row until a warm one is certified again.
 """
 
 from __future__ import annotations
@@ -157,6 +159,8 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """``full_eigh_iterations`` counts fallbacks and backed-off iterations."""
+
     c_star: np.ndarray
     S_star: np.ndarray
     dual_objective: float
@@ -179,7 +183,6 @@ DEPTH_MIN, DEPTH_MAX = 10, 40  # depth 10 from order 173 on; the floor binds fro
 _KRYLOV_BLOCKS = 4  # the space [X, VX, V^2 X, V^3 X]
 _RITZ_PASSES = 4  # Rayleigh-Ritz passes before the full eigh takes over
 _RITZ_TOL = 1e-13  # residual of the negative Ritz pairs, relative to ||V||_F
-_LOW_RANK_MIN_ORDER = 64  # below it, eigh was as fast on random selections (order sweep)
 
 
 def update_c(a: np.ndarray, spec: ProblemSpec) -> np.ndarray:
@@ -269,15 +272,14 @@ def psd_project(h: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.ndar
     matrix ``h``, and the :class:`Projection` that warm-starts the next call.
 
     ``h`` must hold both triangles and a real diagonal; it is only read.
-    ``Z = h - h_-`` needs only the few negative eigenpairs of ``h``: from
-    an order of ``_LOW_RANK_MIN_ORDER`` on, and given the ``basis`` of the
-    previous call, they come from a certified Rayleigh-Ritz step
-    (``_ritz_projection``) in O(order^2 k) work besides one Cholesky
-    factorization. Without a basis, below that order, or when the
-    certificate fails, the full eigendecomposition zeroes the negative
-    eigenvalues, in O(order^3) work; a call without a basis is exactly that.
+    ``Z = h - h_-`` needs only the few negative eigenpairs of ``h``: given
+    a ``basis``, such as the previous call's, they come from a certified
+    Rayleigh-Ritz step (``_ritz_projection``) in O(order^2 k) work besides
+    one Cholesky factorization. Without a basis, or when the certificate
+    fails, the full eigendecomposition zeroes the negative eigenvalues, in
+    O(order^3) work; a call without a basis is exactly that.
     """
-    if basis is not None and h.shape[0] >= _LOW_RANK_MIN_ORDER:
+    if basis is not None:
         a = h.copy()
         certified = _ritz_projection(a, basis)
         if certified is not None:
@@ -382,17 +384,20 @@ def solve(spec: ProblemSpec) -> SolveReport:
     # norm is the Frobenius norm.
     scale, unscale = np.repeat(spec.weight, 2), np.repeat(1.0 / spec.weight, 2)
 
-    # V = I: the projection gives Z = I and Lambda = 0.
+    # V = I: the warm projection certifies Z = I, and Lambda = 0.
     v = z_prev = np.eye(spec.m + 1, dtype=complex).ravel()[spec.triangle[0]]
+    basis = np.eye(spec.m + 1, 1)
     x = v.view(float) * scale
     anderson = _Anderson(x.size)
     extrapolated = False
-    rejected = full = 0
-    basis = None  # the first projection has nothing to warm-start from
+    rejected = full = backoff = cold_until = 0
     for it in range(1, spec.max_iter + 1):
-        z, b, v_out, projection = admm_step(v, spec, basis)
+        z, b, v_out, projection = admm_step(v, spec, basis if it > cold_until else None)
         basis = projection.basis
         full += projection.full
+        if it > cold_until:  # a warm attempt; after a failed certificate, back off
+            backoff = (2 * backoff or 1) if projection.full else 0
+            cold_until = it + backoff
         # The image T(x) and the residual g = T(x) - x = b - Z, the primal
         # residual.
         f_out = v_out.view(float) * scale

@@ -1,21 +1,28 @@
 """ADMM building blocks and full solves of the reduced dual."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from spectral_sdp import (
+    EstimationConfig,
+    Grid,
     InvalidInputError,
+    MultirateSystem,
     NumericalError,
     ProblemSpec,
     SelectionPattern,
+    SpikeSpectrum,
     admm_step,
     assemble_problem,
     common_grid,
     compute_partition,
+    estimate,
     psd_project,
     solve,
+    synthesize_grid,
     synthesize_uniform,
     update_S_blocks,
     update_c,
@@ -201,11 +208,18 @@ def _perturbed(rng, basis, size):
 
 
 class TestPsdProject:
-    # Above this order a given basis warm-starts the projection.
+    # Well above the Krylov space of the widest basis here (4 blocks of 7
+    # vectors), so a warm start has room to work.
     ORDER = 80
 
     def test_identity_unchanged(self):
         assert np.allclose(psd_project(np.eye(4))[0], np.eye(4))
+
+    def test_identity_is_certified_without_the_full_eigendecomposition(self):
+        # The solver's first projection: V = I, warm-started from one unit vector.
+        z, projection = psd_project(np.eye(17), np.eye(17, 1))
+        assert np.array_equal(z, np.eye(17))
+        assert not projection.full and projection.negatives == 0
 
     def test_clips_negative_eigenvalue(self):
         out, projection = psd_project(np.diag([1.0, -1.0]))
@@ -455,8 +469,7 @@ class TestSolve:
         assert abs(report.dual_objective - np.abs(spec_sig.amps).sum()) < 1e-4
 
     def test_noiseless_optimum_reports_a_rank_deficit_of_s(self):
-        # The optimal multiplier -rho V_- has one rank per spike; at order
-        # 65 the projection is warm-started after the first iteration.
+        # The optimal multiplier -rho V_- has one rank per spike.
         rng = np.random.default_rng(44)
         n = 64
         sig = random_spike_spectrum(rng, 3, min_sep=4 / (n - 1))
@@ -464,7 +477,49 @@ class TestSolve:
         report = solve(prob)
         assert report.converged
         assert report.rank_deficit == 3
-        assert 1 <= report.full_eigh_iterations < report.iterations
+        assert 0 <= report.full_eigh_iterations <= report.iterations
+
+    def test_benchmark_shapes_project_warm_throughout(self):
+        # Criterion 5's shape (order 65) and criterion 7's two grids (order
+        # 49): every projection, the first included, is a certified warm one.
+        rng = np.random.default_rng(46)
+        n = 64
+        sig = random_spike_spectrum(rng, 3, min_sep=4 / (n - 1))
+        prob = _spec_for(_full_pattern(n), y=synthesize_uniform(sig, 1.0, n), rho=30.0)
+        report = solve(prob)
+        assert report.converged and report.full_eigh_iterations == 0
+        system = MultirateSystem(
+            grids=(
+                Grid(f=Fraction(1), gamma=Fraction(0), n=24),
+                Grid(f=Fraction(1), gamma=Fraction(1, 2), n=24),
+            )
+        )
+        amp = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
+        sig = SpikeSpectrum(freqs=np.array([0.7]), amps=np.array([amp]))
+        ys = [synthesize_grid(sig, g) for g in system.grids]
+        diag = estimate(ys, system, config=EstimationConfig(rho=30.0, tol_primal=5e-9)).diagnostics
+        assert diag.converged and diag.full_eigh_iterations == 0
+
+    def test_failed_certificates_back_off(self, monkeypatch):
+        # After each failed warm attempt the next 1, 2, 4, ... projections
+        # are full ones, so N iterations make at most log2(N) + 1 attempts.
+        from spectral_sdp import solver
+
+        attempts = []
+
+        def fail(a, basis):
+            attempts.append(a.shape[0])
+            return None
+
+        monkeypatch.setattr(solver, "_ritz_projection", fail)
+        rng = np.random.default_rng(47)
+        n = 64
+        sig = random_spike_spectrum(rng, 3, min_sep=4 / (n - 1))
+        prob = _spec_for(_full_pattern(n), y=synthesize_uniform(sig, 1.0, n), rho=30.0, max_iter=40)
+        report = solve(prob)
+        assert set(attempts) == {65}
+        assert report.full_eigh_iterations == report.iterations
+        assert 1 <= len(attempts) <= np.ceil(np.log2(report.iterations)) + 1
 
     def test_benchmark_shapes_converge_within_120_iterations(self):
         # Criterion 5's shape (n = 64, s = 3, rho 30) and criterion 6's
