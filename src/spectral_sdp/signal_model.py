@@ -22,8 +22,8 @@ RNG_ALGORITHM = "numpy.random.PCG64"
 class SpikeSpectrum:
     """A sum of ``s`` complex exponentials.
 
-    ``freqs`` are the spike frequencies in Hz (strictly increasing),
-    ``amps`` the nonzero complex amplitudes.
+    ``freqs`` are the spike frequencies in Hz (finite, strictly increasing),
+    ``amps`` the finite nonzero complex amplitudes.
     """
 
     freqs: np.ndarray
@@ -36,6 +36,8 @@ class SpikeSpectrum:
             raise InvalidInputError("freqs must be a nonempty 1-d array")
         if amps.shape != freqs.shape:
             raise InvalidInputError("freqs and amps must have equal length")
+        if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(amps))):
+            raise InvalidInputError("freqs and amps must be finite")
         if np.any(np.diff(freqs) <= 0):
             raise InvalidInputError("freqs must be strictly increasing")
         if np.any(amps == 0):

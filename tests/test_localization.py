@@ -218,9 +218,13 @@ class TestVerifyCertificate:
         assert np.array_equal(_off_support(np.array([r]), n, points), exact)
 
     def test_non_finite_frequency_rejected(self):
-        sig = SpikeSpectrum(freqs=np.array([np.nan]), amps=np.array([1.0]))
+        # A NaN spike no longer makes a SpikeSpectrum; a NaN rate still
+        # makes the reduced frequencies non-finite.
         with pytest.raises(InvalidInputError):
-            verify_certificate(np.ones(16, dtype=complex) / 16, sig, 1.0)
+            SpikeSpectrum(freqs=np.array([np.nan]), amps=np.array([1.0]))
+        sig = SpikeSpectrum(freqs=np.array([0.1]), amps=np.array([1.0]))
+        with pytest.raises(InvalidInputError):
+            verify_certificate(np.ones(16, dtype=complex) / 16, sig, float("nan"))
 
 
 class TestEstimatePipeline:

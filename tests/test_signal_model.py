@@ -26,6 +26,18 @@ class TestSpikeSpectrum:
         with pytest.raises(InvalidInputError):
             SpikeSpectrum(freqs=np.array([0.1, 0.2]), amps=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_frequency(self, bad):
+        with pytest.raises(InvalidInputError):
+            SpikeSpectrum(freqs=np.array([0.1, bad]), amps=np.array([1.0, 1.0]))
+        with pytest.raises(InvalidInputError):
+            SpikeSpectrum(freqs=np.array([bad]), amps=np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf), complex(1.0, np.nan)])
+    def test_rejects_non_finite_amplitude(self, bad):
+        with pytest.raises(InvalidInputError):
+            SpikeSpectrum(freqs=np.array([0.1, 0.2]), amps=np.array([1.0, bad]))
+
     def test_s_counts_spikes(self):
         spec = SpikeSpectrum(freqs=np.array([0.1, 0.2]), amps=np.array([1.0, 2.0]))
         assert spec.s == 2
