@@ -37,7 +37,9 @@ class EstimateDiagnostics:
     amplitudes are rotated by ``e^{-i 2 pi xi time_shift_s}``.
     ``rejected_extrapolations`` counts the solver iterations whose Anderson
     extrapolation the safeguard turned down, ``full_eigh_iterations`` those
-    whose projection ran the full eigendecomposition. ``rank_deficit`` is
+    whose projection ran the full eigendecomposition: after a failed
+    certificate, and in the backoff that follows it (0 on most calls of
+    the benchmark's shapes). ``rank_deficit`` is
     the count of negative eigenvalues the last accepted projection zeroed:
     at the optimum of a noiseless instance, the number of spikes.
     ``history_depth`` is the depth of the Anderson history, set by the

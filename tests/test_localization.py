@@ -218,8 +218,8 @@ class TestVerifyCertificate:
         assert np.array_equal(_off_support(np.array([r]), n, points), exact)
 
     def test_non_finite_frequency_rejected(self):
-        # A NaN spike no longer makes a SpikeSpectrum; a NaN rate still
-        # makes the reduced frequencies non-finite.
+        # A NaN spike makes no SpikeSpectrum; a NaN rate makes the reduced
+        # frequencies non-finite.
         with pytest.raises(InvalidInputError):
             SpikeSpectrum(freqs=np.array([np.nan]), amps=np.array([1.0]))
         sig = SpikeSpectrum(freqs=np.array([0.1]), amps=np.array([1.0]))
