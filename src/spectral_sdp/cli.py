@@ -269,6 +269,7 @@ _CONFIG_FIELDS = (
     ("solver", "max_iter", int),
     ("solver", "tol_primal", float),
     ("solver", "tol_dual", float),
+    ("solver", "tol_gap", float),
     ("localization", "peak_tol", float),
 )
 
@@ -469,6 +470,11 @@ def cmd_estimate(args) -> int:
             "reliable": diag.reliable,
             "tau": diag.tau,
             "dual_objective": diag.dual_objective,
+            "stopped_on": diag.stopped_on,
+            "duality_gap": {  # null after max_iter
+                "lower": diag.gap_lower if np.isfinite(diag.gap_lower) else None,
+                "upper": diag.gap_upper if np.isfinite(diag.gap_upper) else None,
+            },
         },
         "frame": {
             "solve_rate_hz": diag.solve_rate_hz,
@@ -504,13 +510,16 @@ def cmd_estimate(args) -> int:
 # ---------- benchmark ----------
 
 def _bench_one(m: int, n: int, iters: int, seed: int) -> tuple:
+    """Time ``iters`` iterations of one solve: every stopping rule is off."""
     rng = np.random.default_rng(seed)
     others = rng.choice(np.arange(1, n), size=m - 1, replace=False)
     pattern = SelectionPattern(
         indices=tuple(sorted([0] + [int(i) for i in others])), ambient=n
     )
     y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    spec = assemble_problem(y, pattern, max_iter=iters, tol_primal=0.0, tol_dual=0.0)
+    spec = assemble_problem(
+        y, pattern, max_iter=iters, tol_primal=0.0, tol_dual=0.0, tol_gap=0.0
+    )
     start = time.perf_counter()
     report = solve(spec)
     total = time.perf_counter() - start

@@ -43,7 +43,11 @@ class EstimateDiagnostics:
     the count of negative eigenvalues the last accepted projection zeroed:
     at the optimum of a noiseless instance, the number of spikes.
     ``history_depth`` is the depth of the Anderson history, set by the
-    solver's byte budget from the problem's size.
+    solver's byte budget from the problem's size. ``stopped_on`` tells
+    which rule ended the solve (``"gap"``, ``"residuals"`` or
+    ``"max_iter"``); ``gap_lower`` and ``gap_upper`` bracket the optimal
+    value of the reduced dual, as certified at the returned iterate (NaN
+    when the solve ran out of iterations).
     """
 
     peak_moduli: np.ndarray
@@ -62,6 +66,9 @@ class EstimateDiagnostics:
     full_eigh_iterations: int
     rank_deficit: int
     history_depth: int
+    gap_lower: float
+    gap_upper: float
+    stopped_on: str
 
 
 @dataclass(frozen=True)
@@ -282,7 +289,12 @@ def _off_support(reduced: np.ndarray, n: int, points: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Knobs of the end-to-end pipeline; defaults match the solver's."""
+    """Knobs of the end-to-end pipeline; defaults match the solver's.
+
+    The solve stops on the relative duality gap ``tol_gap`` (0 turns that
+    off) or on the residual tolerances ``tol_primal`` and ``tol_dual``,
+    whichever holds first; see :class:`~spectral_sdp.solver.ProblemSpec`.
+    """
 
     tau: float | None = None
     sigma: float | None = None
@@ -291,6 +303,7 @@ class EstimationConfig:
     max_iter: int = ProblemSpec.max_iter
     tol_primal: float = ProblemSpec.tol_primal
     tol_dual: float = ProblemSpec.tol_dual
+    tol_gap: float = ProblemSpec.tol_gap
     peak_tol: float = 1e-3
 
 
@@ -346,6 +359,7 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
         max_iter=config.max_iter,
         tol_primal=config.tol_primal,
         tol_dual=config.tol_dual,
+        tol_gap=config.tol_gap,
     )
     report = solve(spec)
     q = dual_polynomial(report.c_star, pattern)
@@ -383,5 +397,8 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
         full_eigh_iterations=report.full_eigh_iterations,
         rank_deficit=report.rank_deficit,
         history_depth=report.history_depth,
+        gap_lower=report.gap_lower,
+        gap_upper=report.gap_upper,
+        stopped_on=report.stopped_on,
     )
     return SpectrumEstimate(freqs=peaks.freqs_hz, amps=amps, dual_poly=q, diagnostics=diag)

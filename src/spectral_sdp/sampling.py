@@ -65,6 +65,15 @@ class PartitionStructure:
         return len(self.positive_lags)
 
     @cached_property
+    def indices(self) -> np.ndarray:
+        """The kept indices less the first one: the lag of each pair
+        ``(0, j)`` is ``I[j] - I[0]``."""
+        first = self.rows == 0
+        out = np.empty(self.m, dtype=np.int64)
+        out[self.cols[first]] = np.repeat(self.positive_lags, self.sizes)[first]
+        return out
+
+    @cached_property
     def delta(self) -> np.ndarray:
         """Right-hand sides of the block-sum equations: 1 at lag 0, else 0."""
         out = np.zeros(self.p, dtype=complex)

@@ -34,10 +34,22 @@ finite perturbations).
 extrapolates the next input from the last accepted evaluations, and keeps
 the extrapolated point only when its fixed-point residual ``T(x) - x`` is
 no larger than that of the point it extrapolated from; otherwise it takes
-the plain step ``T(x)`` and clears the history. The same residual is the
-stopping rule: it is ``(S, c, 1) - Z``, the primal residual. The block
-sums of the returned S are checked once, at the end, and reported as the
-constraint residual.
+the plain step ``T(x)`` and clears the history. The same residual is
+``(S, c, 1) - Z``, the primal residual ``eps``. The block sums of the
+returned S are checked once, at the end, and reported as the constraint
+residual.
+
+The solve stops on a certified duality gap (SCS's relative-gap rule; the
+gap of atomic-norm denoising is in Bhaskar, Tang & Recht,
+arXiv:1204.6537). When ``Z`` is PSD, ``(S, c, 1) + eps I`` is too, and by
+the Gram parametrization ``c / beta``, ``beta = sqrt((1 + eps)(1 + m
+eps))``, is dual-feasible: its objective is a lower bound. The atoms that
+ESPRIT reads off the projection's negative eigenvectors, fitted to ``y -
+tau conj(c)``, give a primal upper bound. The solve stops where their
+relative gap is at most ``tol_gap``, which does not change when ``y`` and
+``tau`` are scaled together, and returns the dual-feasible point; or
+where the primal and dual residuals meet ``tol_primal`` and
+``tol_dual``, if that comes first.
 
 The history of differences is held in float32 and sized by a byte budget,
 :data:`HISTORY_BYTES` = 2.5 MiB: as many evaluations as fit, from 10 to
@@ -57,12 +69,15 @@ Every evaluation of ``T`` is one PSD projection of size m+1 and counts as
 one iteration, rejected or not. ``V`` has few negative eigenvalues (as many
 as spikes, at the optimum), so :func:`psd_project` subtracts only those,
 warm-started from the previous iteration's eigenvectors (the first from
-any unit vector, since ``V = I``) and certified by a Cholesky
-factorization: O(m^2 s) work besides that O(m^3 / 3) factorization. The
-certificate alone picks the path: when it fails, the projection falls back
-to the full Hermitian eigendecomposition, O(m^3), and :func:`solve` backs
-off to full ones for the next 1, 2, 4, ... iterations, doubling with each
-failure in a row until a warm one is certified again.
+any unit vector, since ``V = I``): O(m^2 s) work. When the Ritz pairs are
+not accepted, the projection falls back to the full Hermitian
+eigendecomposition, O(m^3). Only an iterate that may stop needs ``Z``
+PSD, so :func:`solve` runs the O(m^3 / 3) Cholesky certificate of a warm
+``Z`` there alone, not at every iteration (ADMM tolerates summable
+projection errors: Eckstein & Bertsekas 1992). After a failed warm
+projection or certificate, :func:`solve` projects in full for the next
+1, 2, 4, ... iterations, doubling with each failure in a row until a warm
+one passes again.
 """
 
 from __future__ import annotations
@@ -87,9 +102,10 @@ class ProblemSpec:
     """Data and knobs of one reduced dual solve.
 
     ``tau = 0`` selects the noiseless program. ``rho`` is the augmented
-    Lagrangian weight. The primal residual is compared against
-    ``tol_primal``, the dual residual against ``tol_dual`` (absolute,
-    Frobenius).
+    Lagrangian weight. The solve stops where the relative duality gap
+    ``(UB - LB) / UB`` is at most ``tol_gap``, in [0, 1) (0 turns that
+    rule off), or where the primal residual is below ``tol_primal`` and
+    the dual residual below ``tol_dual`` (absolute, Frobenius).
     """
 
     y: np.ndarray
@@ -99,6 +115,7 @@ class ProblemSpec:
     max_iter: int = 20000
     tol_primal: float = 1e-7
     tol_dual: float = 1e-7
+    tol_gap: float = 1e-5
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=complex)
@@ -116,6 +133,8 @@ class ProblemSpec:
             raise InvalidInputError(f"max_iter must be at least 1, got {self.max_iter}")
         if not all(np.isfinite(t) and t >= 0 for t in (self.tol_primal, self.tol_dual)):
             raise InvalidInputError("tolerances must be finite and nonnegative")
+        if not (np.isfinite(self.tol_gap) and 0 <= self.tol_gap < 1):
+            raise InvalidInputError(f"tol_gap must be in [0, 1), got {self.tol_gap}")
         object.__setattr__(self, "y", y)
 
     @property
@@ -143,6 +162,18 @@ class ProblemSpec:
         upper, lower = self.triangle
         return np.where(upper == lower, 1.0, np.sqrt(2.0))
 
+    @cached_property
+    def longest_block(self) -> tuple[int, np.ndarray, np.ndarray] | None:
+        """``(d, rows, cols)`` of the off-diagonal block with the most pairs,
+        ties going to the smaller lag ``d``; None when every pair is on the
+        diagonal. Its pairs ``(i, j)`` have ``I[j] - I[i] = d``."""
+        part = self.partition
+        if part.p == 1:
+            return None
+        g = 1 + int(np.argmax(part.sizes[1:]))
+        pairs = slice(part.starts[g], part.starts[g] + part.sizes[g])
+        return part.positive_lags[g], part.rows[pairs], part.cols[pairs]
+
     def split(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Views of S's part and of the border ``c`` of a triangle ``t``."""
         k = self.partition.rows.size
@@ -159,7 +190,10 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """``full_eigh_iterations`` counts fallbacks and backed-off iterations."""
+    """``full_eigh_iterations`` counts fallbacks and backed-off iterations.
+    ``stopped_on`` is ``"gap"``, ``"residuals"`` or ``"max_iter"``;
+    ``gap_lower`` and ``gap_upper`` bracket the optimal value, from the
+    returned iterate (NaN after ``max_iter``)."""
 
     c_star: np.ndarray
     S_star: np.ndarray
@@ -171,6 +205,9 @@ class SolveReport:
     full_eigh_iterations: int
     rank_deficit: int
     history_depth: int
+    gap_lower: float
+    gap_upper: float
+    stopped_on: str
 
 
 # The depth of the Anderson history (see _Anderson). Iterations per call
@@ -183,6 +220,10 @@ DEPTH_MIN, DEPTH_MAX = 10, 40  # depth 10 from order 173 on; the floor binds fro
 _KRYLOV_BLOCKS = 4  # the space [X, VX, V^2 X, V^3 X]
 _RITZ_PASSES = 4  # Rayleigh-Ritz passes before the full eigh takes over
 _RITZ_TOL = 1e-13  # residual of the negative Ritz pairs, relative to ||V||_F
+
+# An ESPRIT frequency is an atom of the upper bound where |Q| >= 1 - _ATOM_TOL,
+# the default peak threshold of localization.locate_frequencies.
+_ATOM_TOL = 1e-3
 
 
 def update_c(a: np.ndarray, spec: ProblemSpec) -> np.ndarray:
@@ -220,9 +261,29 @@ class Projection(NamedTuple):
     full: bool
 
 
-def _ritz_projection(a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, Projection] | None:
+def _shift(order: int, norm: float) -> float:
+    """The diagonal shift of the Cholesky certificate of an order-``order``
+    projection of a matrix of Frobenius norm ``norm``: rounding."""
+    return order * np.finfo(float).eps * norm
+
+
+def _certified(z: np.ndarray, shift: float) -> bool:
+    """Whether ``z + shift I`` has a Cholesky factor, so that the Hermitian
+    ``z`` has no eigenvalue below ``-shift``. ``z`` is only read."""
+    shifted = z.copy()
+    shifted.flat[:: z.shape[0] + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _ritz_projection(
+    a: np.ndarray, basis: np.ndarray, certify: bool
+) -> tuple[np.ndarray, Projection] | None:
     """``Z = A - U Theta U*`` from the negative Ritz pairs ``(Theta, U)`` of
-    the Hermitian ``a``, or None when it is not certified. ``a`` is
+    the Hermitian ``a``, or None when they are not accepted. ``a`` is
     overwritten, by ``Z`` when it is returned.
 
     Each pass is a Rayleigh-Ritz step on the block Krylov space
@@ -230,10 +291,12 @@ def _ritz_projection(a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, Proj
     guard ``X``. The pairs are accepted once their residual
     ``||A U - U Theta||_F`` is at most ``_RITZ_TOL ||A||_F``, within
     ``_RITZ_PASSES`` passes; the passes stop early when, at the rate of the
-    last one, those left would fall short. ``Z`` is accepted once
-    ``Z + eps I`` has a Cholesky factor, ``eps = order * machine eps *
-    ||A||_F``: then ``A`` has no negative eigenvalue outside ``U`` beyond
-    rounding.
+    last one, those left would fall short. With ``certify``, ``Z`` is
+    accepted only once ``Z + eps I`` has a Cholesky factor, ``eps = order *
+    machine eps * ||A||_F`` (:func:`_shift`): then ``A`` has no negative
+    eigenvalue outside ``U`` beyond rounding. Without it, ``Z`` is
+    returned uncertified, and may have negative eigenvalues that the
+    passes did not find.
     """
     order = a.shape[0]
     norm = np.linalg.norm(a)
@@ -257,33 +320,33 @@ def _ritz_projection(a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, Proj
             return None  # at the last pass's rate, the passes left fall short
         previous = residual
     a -= (x[:, :k] * theta[:k]) @ x[:, :k].conj().T  # Z, in place
-    diagonal = a.diagonal().copy()
-    a.flat[:: order + 1] += order * np.finfo(float).eps * norm
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
+    if certify and not _certified(a, _shift(order, norm)):
         return None
-    a.flat[:: order + 1] = diagonal
     return a, Projection(x, k, False)
 
 
-def psd_project(h: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.ndarray, Projection]:
+def psd_project(
+    h: np.ndarray, basis: np.ndarray | None = None, certify: bool = True
+) -> tuple[np.ndarray, Projection]:
     """Frobenius-nearest positive semidefinite matrix ``Z`` to the Hermitian
     matrix ``h``, and the :class:`Projection` that warm-starts the next call.
 
     ``h`` must hold both triangles and a real diagonal; it is only read.
     ``Z = h - h_-`` needs only the few negative eigenpairs of ``h``: given
-    a ``basis``, such as the previous call's, they come from a certified
-    Rayleigh-Ritz step (``_ritz_projection``) in O(order^2 k) work besides
-    one Cholesky factorization. Without a basis, or when the certificate
-    fails, the full eigendecomposition zeroes the negative eigenvalues, in
-    O(order^3) work; a call without a basis is exactly that.
+    a ``basis``, such as the previous call's, they come from a
+    Rayleigh-Ritz step (``_ritz_projection``) in O(order^2 k) work, which
+    ``certify`` follows with one Cholesky factorization, O(order^3 / 3).
+    Without a basis, or when the Ritz pairs or the certificate fail, the
+    full eigendecomposition zeroes the negative eigenvalues, in O(order^3)
+    work; a call without a basis is exactly that. Without ``certify`` a
+    warm ``Z`` may keep negative eigenvalues that the Ritz step missed;
+    :func:`solve` certifies it only where it may stop.
     """
     if basis is not None:
         a = h.copy()
-        certified = _ritz_projection(a, basis)
-        if certified is not None:
-            return certified
+        warm = _ritz_projection(a, basis, certify)
+        if warm is not None:
+            return warm
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -300,7 +363,8 @@ def admm_step(
     ``basis`` are only read.
 
     Builds the Hermitian ``V`` with a real diagonal, projects it
-    (warm-started from ``basis``, see :func:`psd_project`) and gathers the
+    (warm-started from ``basis`` and not certified, see
+    :func:`psd_project`) and gathers the
     triangle ``z`` of ``Z``. With ``Lambda/rho = Z - V``, c and S are the
     block minimizers at ``Z + Lambda/rho``. Returns ``z``, the triangle
     ``b`` of ``(S, c, 1)``, the image ``b - Lambda/rho`` and the
@@ -308,7 +372,7 @@ def admm_step(
     """
     h = spec.hermitian(v)
     np.fill_diagonal(h.imag, 0.0)
-    z_mat, projection = psd_project(h, basis)
+    z_mat, projection = psd_project(h, basis, certify=False)
     z = z_mat.ravel().take(spec.triangle[0])
     lam = z - v  # Lambda / rho
     a_s, a_c = spec.split(z + lam)
@@ -369,35 +433,112 @@ class _Anderson:
         return None
 
 
+def _dual_objective(spec: ProblemSpec, c: np.ndarray) -> float:
+    return float(np.real(spec.y @ c)) - 0.5 * spec.tau * float(np.linalg.norm(c) ** 2)
+
+
+def _fold_values(indices: np.ndarray, c: np.ndarray, nu0: float, d: int) -> np.ndarray:
+    """``Q(e^{i 2 pi (nu0 + j) / d})`` for ``j = 0..d-1``, where ``Q`` has
+    the coefficient ``c[t]`` at ``indices[t]``.
+
+    With ``k = r + d l``, ``Q = sum_r w_r e^{i 2 pi j r / d}`` for the fold
+    ``w_r = sum_l c e^{i 2 pi nu0 k / d}``: one length-``d`` FFT.
+    """
+    w = np.zeros(d, dtype=complex)
+    np.add.at(w, indices % d, c * np.exp(2j * np.pi * nu0 / d * indices))
+    return d * np.fft.ifft(w)
+
+
+def _atoms(spec: ProblemSpec, projection: Projection, c: np.ndarray) -> np.ndarray:
+    """Reduced frequencies read by ESPRIT off the negative eigenvectors.
+
+    On the pairs ``(i, j)`` of :attr:`ProblemSpec.longest_block`, of lag
+    ``d``, the first ``m`` rows of the eigenvectors satisfy ``U[j] = U[i]
+    Phi``, and the eigenvalues of ``Phi`` are ``e^{-i 2 pi nu d}``
+    (Roy & Kailath 1989). Each gives ``d`` candidates ``(nu0 + j) / d``;
+    the one of largest ``|Q|`` (:func:`_fold_values`) is kept when
+    ``|Q| >= 1 - _ATOM_TOL``. None are read when the block has fewer pairs
+    than there are negative eigenvalues.
+    """
+    k, block = projection.negatives, spec.longest_block
+    if k == 0 or block is None or block[1].size < k:
+        return np.empty(0)
+    d, rows, cols = block
+    u = projection.basis[: spec.m, :k]
+    phi = np.linalg.lstsq(u[rows], u[cols], rcond=None)[0]
+    found = []
+    for nu0 in -np.angle(np.linalg.eigvals(phi)) / (2 * np.pi):
+        values = np.abs(_fold_values(spec.partition.indices, c, nu0, d))
+        j = int(np.argmax(values))
+        if values[j] >= 1.0 - _ATOM_TOL:
+            found.append((nu0 + j) / d % 1.0)
+    return np.array(found)
+
+
+def _gap_bounds(
+    spec: ProblemSpec, c: np.ndarray, projection: Projection, beta: float
+) -> tuple[float, float]:
+    """Lower and upper bounds on the optimal value at an accepted iterate
+    with border ``c`` and ``beta = sqrt((1 + eps)(1 + m eps))``.
+
+    Lower: the objective of ``c / beta``, which is dual-feasible when the
+    iterate's ``Z`` is PSD (see :func:`solve`). Upper: the primal objective at ``x = y - tau conj(c)``,
+    ``sum |a| + ||x - M V a|| + (tau/2) ||c||^2``, with ``a`` the least
+    squares amplitudes at the :func:`_atoms` frequencies; the residual
+    term bounds its atomic norm, since every dual-feasible ``c`` has
+    ``||c|| <= 1``.
+    """
+    x = spec.y - spec.tau * c.conj()
+    nu = _atoms(spec, projection, c)
+    residual, mass = x, 0.0
+    if nu.size:
+        vandermonde = np.exp(2j * np.pi * np.outer(spec.partition.indices, nu))
+        amps = np.linalg.lstsq(vandermonde, x, rcond=None)[0]
+        residual, mass = x - vandermonde @ amps, float(np.abs(amps).sum())
+    upper = mass + float(np.linalg.norm(residual)) + 0.5 * spec.tau * float(np.linalg.norm(c) ** 2)
+    return _dual_objective(spec, c / beta), upper
+
+
 def solve(spec: ProblemSpec) -> SolveReport:
-    """Anderson-accelerated ADMM until the residuals meet the tolerances.
+    """Anderson-accelerated ADMM until the duality gap or the residuals
+    meet their tolerances.
 
     The iterate is one point ``x``, the triangle of ``V``; each iteration
     evaluates :func:`admm_step` at it once and reads the primal residual
-    off ``T(x) - x``. The report returns the last accepted evaluation and
-    its residuals: the dual one against the previous accepted ``Z``, the
-    constraint one from the block sums of the returned S. Non-convergence
-    within ``max_iter`` is reported, not raised; non-finite iterates raise
+    off ``T(x) - x``. Only accepted evaluations may stop the solve.
+
+    With ``Z`` PSD up to the certificate's ``shift`` and ``eps`` the primal
+    residual plus that shift, ``[[S + eps I, c], [c*, 1 + eps]]`` is PSD;
+    so ``S' = (S + eps I) / (1 + m eps)`` and ``c' = c / beta`` meet the
+    block sums with ``sup |Q| <= 1``, and :func:`_gap_bounds` brackets the
+    optimum. The gap is checked once ``beta - 1 <= tol_gap``, since it
+    cannot close before; a solve that stops on it returns ``(S', c')``,
+    whose dual objective is the lower bound. A solve that stops on the
+    residuals (the dual one against the previous accepted ``Z``) returns
+    the evaluation itself. Either stop first certifies a warm ``Z`` by
+    Cholesky; when that fails, the solve goes on and backs off as after a
+    failed warm projection. Non-convergence within ``max_iter`` is
+    reported, not raised; non-finite iterates raise
     :class:`NumericalError`.
     """
     # A point is the weighted triangle of V viewed as floats, so that its
     # norm is the Frobenius norm.
     scale, unscale = np.repeat(spec.weight, 2), np.repeat(1.0 / spec.weight, 2)
 
-    # V = I: the warm projection certifies Z = I, and Lambda = 0.
+    # V = I: the warm projection gives Z = I, and Lambda = 0.
     v = z_prev = np.eye(spec.m + 1, dtype=complex).ravel()[spec.triangle[0]]
     basis = np.eye(spec.m + 1, 1)
     x = v.view(float) * scale
     anderson = _Anderson(x.size)
     extrapolated = False
     rejected = full = backoff = cold_until = 0
+    stopped_on, bounds = "max_iter", (np.nan, np.nan)
     for it in range(1, spec.max_iter + 1):
-        z, b, v_out, projection = admm_step(v, spec, basis if it > cold_until else None)
+        warm = it > cold_until
+        z, b, v_out, projection = admm_step(v, spec, basis if warm else None)
         basis = projection.basis
         full += projection.full
-        if it > cold_until:  # a warm attempt; after a failed certificate, back off
-            backoff = (2 * backoff or 1) if projection.full else 0
-            cold_until = it + backoff
+        failed = projection.full
         # The image T(x) and the residual g = T(x) - x = b - Z, the primal
         # residual.
         f_out = v_out.view(float) * scale
@@ -416,29 +557,51 @@ def solve(spec: ProblemSpec) -> SolveReport:
             deficit = projection.negatives
             primal, dual = res
             converged = primal < spec.tol_primal and dual < spec.tol_dual
-            if converged:
-                break
+            shift = _shift(spec.m + 1, float(np.linalg.norm(x)))
+            eps = primal + shift
+            beta = np.sqrt((1.0 + eps) * (1.0 + spec.m * eps))
+            near = 0 < spec.tol_gap and beta - 1.0 <= spec.tol_gap
+            if converged or near:
+                lower, upper = _gap_bounds(spec, spec.split(b)[1], projection, beta)
+                closed = near and upper - lower <= spec.tol_gap * upper
+                if closed or converged:
+                    if projection.full or _certified(spec.hermitian(z), shift):
+                        stopped_on = "gap" if closed else "residuals"
+                        bounds = (lower, upper)
+                        break
+                    failed = True  # the Ritz step missed a negative eigenvalue
             proposal = anderson.step(f, g, f_out, g_out) if it > 1 else None
             f, g, g_norm = f_out, g_out, g_out_norm
+        if warm:  # after a failed warm projection, back off
+            backoff = (2 * backoff or 1) if failed else 0
+            cold_until = it + backoff
         extrapolated = proposal is not None
         x = proposal if extrapolated else f
         v = (x * unscale).view(complex)
 
     part = spec.partition
     s_star, c_star = spec.split(b_star)
+    if stopped_on == "gap":
+        s_star = s_star.copy()
+        s_star[: spec.m] += eps  # the diagonal comes first
+        s_star /= 1.0 + spec.m * eps
+        c_star = c_star / beta
+        b_star = np.concatenate([s_star, c_star, [1.0]])
     constraint = float(np.max(np.abs(np.add.reduceat(s_star, part.starts) - part.delta)))
     return SolveReport(
         c_star=c_star,
         S_star=spec.hermitian(b_star)[:-1, :-1],
-        dual_objective=float(np.real(spec.y @ c_star))
-        - 0.5 * spec.tau * float(np.linalg.norm(c_star) ** 2),
+        dual_objective=_dual_objective(spec, c_star),
         iterations=it,
         final_residuals=(primal, constraint, dual),
-        converged=converged,
+        converged=stopped_on != "max_iter",
         rejected_extrapolations=rejected,
         full_eigh_iterations=full,
         rank_deficit=deficit,
         history_depth=anderson.depth,
+        gap_lower=float(bounds[0]),
+        gap_upper=float(bounds[1]),
+        stopped_on=stopped_on,
     )
 
 

@@ -196,6 +196,22 @@ class TestEstimate:
         keys = list(diag)
         assert keys.index("history_depth") == keys.index("full_eigh_iterations") + 1
 
+    def test_result_reports_the_gap(self, tmp_path):
+        cfg_path, cfg = _full_config(tmp_path, n=16)
+        main(["synth", "--config", cfg_path])
+        main(["estimate", "--config", cfg_path])
+        diag = json.loads(_read(tmp_path / "out" / "run_result.json"))["diagnostics"]
+        lower, upper = diag["duality_gap"]["lower"], diag["duality_gap"]["upper"]
+        assert diag["stopped_on"] == "gap"
+        assert lower == diag["dual_objective"]
+        assert 0 <= upper - lower <= 1e-5 * upper
+        cfg["solver"]["tol_gap"] = 0.0  # the residual rule alone
+        _write_config(cfg_path, cfg)
+        main(["estimate", "--config", cfg_path])
+        diag = json.loads(_read(tmp_path / "out" / "run_result.json"))["diagnostics"]
+        assert diag["stopped_on"] == "residuals"
+        assert diag["duality_gap"]["lower"] <= diag["duality_gap"]["upper"]
+
     def test_missing_input_exits_one_without_outputs(self, tmp_path):
         cfg_path, _ = _full_config(tmp_path)
         assert main(["estimate", "--config", cfg_path]) == 1
@@ -218,6 +234,8 @@ class TestEstimate:
         record = json.loads(_read(tmp_path / "out" / "run_result.json"))
         assert record["diagnostics"]["converged"] is False
         assert record["diagnostics"]["reliable"] is False
+        assert record["diagnostics"]["stopped_on"] == "max_iter"
+        assert record["diagnostics"]["duality_gap"]["lower"] is None
 
     def test_zero_max_iter_flag_exits_one_without_outputs(self, tmp_path):
         cfg_path, _ = _full_config(tmp_path, n=16)
@@ -303,6 +321,17 @@ class TestBench:
         assert lines[0] == "m,iter_time_us,total_ms,iterations"
         assert len(lines) == 3
         assert [int(row.split(",")[0]) for row in lines[1:]] == [8, 12]
+
+    def test_runs_every_iteration_asked_for(self, tmp_path):
+        # Seed 2 draws an m = 3 problem whose duality gap closes after 26
+        # iterations; the bench still times all 60.
+        cfg_path, _ = _full_config(tmp_path)
+        code = main(
+            ["bench", "--config", cfg_path, "--sizes", "3", "--iters", "60", "--seed", "2"]
+        )
+        assert code == 0
+        lines = _read(tmp_path / "out" / "run_bench.csv").strip().splitlines()
+        assert int(lines[1].split(",")[3]) == 60
 
 
 class TestErrors:

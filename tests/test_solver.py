@@ -11,15 +11,22 @@ from spectral_sdp import (
     Grid,
     InvalidInputError,
     MultirateSystem,
+    NoiseSpec,
     NumericalError,
     ProblemSpec,
     SelectionPattern,
     SpikeSpectrum,
+    add_noise,
     admm_step,
+    align_measurements,
     assemble_problem,
     common_grid,
     compute_partition,
+    dense_sup_norm,
+    dual_polynomial,
     estimate,
+    locate_frequencies,
+    poly_eval,
     psd_project,
     solve,
     synthesize_grid,
@@ -403,7 +410,7 @@ class TestResiduals:
         assert all(r >= 0 for r in residuals(z, s, c, spec, z_prev))
 
     def test_small_at_convergence(self):
-        spec = _spec_for(_full_pattern(6), y=np.ones(6), rho=5.0)
+        spec = _spec_for(_full_pattern(6), y=np.ones(6), rho=5.0, tol_gap=0.0)
         report = solve(spec)
         assert report.converged
         assert max(report.final_residuals) < 1e-6
@@ -507,7 +514,7 @@ class TestSolve:
 
         attempts = []
 
-        def fail(a, basis):
+        def fail(a, basis, certify):
             attempts.append(a.shape[0])
             return None
 
@@ -610,7 +617,9 @@ class TestSolve:
         calls = []
         project = solver.psd_project
         monkeypatch.setattr(
-            solver, "psd_project", lambda h, basis: calls.append(1) or project(h, basis)
+            solver,
+            "psd_project",
+            lambda h, basis, certify: calls.append(1) or project(h, basis, certify),
         )
         rejected = [0]
         for max_iter in range(1, 13):
@@ -661,6 +670,10 @@ class TestSolve:
             {"tol_dual": np.nan},
             {"y": [0.0, np.nan, 0.0, 0.0]},
             {"y": [0.0, 0.0, complex(0.0, np.inf), 0.0]},
+            {"tol_gap": np.nan},
+            {"tol_gap": np.inf},
+            {"tol_gap": -1e-5},
+            {"tol_gap": 1.0},
         ],
     )
     def test_rejects_empty_budget_and_negative_tolerances(self, knob):
@@ -671,6 +684,137 @@ class TestSolve:
         spec = _spec_for(SelectionPattern(indices=(0,), ambient=2), y=[1e200])
         with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericalError):
             solve(spec)
+
+
+def _gap_shapes(seed):
+    """Criterion 5's, 6's and 7's shapes (full 64, 48 of 128, two grids)
+    as ``(spec, pattern)``, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    n = 64
+    sig = random_spike_spectrum(rng, 3, min_sep=4 / (n - 1))
+    yield _spec_for(_full_pattern(n), y=synthesize_uniform(sig, 1.0, n), rho=30.0), _full_pattern(n)
+    n = 128
+    keep = np.sort(np.concatenate([[0], 1 + rng.choice(n - 1, size=47, replace=False)]))
+    pattern = SelectionPattern(indices=tuple(int(i) for i in keep), ambient=n)
+    sig = random_spike_spectrum(rng, 2, min_sep=4 / (n - 1))
+    y = synthesize_uniform(sig, 1.0, n)[keep]
+    yield _spec_for(pattern, y=y, rho=15.0, tol_primal=5e-9), pattern
+    system = MultirateSystem(
+        grids=(
+            Grid(f=Fraction(1), gamma=Fraction(0), n=24),
+            Grid(f=Fraction(1), gamma=Fraction(1, 2), n=24),
+        )
+    )
+    sig = SpikeSpectrum(freqs=np.array([0.7]), amps=random_complex(rng, 1))
+    grid = common_grid(system)
+    y = align_measurements(system, [synthesize_grid(sig, g) for g in system.grids], grid)
+    yield _spec_for(grid.observation_set, y=y, rho=30.0, tol_primal=5e-9), grid.observation_set
+
+
+def _last_evaluation(monkeypatch, spec):
+    """The report of ``solve(spec)`` and the triangle ``b`` and projection
+    of its last evaluation."""
+    from spectral_sdp import solver
+
+    captured = []
+    step = solver.admm_step
+
+    def capture(v, spec, basis):
+        out = step(v, spec, basis)
+        captured.append(out)
+        return out
+
+    monkeypatch.setattr(solver, "admm_step", capture)
+    report = solve(spec)
+    monkeypatch.undo()
+    _, b, _, projection = captured[-1]
+    return report, b, projection
+
+
+class TestDualityGap:
+    @pytest.mark.parametrize("seed", [60, 61])
+    def test_bounds_bracket_the_optimum(self, seed):
+        for spec, _ in _gap_shapes(seed):
+            report = solve(spec)
+            assert report.stopped_on == "gap"
+            tight = solve(replace(spec, tol_gap=0.0, tol_primal=1e-11, tol_dual=1e-10))
+            assert tight.stopped_on == "residuals"
+            assert report.gap_lower <= tight.dual_objective <= report.gap_upper
+            assert report.gap_upper - report.gap_lower <= spec.tol_gap * report.gap_upper
+
+    def test_gap_stop_returns_a_dual_feasible_point(self):
+        for spec, pattern in _gap_shapes(62):
+            report = solve(spec)
+            assert report.stopped_on == "gap" and report.converged
+            sums = block_sums(spec.partition, report.S_star)
+            assert np.max(np.abs(sums - spec.partition.delta)) <= 1e-12
+            bordered = bordered_matrix(report.S_star, report.c_star)
+            assert np.linalg.eigvalsh(bordered).min() >= -1e-10
+            assert dense_sup_norm(dual_polynomial(report.c_star, pattern)) <= 1 + 1e-9
+            assert report.dual_objective == report.gap_lower
+
+    def test_relative_gap_is_scale_free(self, monkeypatch):
+        from spectral_sdp import solver
+
+        rng = np.random.default_rng(63)
+        n = 32
+        sig = random_spike_spectrum(rng, 2, min_sep=4 / (n - 1))
+        y = add_noise(synthesize_uniform(sig, 1.0, n), NoiseSpec(sigma=0.1, seed=63))
+        spec = assemble_problem(y, _full_pattern(n), sigma=0.1, rho=10.0)
+        assert spec.tau > 0
+        report, b, projection = _last_evaluation(monkeypatch, spec)
+        c = spec.split(b)[1]
+        gaps = []
+        for factor in (1.0, 10.0):
+            scaled = replace(spec, y=factor * spec.y, tau=factor * spec.tau)
+            lower, upper = solver._gap_bounds(scaled, c, projection, 1.0 + 1e-6)
+            gaps.append((upper - lower) / upper)
+        assert np.isclose(gaps[0], gaps[1], rtol=1e-9, atol=0)
+
+    def test_esprit_frequencies_match_the_dual_polynomial_peaks(self, monkeypatch):
+        from spectral_sdp import solver
+
+        for spec, pattern in _gap_shapes(64):
+            for tol_gap in (spec.tol_gap, 0.0):
+                report, b, projection = _last_evaluation(monkeypatch, replace(spec, tol_gap=tol_gap))
+                esprit = np.sort(solver._atoms(spec, projection, spec.split(b)[1]))
+                q = dual_polynomial(report.c_star, pattern)
+                peaks = locate_frequencies(q, 1.0).freqs_hz
+                assert esprit.size == peaks.size == projection.negatives
+                assert np.max(np.abs(esprit - peaks)) <= 1e-8
+
+    def test_fold_values_equal_poly_eval(self):
+        from spectral_sdp import solver
+
+        rng = np.random.default_rng(65)
+        indices = np.sort(rng.choice(300, size=40, replace=False))
+        c = random_complex(rng, 40)
+        q = np.zeros(300, dtype=complex)
+        q[indices] = c
+        for d in (1, 7, 64):
+            nu0 = rng.uniform(-0.5, 0.5)
+            values = solver._fold_values(indices, c, nu0, d)
+            expected = poly_eval(q, (nu0 + np.arange(d)) / d)
+            assert np.allclose(values, expected, rtol=0, atol=1e-11)
+
+    def test_failed_certificate_does_not_stop(self, monkeypatch):
+        # The first certificate a stop asks for fails: the solve goes on,
+        # in full eigendecompositions, and stops later.
+        from spectral_sdp import solver
+
+        spec = next(_gap_shapes(66))[0]
+        report = solve(spec)
+        assert report.full_eigh_iterations == 0
+        certified, calls = solver._certified, []
+
+        def fail_once(z, shift):
+            calls.append(1)
+            return len(calls) > 1 and certified(z, shift)
+
+        monkeypatch.setattr(solver, "_certified", fail_once)
+        again = solve(spec)
+        assert again.converged and again.iterations > report.iterations
+        assert again.full_eigh_iterations >= 1
 
 
 class TestAndersonHistory:
@@ -746,7 +890,7 @@ class TestAndersonHistory:
         sig = random_spike_spectrum(rng, 2, min_sep=0.2)
         y_raw = synthesize_uniform(sig, 1.0, n)
         pat = random_pattern(rng, n, admissible=True)
-        prob = _spec_for(pat, y=y_raw[list(pat.indices)], rho=5.0, tol_primal=1e-8)
+        prob = _spec_for(pat, y=y_raw[list(pat.indices)], rho=5.0, tol_primal=1e-8, tol_gap=0.0)
         # The first evaluation is always accepted; every later accepted one
         # takes an Anderson step, except the converged one.
         captured, accepted = [], [0]
