@@ -129,6 +129,14 @@ class TestComputePartition:
                 block_sum = sum(s[i - 1, j - 1] for i, j in part_blocks.get(k, []))
                 assert abs(out[k] - block_sum) < 1e-12
 
+    def test_indices_are_read_off_the_pairs_of_row_zero(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            pat = random_pattern(rng, int(rng.integers(1, 24)))
+            expected = np.subtract(pat.indices, pat.indices[0])
+            assert np.array_equal(compute_partition(pat).indices, expected)
+            assert np.array_equal(brute_force_partition(pat).indices, expected)
+
 
 class TestApplySubsampling:
     def test_identity(self):
