@@ -72,6 +72,13 @@ def _parse(cast, value, what: str):
         raise InvalidInputError(f"{what}: cannot parse {value!r}") from exc
 
 
+def _integer(value) -> int:
+    """``int(value)``, but a bool or a fractional float raises ``ValueError``."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _shaped(kind: type, value, what: str):
     """``value`` when it is a JSON array (``kind`` list) or object (dict);
     otherwise an input error naming ``what``."""
@@ -100,6 +107,8 @@ def _read_samples_csv(path: str) -> np.ndarray:
             parts = line.split(",")
             if len(parts) != 3:
                 raise InvalidInputError(f"{path}:{lineno}: expected 3 fields")
+            if _parse(_integer, parts[0], f"{path}:{lineno}") != len(values):
+                raise InvalidInputError(f"{path}:{lineno}: expected index {len(values)}")
             re, im = (_parse(float, v, f"{path}:{lineno}") for v in parts[1:])
             if not (np.isfinite(re) and np.isfinite(im)):
                 raise InvalidInputError(f"{path}:{lineno}: non-finite sample {line!r}")
@@ -169,8 +178,8 @@ def _resolve_seed(cfg: dict, args) -> int:
         return int(args.seed)
     env = os.environ.get(ENV_SEED)
     if env is not None:
-        return _parse(int, env, ENV_SEED)
-    return _parse(int, cfg.get("seed", 0), "seed")
+        return _parse(_integer, env, ENV_SEED)
+    return _parse(_integer, cfg.get("seed", 0), "seed")
 
 
 def _resolve_sigma(cfg: dict, args) -> float:
@@ -213,7 +222,7 @@ def _system_from_config(cfg: dict) -> MultirateSystem:
         Grid(
             f=_parse(Fraction, g["f"], f"sampling.grids[{j}].f"),
             gamma=_parse(Fraction, g.get("gamma", 0), f"sampling.grids[{j}].gamma"),
-            n=_parse(int, g["n"], f"sampling.grids[{j}].n"),
+            n=_parse(_integer, g["n"], f"sampling.grids[{j}].n"),
         )
         for j, g in enumerate(grids_cfg)
     )
@@ -234,7 +243,7 @@ def _child_seed(seed: int, key: int) -> int:
 
 def _pattern_from_config(cfg: dict, seed: int) -> SelectionPattern:
     scenario = cfg["scenario"]
-    n = _parse(int, _get(cfg, "sampling.n", 0), "sampling.n")
+    n = _parse(_integer, _get(cfg, "sampling.n", 0), "sampling.n")
     if scenario == "full":
         return SelectionPattern(indices=tuple(range(n)), ambient=n)
     if scenario == "selection":
@@ -242,7 +251,7 @@ def _pattern_from_config(cfg: dict, seed: int) -> SelectionPattern:
         if not idx:
             raise InvalidInputError("selection scenario needs sampling.indices")
         return SelectionPattern(
-            indices=tuple(_parse_list(int, idx, "sampling.indices")),
+            indices=tuple(_parse_list(_integer, idx, "sampling.indices")),
             ambient=n,
         )
     if scenario == "random-selection":
@@ -266,7 +275,7 @@ _CONFIG_FIELDS = (
     ("solver", "tau", float),
     ("solver", "gamma", float),
     ("solver", "rho", float),
-    ("solver", "max_iter", int),
+    ("solver", "max_iter", _integer),
     ("solver", "tol_primal", float),
     ("solver", "tol_dual", float),
     ("solver", "tol_gap", float),
@@ -317,7 +326,7 @@ def _synthesize(cfg: dict, seed: int, sigma: float):
         ]
         return outs, truth
     f = _rate_from_config(cfg)
-    n = _parse(int, _get(cfg, "sampling.n", 0), "sampling.n")
+    n = _parse(_integer, _get(cfg, "sampling.n", 0), "sampling.n")
     y = synthesize_uniform(spec, f, n)
     y = add_noise(y, NoiseSpec(sigma=sigma, seed=_child_seed(seed, 1)))
     truth["f_hz"] = f
@@ -530,7 +539,7 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args)
     seed = _resolve_seed(cfg, args)
     out_dir, prefix = _out_paths(cfg, args)
-    sizes = [_parse(int, s, "--sizes") for s in args.sizes.split(",")]
+    sizes = [_parse(_integer, s, "--sizes") for s in args.sizes.split(",")]
     if min(sizes) < 1:
         raise InvalidInputError(f"--sizes: every m must be at least 1, got {args.sizes!r}")
     rows = [_bench_one(m, 2 * m, args.iters, seed + i) for i, m in enumerate(sizes)]

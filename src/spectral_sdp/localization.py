@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import multirate
 from .errors import (
     ConditioningError,
     DimensionMismatchError,
@@ -24,7 +25,7 @@ from .errors import (
 from .sampling import SelectionPattern, normalize_to_admissible, selection_matrix
 from .signal_model import SpikeSpectrum
 from .solver import ProblemSpec, assemble_problem, solve
-from .trigops import dense_sup_norm, grid_modulus, grid_size, poly_eval, refine_maxima
+from .trigops import PEAK_TOL, dense_sup_norm, grid_maxima, grid_modulus, poly_eval, refine_maxima
 
 
 @dataclass(frozen=True)
@@ -120,15 +121,15 @@ def dual_polynomial(c: np.ndarray, pattern: SelectionPattern) -> np.ndarray:
 def locate_frequencies(
     q: np.ndarray,
     f: float,
-    peak_tol: float = 1e-3,
+    peak_tol: float = PEAK_TOL,
     max_peaks: int | None = None,
 ) -> PeakSet:
     """Find the reduced frequencies where ``|Q|`` peaks near 1.
 
-    ``|Q|`` is read on the uniform :func:`~spectral_sdp.trigops.grid_size` grid.
-    Grid local maxima of ``|Q|^2`` above ``(1 - peak_tol)^2`` are refined
-    by Newton iterations on the analytic derivative; a peak falling back
-    to its grid value (Newton left the bracket or stalled) is flagged.
+    The grid local maxima of :func:`~spectral_sdp.trigops.grid_maxima`
+    with ``|Q| >= 1 - peak_tol`` are refined by Newton iterations on the
+    analytic derivative; a peak falling back to its grid value (Newton
+    left the bracket or stalled) is flagged.
     Nearby refinements (within a quarter grid step) are merged. Returned
     frequencies are ``nu * f`` in Hz, sorted.
 
@@ -140,23 +141,19 @@ def locate_frequencies(
     if not 0 < peak_tol < 1:
         raise InvalidInputError("peak_tol must be in (0, 1)")
 
-    grid_points = grid_size(q.size)
-    g = grid_modulus(q, grid_points) ** 2
-    threshold = (1.0 - peak_tol) ** 2
-
-    above = g >= threshold
-    if above.mean() >= 0.10:
+    mags, maxima = grid_maxima(q)
+    threshold = 1.0 - peak_tol
+    if np.mean(mags >= threshold) >= 0.10:
         raise LocalizationError(
             "dual polynomial is a near-unit plateau; frequencies are not "
             "identifiable from it"
         )
-    is_peak = above & (g >= np.roll(g, 1)) & (g >= np.roll(g, -1))
-    refined, ok_flags = refine_maxima(q, np.flatnonzero(is_peak))
+    refined, ok_flags = refine_maxima(q, maxima[mags[maxima] >= threshold])
 
     # Merge refinements that collapsed onto the same maximum.
     merged: list[float] = []
     merged_ok: list[bool] = []
-    radius = 0.25 / grid_points
+    radius = 0.25 / mags.size
     for nu, ok in sorted(zip(refined.tolist(), ok_flags.tolist())):
         dist = min(abs(nu - merged[-1]), 1.0 - abs(nu - merged[-1])) if merged else np.inf
         if merged and dist < radius:
@@ -304,7 +301,7 @@ class EstimationConfig:
     tol_primal: float = ProblemSpec.tol_primal
     tol_dual: float = ProblemSpec.tol_dual
     tol_gap: float = ProblemSpec.tol_gap
-    peak_tol: float = 1e-3
+    peak_tol: float = PEAK_TOL
 
 
 def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None = None) -> SpectrumEstimate:
@@ -326,13 +323,12 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
     Non-convergence of the solver yields an estimate whose diagnostics
     are flagged unreliable rather than an exception.
     """
-    # Local import and module-global steps: perfbench/tracing.py swaps them at call time.
-    from .multirate import MultirateSystem, align_measurements, common_grid
-
+    # Every step is looked up at call time, in this module's globals or on
+    # the multirate module, so that perfbench/tracing.py can swap it.
     config = config or EstimationConfig()
-    if isinstance(sampler, MultirateSystem):
-        cg = common_grid(sampler)
-        y = align_measurements(sampler, y, cg)
+    if isinstance(sampler, multirate.MultirateSystem):
+        cg = multirate.common_grid(sampler)
+        y = multirate.align_measurements(sampler, y, cg)
         pattern, f = cg.observation_set, float(cg.f0)
         time_shift_s = float(cg.gamma0 / cg.f0)
     elif isinstance(sampler, SelectionPattern):

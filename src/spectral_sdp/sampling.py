@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+_MAX_DRAWS = 1000  # empty draws before random_selection rejects its keep probability
+
 
 @dataclass(frozen=True)
 class SelectionPattern:
@@ -120,17 +122,21 @@ def random_selection(n: int, p: float, seed: int) -> SelectionPattern:
     """Keep each index independently with probability ``p``.
 
     Empty draws are resampled from the same stream, so the result is
-    nonempty and deterministic per seed.
+    nonempty and deterministic per seed; after ``_MAX_DRAWS`` empty draws
+    in a row the probability is rejected.
     """
     if n < 1:
         raise InvalidInputError(f"ambient length must be at least 1, got {n}")
     if not 0 < p <= 1:
         raise InvalidInputError(f"keep probability must be in (0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    while True:
+    for _ in range(_MAX_DRAWS):
         keep = np.flatnonzero(rng.random(n) < p)
         if keep.size:
             return SelectionPattern(indices=tuple(int(i) for i in keep), ambient=n)
+    raise InvalidInputError(
+        f"keep probability {p} kept none of {n} indices in {_MAX_DRAWS} draws"
+    )
 
 
 def normalize_to_admissible(pattern: SelectionPattern) -> tuple[SelectionPattern, int]:

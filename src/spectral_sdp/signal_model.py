@@ -64,8 +64,8 @@ class NoiseSpec:
 
 def synthesize_uniform(spec: SpikeSpectrum, f: float, n: int) -> np.ndarray:
     """Samples ``y[k] = sum_r a_r e^{i 2 pi (xi_r / f) k}`` for k = 0..n-1."""
-    if f <= 0:
-        raise InvalidInputError(f"sampling frequency must be positive, got {f}")
+    if not (np.isfinite(f) and f > 0):
+        raise InvalidInputError(f"sampling frequency must be finite and positive, got {f}")
     if n < 1:
         raise InvalidInputError("n must be at least 1")
     k = np.arange(n)

@@ -95,6 +95,7 @@ from .sampling import (
     compute_partition,
     is_admissible_selection,
 )
+from .trigops import PEAK_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,10 +221,6 @@ DEPTH_MIN, DEPTH_MAX = 10, 40  # depth 10 from order 173 on; the floor binds fro
 _KRYLOV_BLOCKS = 4  # the space [X, VX, V^2 X, V^3 X]
 _RITZ_PASSES = 4  # Rayleigh-Ritz passes before the full eigh takes over
 _RITZ_TOL = 1e-13  # residual of the negative Ritz pairs, relative to ||V||_F
-
-# An ESPRIT frequency is an atom of the upper bound where |Q| >= 1 - _ATOM_TOL,
-# the default peak threshold of localization.locate_frequencies.
-_ATOM_TOL = 1e-3
 
 
 def update_c(a: np.ndarray, spec: ProblemSpec) -> np.ndarray:
@@ -457,7 +454,7 @@ def _atoms(spec: ProblemSpec, projection: Projection, c: np.ndarray) -> np.ndarr
     Phi``, and the eigenvalues of ``Phi`` are ``e^{-i 2 pi nu d}``
     (Roy & Kailath 1989). Each gives ``d`` candidates ``(nu0 + j) / d``;
     the one of largest ``|Q|`` (:func:`_fold_values`) is kept when
-    ``|Q| >= 1 - _ATOM_TOL``. None are read when the block has fewer pairs
+    ``|Q| >= 1 - PEAK_TOL``. None are read when the block has fewer pairs
     than there are negative eigenvalues.
     """
     k, block = projection.negatives, spec.longest_block
@@ -470,7 +467,7 @@ def _atoms(spec: ProblemSpec, projection: Projection, c: np.ndarray) -> np.ndarr
     for nu0 in -np.angle(np.linalg.eigvals(phi)) / (2 * np.pi):
         values = np.abs(_fold_values(spec.partition.indices, c, nu0, d))
         j = int(np.argmax(values))
-        if values[j] >= 1.0 - _ATOM_TOL:
+        if values[j] >= 1.0 - PEAK_TOL:
             found.append((nu0 + j) / d % 1.0)
     return np.array(found)
 

@@ -2,7 +2,8 @@
 and at the refined maxima of the modulus.
 
 A polynomial is its coefficient vector ``q`` indexed 0..n-1,
-``Q(z) = sum_k q[k] z^k``. All functions are pure.
+``Q(z) = sum_k q[k] z^k``. At points only its ``m`` nonzero coefficients
+are read, ``O(m)`` per point. All functions are pure.
 """
 
 from __future__ import annotations
@@ -11,20 +12,21 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+PEAK_TOL = 1e-3  # default peak threshold: a maximum of |Q| >= 1 - PEAK_TOL is a peak
+
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-12
 
 
 def poly_eval(q: np.ndarray, nu) -> complex | np.ndarray:
-    """Evaluate ``Q(e^{i 2 pi nu}) = sum_k q[k] e^{i 2 pi nu k}``.
+    """Evaluate ``Q(e^{i 2 pi nu}) = sum_k q[k] e^{i 2 pi nu k}`` over ``q[k] != 0``.
 
     ``nu`` may be a scalar or an array; the result matches its shape.
     """
     q = np.asarray(q, dtype=complex)
     nu_arr = np.asarray(nu, dtype=float)
-    k = np.arange(q.size)
-    phases = np.exp(2j * np.pi * np.multiply.outer(nu_arr, k))
-    values = phases @ q
+    k = np.flatnonzero(q)
+    values = np.exp(2j * np.pi * np.multiply.outer(nu_arr, k)) @ q[k]
     if np.isscalar(nu) or nu_arr.ndim == 0:
         return complex(values)
     return values
@@ -56,27 +58,24 @@ def grid_modulus(q: np.ndarray, points: int) -> np.ndarray:
     return points * np.abs(np.fft.ifft(q, points))
 
 
-def _autocorrelation(q: np.ndarray) -> np.ndarray:
-    """``r[d] = sum_k conj(q[k]) q[k+d]`` for the lags ``d = 1..n-1``.
-
-    Read off ``|Q|^2`` sampled at ``N >= 2n - 1`` points,
-    ``ifft(|fft(q, N)|^2)``, in O(n log n) time; the padding keeps the
-    circular lags from wrapping onto the linear ones.
-    """
-    n = q.size
-    spectrum = np.fft.fft(q, 1 << (2 * n - 2).bit_length())  # a power of 2 >= 2n - 1
-    return np.fft.ifft(spectrum.real**2 + spectrum.imag**2)[1:n]
+def grid_maxima(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``|Q|`` on the :func:`grid_size` grid (by :func:`grid_modulus`) and
+    the indices of its local maxima on the circular grid, largest first."""
+    q = np.asarray(q, dtype=complex)
+    mags = grid_modulus(q, grid_size(q.size))
+    maxima = np.flatnonzero((mags >= np.roll(mags, 1)) & (mags >= np.roll(mags, -1)))
+    return mags, maxima[np.argsort(mags[maxima])[::-1]]
 
 
 def refine_maxima(q: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     """Newton ascent on ``|Q(e^{i 2 pi nu})|^2`` from each grid point in ``starts``.
 
     ``starts`` are indices ``j`` of the :func:`grid_size` grid, whose
-    points are ``nu0 = j / grid_size(n)``.
-    ``|Q|^2 = r_0 + 2 Re sum_d r_d e^{i 2 pi nu d}`` with the
-    autocorrelation ``r[d] = sum_k conj(q[k]) q[k+d]``, so both
-    derivatives are analytic; :func:`_autocorrelation` takes ``r`` in
-    O(n log n) time. A start succeeds when a Newton step falls below 1e-12
+    points are ``nu0 = j / grid_size(n)``. With ``d = i 2 pi k`` over the
+    nonzero ``q[k]``, ``Q' = sum d q[k] e^{d nu}`` and ``Q'' = sum d^2 q[k]
+    e^{d nu}``, so ``(|Q|^2)' = 2 Re(conj(Q) Q')`` and ``(|Q|^2)'' =
+    2 (|Q'|^2 + Re(conj(Q) Q''))``: ``O(m)`` per step for ``m`` nonzero
+    coefficients. A start succeeds when a Newton step falls below 1e-12
     within 50 iterations. It fails, and keeps its start value, when the
     curvature is not negative or the iterate leaves the one-cell bracket
     ``[nu0 - 1/grid_size(n), nu0 + 1/grid_size(n)]`` (it diverged from the
@@ -85,19 +84,18 @@ def refine_maxima(q: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     Returns the refined points reduced modulo 1 and the success flags.
     """
     q = np.asarray(q, dtype=complex)
-    n = q.size
-    points = grid_size(n)
+    points = grid_size(q.size)
     nu0, step = np.asarray(starts) / points, 1.0 / points
-    r = _autocorrelation(q)
-    d1 = 2j * np.pi * np.arange(1, n)
-    d2 = d1**2
+    k = np.flatnonzero(q)
+    d, c = 2j * np.pi * k, q[k]
+    terms = np.array([c, d * c, d * d * c])  # Q, Q', Q'' are these rows @ e^{d nu}
     refined, ok_flags = [], []
     for start in np.asarray(nu0, dtype=float):
         nu, ok = start, False
         for _ in range(_NEWTON_MAX_ITER):
-            w = r * np.exp(d1 * nu)
-            g1 = float(2.0 * np.real(d1 @ w))
-            g2 = float(2.0 * np.real(d2 @ w))
+            v, v1, v2 = terms @ np.exp(d * nu)
+            g1 = 2.0 * float((v.conjugate() * v1).real)
+            g2 = 2.0 * float(abs(v1) ** 2 + (v.conjugate() * v2).real)
             if g2 >= 0 or not np.isfinite(g1) or not np.isfinite(g2):
                 break
             delta = g1 / g2
@@ -116,22 +114,11 @@ def refine_maxima(q: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
 def dense_sup_norm(q: np.ndarray) -> float:
     """Max of ``|Q(e^{i 2 pi nu})|`` over [0, 1), grid plus local refinement.
 
-    ``|Q|`` is read by :func:`grid_modulus` on the :func:`grid_size` grid;
-    the grid-local maxima near the top are refined by
-    :func:`refine_maxima` and the best value is returned.
+    The five largest maxima of :func:`grid_maxima` are refined by
+    :func:`refine_maxima` (a handful, in case the grid argmax sits on the
+    wrong lobe), and the best value is returned.
     """
     q = np.asarray(q, dtype=complex)
-    grid_points = grid_size(q.size)
-    mags = grid_modulus(q, grid_points)
-
-    # Local maxima on the circular grid near the global grid max; refining a
-    # handful of candidates guards against the grid argmax sitting on the
-    # wrong lobe.
-    left = np.roll(mags, 1)
-    right = np.roll(mags, -1)
-    local_max = np.flatnonzero((mags >= left) & (mags >= right))
-    order = np.argsort(mags[local_max])[::-1]
-    candidates = local_max[order][:5]
-
-    peaks, _ = refine_maxima(q, candidates)
+    mags, maxima = grid_maxima(q)
+    peaks, _ = refine_maxima(q, maxima[:5])
     return max(float(mags.max()), float(np.abs(poly_eval(q, peaks)).max()))

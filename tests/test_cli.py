@@ -344,6 +344,15 @@ class TestErrors:
         assert main(["sample", "--config", cfg_path]) == 1
         assert capsys.readouterr().err.startswith("input error:")
 
+    def test_random_selection_keeping_nothing_exits_one(self, tmp_path, capsys):
+        cfg_path, cfg = _full_config(tmp_path)
+        cfg["scenario"] = "random-selection"
+        cfg["sampling"]["keep_prob"] = 1e-12  # keeps none of 24 indices, draw after draw
+        _write_config(cfg_path, cfg)
+        assert main(["sample", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "kept none" in err
+
     def test_unknown_scenario(self, tmp_path):
         cfg_path = _write_config(
             tmp_path / "bad.json",
@@ -394,8 +403,12 @@ class TestErrors:
         [
             ("csv-field", "run_samples.csv:3"),
             ("csv-nan", "run_samples.csv:3"),
+            ("csv-index", "run_samples.csv:2"),
             ("sigma-nan", "sigma"),
             ("env-seed", "SPECTRAL_SDP_SEED"),
+            ("seed-bool", "seed"),
+            ("length-fraction", "sampling.n"),
+            ("max-iter-fraction", "solver.max_iter"),
             ("rate", "sampling.f"),
             ("rate-overflow", "sampling.f"),
             ("grid-rate", "sampling.grids[1].f"),
@@ -412,8 +425,12 @@ class TestErrors:
         ids=[
             "csv-field",
             "csv-nan",
+            "csv-index",
             "sigma-nan",
             "env-seed",
+            "seed-bool",
+            "length-fraction",
+            "max-iter-fraction",
             "rate",
             "rate-overflow",
             "grid-rate",
@@ -447,21 +464,29 @@ class TestErrors:
                 cfg["signal"]["amps"][0]["re"] = "x"
             elif case == "amp-im":
                 cfg["signal"]["amps"][1]["im"] = None
+            elif case == "seed-bool":
+                cfg["seed"] = True
+            elif case == "length-fraction":
+                cfg["sampling"]["n"] = 32.7  # must not truncate to 32
+            elif case == "max-iter-fraction":
+                cfg["solver"]["max_iter"] = 3.9  # must not truncate to 3
         _write_config(cfg_path, cfg)
         if case == "env-seed":
             monkeypatch.setenv("SPECTRAL_SDP_SEED", "abc")
         command = ["synth", "--config", cfg_path]
         if case == "sigma-nan":
             command += ["--sigma", "nan"]
-        if case in ("csv-field", "csv-nan", "index"):
+        if case in ("csv-field", "csv-nan", "csv-index", "index", "max-iter-fraction"):
             assert main(["synth", "--config", cfg_path]) == 0
-            command[0] = "sample"
-        if case in ("csv-field", "csv-nan"):
+            command[0] = "sample" if case == "index" else "estimate"
+        if case.startswith("csv-"):
             samples = tmp_path / "out" / "run_samples.csv"
             lines = _read(samples).splitlines()
-            lines[2] = "1,abc,0.0" if case == "csv-field" else "1,nan,0.0"
+            if case == "csv-index":  # the first row must be index 0
+                lines[1] = "999" + lines[1][lines[1].index(","):]
+            else:
+                lines[2] = "1,abc,0.0" if case == "csv-field" else "1,nan,0.0"
             samples.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            command[0] = "estimate"
         if case.startswith("bench-size"):
             command = ["bench", "--config", cfg_path, "--iters", "2"]
             command += ["--sizes", "8,x" if case == "bench-size" else "8,0"]

@@ -1,5 +1,7 @@
 """Selection patterns, admissibility, and the block partition."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,21 @@ class TestRandomSelection:
         pat = random_selection(10**4, 0.3, seed=1)
         std = np.sqrt(10**4 * 0.3 * 0.7)
         assert abs(pat.m - 3000) <= 3 * std
+
+    def test_empty_draws_are_redrawn_from_the_same_stream(self):
+        # n = 8, p = 0.1 draws an empty pattern 43% of the time.
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            keep = np.flatnonzero(rng.random(8) < 0.1)
+            while not keep.size:
+                keep = np.flatnonzero(rng.random(8) < 0.1)
+            assert random_selection(8, 0.1, seed=seed).indices == tuple(keep.tolist())
+
+    def test_probability_keeping_nothing_raises_promptly(self):
+        start = time.perf_counter()
+        with pytest.raises(InvalidInputError, match="kept none"):
+            random_selection(16, 1e-12, seed=3)
+        assert time.perf_counter() - start < 1.0
 
     def test_rejects_bad_probability(self):
         with pytest.raises(InvalidInputError):

@@ -61,6 +61,13 @@ class TestSynthesizeUniform:
         with pytest.raises(InvalidInputError):
             synthesize_uniform(spec, 0.0, 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rate(self, bad):
+        # NaN would give NaN samples, and inf a constant signal of ones.
+        spec = SpikeSpectrum(freqs=np.array([0.1]), amps=np.array([1.0]))
+        with pytest.raises(InvalidInputError):
+            synthesize_uniform(spec, bad, 4)
+
     def test_aliasing_invariance_modulo_rate(self):
         rng = np.random.default_rng(0)
         f = 5.0

@@ -20,7 +20,7 @@ from spectral_sdp.oracles import (
     toeplitz_adjoint,
     toeplitz_from_vector,
 )
-from spectral_sdp.trigops import _autocorrelation, grid_modulus, grid_size, refine_maxima
+from spectral_sdp.trigops import grid_modulus, grid_size, refine_maxima
 
 from conftest import random_complex, random_hermitian
 
@@ -176,6 +176,17 @@ class TestPolyEval:
         q = random_complex(rng, 9)
         assert np.isclose(poly_eval(q, 0.0), q.sum())
 
+    def test_zero_coefficients_match_the_dense_phase_product(self):
+        # Only the nonzero coefficients are summed; the zeros must not count.
+        rng = np.random.default_rng(12)
+        q = np.zeros(40, dtype=complex)
+        q[[0, 3, 17, 39]] = random_complex(rng, 4)
+        nu = rng.random(25)
+        dense = np.exp(2j * np.pi * np.outer(nu, np.arange(q.size))) @ q
+        assert np.max(np.abs(poly_eval(q, nu) - dense)) <= 1e-13
+        assert abs(poly_eval(q, nu[0]) - dense[0]) <= 1e-13
+        assert np.array_equal(poly_eval(np.zeros(5), nu), np.zeros(nu.size))
+
 
 class TestGridModulus:
     @pytest.mark.parametrize("points", [13, 100, 64 * 13])
@@ -194,22 +205,6 @@ class TestGridModulus:
             grid_modulus(np.ones(8), 7)
 
 
-class TestAutocorrelation:
-    @pytest.mark.parametrize("n", [1, 2, 128, 4097])
-    def test_matches_correlate_and_the_direct_sum(self, n):
-        # 4097 is one past a power of two, so the padding rounds up to 2^13.
-        rng = np.random.default_rng(n)
-        q = random_complex(rng, n)
-        fast = _autocorrelation(q)
-        assert fast.shape == (n - 1,)
-        scale = np.vdot(q, q).real  # r_0 bounds every lag
-        assert np.max(np.abs(fast - np.correlate(q, q, "full")[n:]), initial=0.0) <= 1e-13 * scale
-        lags = range(1, n) if n < 200 else rng.choice(np.arange(1, n), 40, replace=False)
-        for d in lags:
-            direct = np.sum(q[:-d].conj() * q[d:])
-            assert abs(fast[d - 1] - direct) <= 1e-13 * scale
-
-
 class TestRefineMaxima:
     def test_converges_to_a_peak_half_a_cell_off_the_grid(self):
         n = 16
@@ -217,6 +212,21 @@ class TestRefineMaxima:
         j = 1000
         peak = (j + 0.5) / points
         q = np.exp(-2j * np.pi * peak * np.arange(n)) / n  # |Q| peaks at 1 at `peak`
+        refined, ok = refine_maxima(q, np.array([j, j + 1]))
+        assert ok.all()
+        assert np.abs(refined - peak).max() < 1e-12
+
+    def test_sparse_coefficients_converge_half_a_cell_off_the_grid(self):
+        # 61 nonzero coefficients of n = 65536, the shape of a long sparse
+        # dual polynomial; |Q| peaks at 1 half a cell off the grid.
+        n, m = 65536, 61
+        rng = np.random.default_rng(13)
+        k = np.sort(rng.choice(n, m, replace=False))
+        points = grid_size(n)
+        j = 123457
+        peak = (j + 0.5) / points
+        q = np.zeros(n, dtype=complex)
+        q[k] = np.exp(-2j * np.pi * peak * k) / m
         refined, ok = refine_maxima(q, np.array([j, j + 1]))
         assert ok.all()
         assert np.abs(refined - peak).max() < 1e-12
