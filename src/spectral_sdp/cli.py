@@ -79,6 +79,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """``float(value)``, but a bool raises ``ValueError``."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
 def _shaped(kind: type, value, what: str):
     """``value`` when it is a JSON array (``kind`` list) or object (dict);
     otherwise an input error naming ``what``."""
@@ -109,7 +116,7 @@ def _read_samples_csv(path: str) -> np.ndarray:
                 raise InvalidInputError(f"{path}:{lineno}: expected 3 fields")
             if _parse(_integer, parts[0], f"{path}:{lineno}") != len(values):
                 raise InvalidInputError(f"{path}:{lineno}: expected index {len(values)}")
-            re, im = (_parse(float, v, f"{path}:{lineno}") for v in parts[1:])
+            re, im = (_parse(_real, v, f"{path}:{lineno}") for v in parts[1:])
             if not (np.isfinite(re) and np.isfinite(im)):
                 raise InvalidInputError(f"{path}:{lineno}: non-finite sample {line!r}")
             values.append(complex(re, im))
@@ -146,7 +153,7 @@ def _parse_complex_list(items, what: str) -> np.ndarray:
     out = []
     for j, d in enumerate(_shaped(list, items, what)):
         d = _shaped(dict, d, f"{what}[{j}]")
-        out.append(complex(*(_parse(float, d[k], f"{what}[{j}].{k}") for k in ("re", "im"))))
+        out.append(complex(*(_parse(_real, d[k], f"{what}[{j}].{k}") for k in ("re", "im"))))
     return np.array(out, dtype=complex)
 
 
@@ -174,18 +181,21 @@ def _load_config(args) -> dict:
 
 
 def _resolve_seed(cfg: dict, args) -> int:
+    source, value = "seed", cfg.get("seed", 0)
+    if os.environ.get(ENV_SEED) is not None:
+        source, value = ENV_SEED, os.environ[ENV_SEED]
     if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        return _parse(_integer, env, ENV_SEED)
-    return _parse(_integer, cfg.get("seed", 0), "seed")
+        source, value = "--seed", args.seed
+    seed = _parse(_integer, value, source)
+    if seed < 0:
+        raise InvalidInputError(f"{source}: the seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _resolve_sigma(cfg: dict, args) -> float:
     if getattr(args, "sigma", None) is not None:
         return float(args.sigma)
-    return _parse(float, _get(cfg, "noise.sigma", 0.0), "noise.sigma")
+    return _parse(_real, _get(cfg, "noise.sigma", 0.0), "noise.sigma")
 
 
 def _out_paths(cfg: dict, args):
@@ -200,7 +210,7 @@ def _signal_from_config(cfg: dict) -> SpikeSpectrum:
     if not sig:
         raise InvalidInputError("config has no 'signal' section")
     sig = _shaped(dict, sig, "signal")
-    freqs = np.array(_parse_list(float, sig["freqs_hz"], "signal.freqs_hz"))
+    freqs = np.array(_parse_list(_real, sig["freqs_hz"], "signal.freqs_hz"))
     amps = _parse_complex_list(sig["amps"], "signal.amps")
     return SpikeSpectrum(freqs=freqs, amps=amps)
 
@@ -258,7 +268,7 @@ def _pattern_from_config(cfg: dict, seed: int) -> SelectionPattern:
         p = _get(cfg, "sampling.keep_prob")
         if p is None:
             raise InvalidInputError("random-selection scenario needs sampling.keep_prob")
-        return random_selection(n, _parse(float, p, "sampling.keep_prob"), _child_seed(seed, 0))
+        return random_selection(n, _parse(_real, p, "sampling.keep_prob"), _child_seed(seed, 0))
     raise InvalidInputError(f"no selection pattern for scenario {scenario!r}")
 
 
@@ -272,14 +282,13 @@ def _sampler(cfg: dict, seed: int):
 
 # (config section, EstimationConfig field, type)
 _CONFIG_FIELDS = (
-    ("solver", "tau", float),
-    ("solver", "gamma", float),
-    ("solver", "rho", float),
+    ("solver", "tau", _real),
+    ("solver", "gamma", _real),
+    ("solver", "rho", _real),
     ("solver", "max_iter", _integer),
-    ("solver", "tol_primal", float),
-    ("solver", "tol_dual", float),
-    ("solver", "tol_gap", float),
-    ("localization", "peak_tol", float),
+    ("solver", "tol_primal", _real),
+    ("solver", "tol_gap", _real),
+    ("localization", "peak_tol", _real),
 )
 
 
@@ -287,7 +296,12 @@ def _estimation_config(cfg: dict, args, sigma: float) -> EstimationConfig:
     """``sigma`` as read, and only the fields the config or a flag of the
     same name sets (the flag wins); ``EstimationConfig`` holds the defaults
     of the rest and :func:`~spectral_sdp.solver.assemble_problem` checks
-    them."""
+    them. Any other key of their sections is an input error."""
+    known = {(section, name) for section, name, _ in _CONFIG_FIELDS}
+    for section in sorted({section for section, _ in known}):
+        for key in _shaped(dict, cfg.get(section) or {}, section):
+            if (section, key) not in known:
+                raise InvalidInputError(f"{section}.{key}: unknown field")
     fields = {}
     for section, name, cast in _CONFIG_FIELDS:
         value = getattr(args, name, None)
@@ -467,11 +481,7 @@ def cmd_estimate(args) -> int:
             "history_depth": diag.history_depth,
             "rank_deficit": diag.rank_deficit,
             "newton_fallbacks": diag.newton_fallbacks,
-            "residuals": {
-                "primal": diag.final_residuals[0],
-                "constraint": diag.final_residuals[1],
-                "dual": diag.final_residuals[2],
-            },
+            "residuals": dict(zip(("primal", "constraint"), diag.final_residuals)),
             "sup_norm": diag.sup_norm,
             "peak_moduli": [float(x) for x in diag.peak_moduli],
             "amplitude_residual": diag.residual,
@@ -526,9 +536,7 @@ def _bench_one(m: int, n: int, iters: int, seed: int) -> tuple:
         indices=tuple(sorted([0] + [int(i) for i in others])), ambient=n
     )
     y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    spec = assemble_problem(
-        y, pattern, max_iter=iters, tol_primal=0.0, tol_dual=0.0, tol_gap=0.0
-    )
+    spec = assemble_problem(y, pattern, max_iter=iters, tol_primal=0.0, tol_gap=0.0)
     start = time.perf_counter()
     report = solve(spec)
     total = time.perf_counter() - start
@@ -558,9 +566,9 @@ def cmd_verify(args) -> int:
     truth = _load_json(args.truth)
     q = _parse_complex_list(record["dual_poly"], f"{args.result}: dual_poly")
     frame = _shaped(dict, record["frame"], f"{args.result}: frame")
-    f_solve = _parse(float, frame["solve_rate_hz"], f"{args.result}: frame.solve_rate_hz")
-    shift = _parse(float, frame["time_shift_s"], f"{args.result}: frame.time_shift_s")
-    freqs = np.array(_parse_list(float, truth["freqs_hz"], f"{args.truth}: freqs_hz"))
+    f_solve = _parse(_real, frame["solve_rate_hz"], f"{args.result}: frame.solve_rate_hz")
+    shift = _parse(_real, frame["time_shift_s"], f"{args.result}: frame.time_shift_s")
+    freqs = np.array(_parse_list(_real, truth["freqs_hz"], f"{args.truth}: freqs_hz"))
     amps = _parse_complex_list(truth["amps"], f"{args.truth}: amps")
     surrogate = SpikeSpectrum(
         freqs=freqs, amps=amps * np.exp(-2j * np.pi * freqs * shift)

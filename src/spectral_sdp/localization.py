@@ -44,11 +44,13 @@ class EstimateDiagnostics:
     the count of negative eigenvalues the last accepted projection zeroed:
     at the optimum of a noiseless instance, the number of spikes.
     ``history_depth`` is the depth of the Anderson history, set by the
-    solver's byte budget from the problem's size. ``stopped_on`` tells
-    which rule ended the solve (``"gap"``, ``"residuals"`` or
-    ``"max_iter"``); ``gap_lower`` and ``gap_upper`` bracket the optimal
-    value of the reduced dual, as certified at the returned iterate (NaN
-    when the solve ran out of iterations).
+    solver's byte budget from the problem's size. ``final_residuals`` are
+    the solve's primal and constraint residuals, and ``stopped_on`` tells
+    which rule ended it (``"gap"``, ``"residuals"`` or ``"max_iter"``).
+    Either stop returns a certified dual point, whose objective
+    ``dual_objective`` is ``gap_lower``; ``gap_lower`` and ``gap_upper``
+    bracket the optimal value of the reduced dual (NaN when the solve ran
+    out of iterations).
     """
 
     peak_moduli: np.ndarray
@@ -289,8 +291,8 @@ class EstimationConfig:
     """Knobs of the end-to-end pipeline; defaults match the solver's.
 
     The solve stops on the relative duality gap ``tol_gap`` (0 turns that
-    off) or on the residual tolerances ``tol_primal`` and ``tol_dual``,
-    whichever holds first; see :class:`~spectral_sdp.solver.ProblemSpec`.
+    off) or on the residual tolerance ``tol_primal``, whichever holds
+    first; see :class:`~spectral_sdp.solver.ProblemSpec`.
     """
 
     tau: float | None = None
@@ -299,7 +301,6 @@ class EstimationConfig:
     rho: float = ProblemSpec.rho
     max_iter: int = ProblemSpec.max_iter
     tol_primal: float = ProblemSpec.tol_primal
-    tol_dual: float = ProblemSpec.tol_dual
     tol_gap: float = ProblemSpec.tol_gap
     peak_tol: float = PEAK_TOL
 
@@ -354,7 +355,6 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
         rho=config.rho,
         max_iter=config.max_iter,
         tol_primal=config.tol_primal,
-        tol_dual=config.tol_dual,
         tol_gap=config.tol_gap,
     )
     report = solve(spec)

@@ -314,15 +314,14 @@ def block_sums(partition: PartitionStructure, s: np.ndarray) -> np.ndarray:
     return np.add.reduceat(s[partition.rows, partition.cols], partition.starts)
 
 
-def residuals(z, s, c, spec, z_prev: np.ndarray | None = None) -> tuple[float, float, float]:
-    """(primal, constraint, dual) residuals of an ADMM evaluation ``(Z, S, c)``
-    from their definitions: ``||Z - [[S, c], [c*, 1]]||``, ``max |block sums
-    of S - delta|`` and ``rho ||Z - z_prev||`` (0 without ``z_prev``)."""
+def residuals(z, s, c, spec) -> tuple[float, float]:
+    """(primal, constraint) residuals of an ADMM evaluation ``(Z, S, c)``
+    from their definitions: ``||Z - [[S, c], [c*, 1]]||`` and ``max |block
+    sums of S - delta|``."""
     primal = float(np.linalg.norm(z - bordered_matrix(s, c)))
     sums = block_sums(spec.partition, s)
     constraint = float(np.max(np.abs(sums - spec.partition.delta)))
-    dual = 0.0 if z_prev is None else float(spec.rho * np.linalg.norm(z - z_prev))
-    return primal, constraint, dual
+    return primal, constraint
 
 
 def brute_force_sup_norm(q: np.ndarray, points: int = 10**6) -> float:

@@ -35,9 +35,10 @@ extrapolates the next input from the last accepted evaluations, and keeps
 the extrapolated point only when its fixed-point residual ``T(x) - x`` is
 no larger than that of the point it extrapolated from; otherwise it takes
 the plain step ``T(x)`` and clears the history. The same residual is
-``(S, c, 1) - Z``, the primal residual ``eps``. The block sums of the
-returned S are checked once, at the end, and reported as the constraint
-residual.
+``(S, c, 1) - Z``, the primal residual ``eps``, and the dual residual too:
+the multipliers of ``b = (S, c, 1)`` and ``Z``, ``rho (2 Z - V - b)`` and
+``rho (V - Z)``, sum to ``-rho eps``. The block sums of the returned S are
+checked once, at the end, and reported as the constraint residual.
 
 The solve stops on a certified duality gap (SCS's relative-gap rule; the
 gap of atomic-norm denoising is in Bhaskar, Tang & Recht,
@@ -47,9 +48,8 @@ eps))``, is dual-feasible: its objective is a lower bound. The atoms that
 ESPRIT reads off the projection's negative eigenvectors, fitted to ``y -
 tau conj(c)``, give a primal upper bound. The solve stops where their
 relative gap is at most ``tol_gap``, which does not change when ``y`` and
-``tau`` are scaled together, and returns the dual-feasible point; or
-where the primal and dual residuals meet ``tol_primal`` and
-``tol_dual``, if that comes first.
+``tau`` are scaled together, or where the residual is below ``tol_primal``
+if that comes first, and returns the dual-feasible point either way.
 
 The history of differences is held in float32 and sized by a byte budget,
 :data:`HISTORY_BYTES` = 2.5 MiB: as many evaluations as fit, from 10 to
@@ -105,8 +105,8 @@ class ProblemSpec:
     ``tau = 0`` selects the noiseless program. ``rho`` is the augmented
     Lagrangian weight. The solve stops where the relative duality gap
     ``(UB - LB) / UB`` is at most ``tol_gap``, in [0, 1) (0 turns that
-    rule off), or where the primal residual is below ``tol_primal`` and
-    the dual residual below ``tol_dual`` (absolute, Frobenius).
+    rule off), or where the fixed-point residual is below ``tol_primal``
+    (absolute, Frobenius).
     """
 
     y: np.ndarray
@@ -115,7 +115,6 @@ class ProblemSpec:
     rho: float = 1.0
     max_iter: int = 20000
     tol_primal: float = 1e-7
-    tol_dual: float = 1e-7
     tol_gap: float = 1e-5
 
     def __post_init__(self):
@@ -132,8 +131,8 @@ class ProblemSpec:
             raise InvalidInputError(f"rho must be finite and positive, got {self.rho}")
         if self.max_iter < 1:
             raise InvalidInputError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not all(np.isfinite(t) and t >= 0 for t in (self.tol_primal, self.tol_dual)):
-            raise InvalidInputError("tolerances must be finite and nonnegative")
+        if not 0 <= self.tol_primal < np.inf:  # NaN fails too
+            raise InvalidInputError(f"tol_primal must be in [0, inf), got {self.tol_primal}")
         if not (np.isfinite(self.tol_gap) and 0 <= self.tol_gap < 1):
             raise InvalidInputError(f"tol_gap must be in [0, 1), got {self.tol_gap}")
         object.__setattr__(self, "y", y)
@@ -194,7 +193,8 @@ class SolveReport:
     """``full_eigh_iterations`` counts fallbacks and backed-off iterations.
     ``stopped_on`` is ``"gap"``, ``"residuals"`` or ``"max_iter"``;
     ``gap_lower`` and ``gap_upper`` bracket the optimal value, from the
-    returned iterate (NaN after ``max_iter``)."""
+    returned iterate (NaN after ``max_iter``); ``final_residuals`` are the
+    primal and constraint residuals."""
 
     c_star: np.ndarray
     S_star: np.ndarray
@@ -509,21 +509,19 @@ def solve(spec: ProblemSpec) -> SolveReport:
     so ``S' = (S + eps I) / (1 + m eps)`` and ``c' = c / beta`` meet the
     block sums with ``sup |Q| <= 1``, and :func:`_gap_bounds` brackets the
     optimum. The gap is checked once ``beta - 1 <= tol_gap``, since it
-    cannot close before; a solve that stops on it returns ``(S', c')``,
-    whose dual objective is the lower bound. A solve that stops on the
-    residuals (the dual one against the previous accepted ``Z``) returns
-    the evaluation itself. Either stop first certifies a warm ``Z`` by
-    Cholesky; when that fails, the solve goes on and backs off as after a
-    failed warm projection. Non-convergence within ``max_iter`` is
-    reported, not raised; non-finite iterates raise
-    :class:`NumericalError`.
+    cannot close before, and the residual rule is ``||T(x) - x|| <
+    tol_primal``. Either stop returns ``(S', c')``, whose dual objective
+    is the lower bound, once a warm ``Z`` passes the Cholesky certificate;
+    a failed one backs the solve off as a failed warm projection does.
+    After ``max_iter`` the last accepted evaluation is returned, and
+    non-finite iterates raise :class:`NumericalError`.
     """
     # A point is the weighted triangle of V viewed as floats, so that its
     # norm is the Frobenius norm.
     scale, unscale = np.repeat(spec.weight, 2), np.repeat(1.0 / spec.weight, 2)
 
     # V = I: the warm projection gives Z = I, and Lambda = 0.
-    v = z_prev = np.eye(spec.m + 1, dtype=complex).ravel()[spec.triangle[0]]
+    v = np.eye(spec.m + 1, dtype=complex).ravel()[spec.triangle[0]]
     basis = np.eye(spec.m + 1, 1)
     x = v.view(float) * scale
     anderson = _Anderson(x.size)
@@ -540,20 +538,16 @@ def solve(spec: ProblemSpec) -> SolveReport:
         # residual.
         f_out = v_out.view(float) * scale
         g_out = f_out - x
-        g_out_norm = np.linalg.norm(g_out)
-        z_step = np.linalg.norm((z - z_prev).view(float) * scale)  # ||Z - Z_prev||
-        res = (float(g_out_norm), float(spec.rho * z_step))
-        if not all(np.isfinite(res)):
-            raise NumericalError(f"non-finite residuals at iteration {it}: {res}")
+        g_out_norm = float(np.linalg.norm(g_out))
+        if not np.isfinite(g_out_norm):
+            raise NumericalError(f"non-finite residual at iteration {it}: {g_out_norm}")
         if extrapolated and g_out_norm > g_norm:
             rejected += 1  # the safeguard: next comes the plain step
             anderson.count = 0
             proposal = None
         else:  # the first evaluation is always accepted
-            z_prev, b_star = z, b  # Z backs the dual residual, b the report
-            deficit = projection.negatives
-            primal, dual = res
-            converged = primal < spec.tol_primal and dual < spec.tol_dual
+            b_star, deficit, primal = b, projection.negatives, g_out_norm
+            converged = primal < spec.tol_primal
             shift = _shift(spec.m + 1, float(np.linalg.norm(x)))
             eps = primal + shift
             beta = np.sqrt((1.0 + eps) * (1.0 + spec.m * eps))
@@ -577,20 +571,18 @@ def solve(spec: ProblemSpec) -> SolveReport:
         v = (x * unscale).view(complex)
 
     part = spec.partition
+    if stopped_on != "max_iter":  # the certified point (S', c')
+        s, c = spec.split(b_star)
+        s = np.concatenate([s[: spec.m] + eps, s[spec.m :]])  # the diagonal comes first
+        b_star = np.concatenate([s / (1.0 + spec.m * eps), c / beta, [1.0]])
     s_star, c_star = spec.split(b_star)
-    if stopped_on == "gap":
-        s_star = s_star.copy()
-        s_star[: spec.m] += eps  # the diagonal comes first
-        s_star /= 1.0 + spec.m * eps
-        c_star = c_star / beta
-        b_star = np.concatenate([s_star, c_star, [1.0]])
     constraint = float(np.max(np.abs(np.add.reduceat(s_star, part.starts) - part.delta)))
     return SolveReport(
         c_star=c_star,
         S_star=spec.hermitian(b_star)[:-1, :-1],
         dual_objective=_dual_objective(spec, c_star),
         iterations=it,
-        final_residuals=(primal, constraint, dual),
+        final_residuals=(primal, constraint),
         converged=stopped_on != "max_iter",
         rejected_extrapolations=rejected,
         full_eigh_iterations=full,

@@ -141,9 +141,9 @@ def test_criterion_03_gram_parametrization():
 
 
 def test_criterion_04_feasibility_lift():
-    # tol_dual stays loose: the lift bounds depend on the primal and
-    # constraint residuals only (eigenvalue bound via ||Z - B||, equality
-    # via the block sums).
+    # The lift bounds depend on the primal and constraint residuals only
+    # (eigenvalue bound via ||Z - B||, equality via the block sums), and
+    # tol_primal is the one residual tolerance.
     rng = np.random.default_rng(40)
     start = time.perf_counter()
     worst_eq = 0.0
@@ -157,7 +157,7 @@ def test_criterion_04_feasibility_lift():
         sig = random_spike_spectrum(rng, s, min_sep=4 / (n - 1))
         y = synthesize_uniform(sig, 1.0, n)[list(pat.indices)]
         prob = assemble_problem(
-            y, pat, rho=30.0, tol_primal=1e-9, tol_dual=1e-6, max_iter=100000
+            y, pat, rho=30.0, tol_primal=1e-9, max_iter=100000
         )
         report = solve(prob)
         assert report.converged, f"instance {trial} did not converge"
@@ -391,7 +391,6 @@ def test_criterion_10_cubic_iteration_envelope():
             partition=compute_partition(pat),
             max_iter=40,
             tol_primal=0.0,
-            tol_dual=0.0,
         )
         solve(spec)  # warm up allocators and BLAS
         t0 = time.perf_counter()

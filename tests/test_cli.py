@@ -421,6 +421,12 @@ class TestErrors:
             ("truth-freq", "run_truth.json: freqs_hz[1]"),
             ("solve-rate", "run_result.json: frame.solve_rate_hz"),
             ("time-shift", "run_result.json: frame.time_shift_s"),
+            ("rho-bool", "solver.rho"),
+            ("sigma-bool", "noise.sigma"),
+            ("freq-bool", "signal.freqs_hz[1]"),
+            ("seed-negative", "seed"),
+            ("env-seed-negative", "SPECTRAL_SDP_SEED"),
+            ("flag-seed-negative", "--seed"),
         ],
         ids=[
             "csv-field",
@@ -443,6 +449,12 @@ class TestErrors:
             "truth-freq",
             "solve-rate",
             "time-shift",
+            "rho-bool",
+            "sigma-bool",
+            "freq-bool",
+            "seed-negative",
+            "env-seed-negative",
+            "flag-seed-negative",
         ],
     )
     def test_malformed_number_exits_one(self, tmp_path, monkeypatch, capsys, case, where):
@@ -470,13 +482,23 @@ class TestErrors:
                 cfg["sampling"]["n"] = 32.7  # must not truncate to 32
             elif case == "max-iter-fraction":
                 cfg["solver"]["max_iter"] = 3.9  # must not truncate to 3
+            elif case == "rho-bool":
+                cfg["solver"]["rho"] = True  # must not read as 1
+            elif case == "sigma-bool":
+                cfg["noise"]["sigma"] = True
+            elif case == "freq-bool":
+                cfg["signal"]["freqs_hz"][1] = True
+            elif case == "seed-negative":
+                cfg["seed"] = -2
         _write_config(cfg_path, cfg)
-        if case == "env-seed":
-            monkeypatch.setenv("SPECTRAL_SDP_SEED", "abc")
+        if case.startswith("env-seed"):
+            monkeypatch.setenv("SPECTRAL_SDP_SEED", "-5" if case == "env-seed-negative" else "abc")
         command = ["synth", "--config", cfg_path]
         if case == "sigma-nan":
             command += ["--sigma", "nan"]
-        if case in ("csv-field", "csv-nan", "csv-index", "index", "max-iter-fraction"):
+        if case == "flag-seed-negative":
+            command += ["--seed", "-1"]
+        if case in ("csv-field", "csv-nan", "csv-index", "index", "max-iter-fraction", "rho-bool"):
             assert main(["synth", "--config", cfg_path]) == 0
             command[0] = "sample" if case == "index" else "estimate"
         if case.startswith("csv-"):
@@ -506,6 +528,19 @@ class TestErrors:
         assert main(command) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error:") and where in err
+
+    def test_unknown_solver_key_exits_one(self, tmp_path, capsys):
+        cfg_path, cfg = _full_config(tmp_path)
+        cfg["solver"]["tau"] = None  # a null known key keeps its default
+        _write_config(cfg_path, cfg)
+        assert main(["synth", "--config", cfg_path]) == 0
+        assert main(["estimate", "--config", cfg_path]) == 0
+        cfg["solver"]["tol_dual"] = 1e-7  # an option that is gone
+        _write_config(cfg_path, cfg)
+        capsys.readouterr()
+        assert main(["estimate", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "solver.tol_dual" in err
 
     @pytest.mark.parametrize(
         "case, where",

@@ -182,7 +182,7 @@ class TestUnshiftSpectrum:
         )
         ys = [synthesize_grid(spec, g) for g in sys2.grids]
         est = estimate(
-            ys, sys2, config=EstimationConfig(rho=30.0, tol_primal=1e-9, tol_dual=1e-9)
+            ys, sys2, config=EstimationConfig(rho=30.0, tol_primal=1e-9)
         )
         assert est.diagnostics.converged and est.diagnostics.time_shift_s == 0.5
         rebuilt = SpikeSpectrum(freqs=est.freqs, amps=est.amps)

@@ -398,7 +398,7 @@ class TestAdmmStep:
 class TestResiduals:
     def test_initial_constraint_residual_is_one(self):
         spec = _spec_for(_full_pattern(4), y=np.ones(4))
-        _, constraint, _ = residuals(np.eye(5), np.zeros((4, 4)), np.zeros(4), spec)
+        _, constraint = residuals(np.eye(5), np.zeros((4, 4)), np.zeros(4), spec)
         assert np.isclose(constraint, 1.0)
 
     def test_nonnegative(self):
@@ -406,8 +406,7 @@ class TestResiduals:
         pat = random_pattern(rng, 8, admissible=True)
         spec = _spec_for(pat)
         z, s, c, _ = _random_state(rng, spec)
-        z_prev = random_hermitian(rng, pat.m + 1)
-        assert all(r >= 0 for r in residuals(z, s, c, spec, z_prev))
+        assert all(r >= 0 for r in residuals(z, s, c, spec))
 
     def test_small_at_convergence(self):
         spec = _spec_for(_full_pattern(6), y=np.ones(6), rho=5.0, tol_gap=0.0)
@@ -433,14 +432,14 @@ class TestResiduals:
         checked = 0
         for max_iter in range(1, 13):
             captured.clear()
-            prob = _spec_for(pat, y=y, max_iter=max_iter, tol_primal=0.0, tol_dual=0.0)
+            prob = _spec_for(pat, y=y, max_iter=max_iter, tol_primal=0.0)
             report = solve(prob)
             z, s, c = _dense(prob, *captured[-1])
             if not np.array_equal(report.c_star, c):
                 continue  # the budget ended on a rejected extrapolation
             checked += 1
-            expected = residuals(z, s, c, prob)[:2]
-            assert np.allclose(report.final_residuals[:2], expected, rtol=0, atol=1e-12)
+            expected = residuals(z, s, c, prob)
+            assert np.allclose(report.final_residuals, expected, rtol=0, atol=1e-12)
         assert checked >= 6
 
 
@@ -563,7 +562,7 @@ class TestSolve:
         rng = np.random.default_rng(11)
         pat = random_pattern(rng, 10, admissible=True)
         y = random_complex(rng, pat.m)
-        prob = _spec_for(pat, y=y, max_iter=60, tol_primal=0.0, tol_dual=0.0)
+        prob = _spec_for(pat, y=y, max_iter=60, tol_primal=0.0)
         n = pat.m + 1
         upper = prob.triangle[0]
         # The cycle in the classical order, from Z = I and Lambda = 0:
@@ -594,13 +593,13 @@ class TestSolve:
         pat = random_pattern(rng, 10, admissible=True)
         y = random_complex(rng, pat.m)
         prob = _spec_for(pat, y=y, rho=2.0)
-        v = z_prev = triangle_of(np.eye(pat.m + 1), prob)
+        # The reference runs well past tol_primal, so that it sits at the
+        # fixed point.
+        v = triangle_of(np.eye(pat.m + 1), prob)
         for _ in range(prob.max_iter):
             z, b, v, _ = admm_step(v, prob)
             z_mat, s, c = _dense(prob, z, b)
-            primal, constraint, dual = residuals(z_mat, s, c, prob, prob.hermitian(z_prev))
-            z_prev = z
-            if max(primal, constraint) < prob.tol_primal and dual < prob.tol_dual:
+            if max(residuals(z_mat, s, c, prob)) < 1e-3 * prob.tol_primal:
                 break
         else:
             pytest.fail("the plain map did not converge")
@@ -624,7 +623,7 @@ class TestSolve:
         rejected = [0]
         for max_iter in range(1, 13):
             calls.clear()
-            prob = _spec_for(pat, y=y, max_iter=max_iter, tol_primal=0.0, tol_dual=0.0)
+            prob = _spec_for(pat, y=y, max_iter=max_iter, tol_primal=0.0)
             report = solve(prob)
             assert report.iterations == max_iter == len(calls)
             assert np.isfinite(report.c_star).all()
@@ -661,13 +660,11 @@ class TestSolve:
             {"max_iter": 0},
             {"max_iter": -3},
             {"tol_primal": -1e-9},
-            {"tol_dual": -1.0},
             {"tau": np.nan},
             {"tau": np.inf},
             {"rho": np.nan},
             {"rho": np.inf},
             {"tol_primal": np.nan},
-            {"tol_dual": np.nan},
             {"y": [0.0, np.nan, 0.0, 0.0]},
             {"y": [0.0, 0.0, complex(0.0, np.inf), 0.0]},
             {"tol_gap": np.nan},
@@ -737,15 +734,19 @@ class TestDualityGap:
         for spec, _ in _gap_shapes(seed):
             report = solve(spec)
             assert report.stopped_on == "gap"
-            tight = solve(replace(spec, tol_gap=0.0, tol_primal=1e-11, tol_dual=1e-10))
+            tight = solve(replace(spec, tol_gap=0.0, tol_primal=1e-11))
             assert tight.stopped_on == "residuals"
             assert report.gap_lower <= tight.dual_objective <= report.gap_upper
             assert report.gap_upper - report.gap_lower <= spec.tol_gap * report.gap_upper
 
-    def test_gap_stop_returns_a_dual_feasible_point(self):
+    @pytest.mark.parametrize(
+        "tol_gap", [ProblemSpec.tol_gap, 0.0], ids=["gap", "residuals"]
+    )
+    def test_gap_stop_returns_a_dual_feasible_point(self, tol_gap):
+        # Either stop returns the certified point.
         for spec, pattern in _gap_shapes(62):
-            report = solve(spec)
-            assert report.stopped_on == "gap" and report.converged
+            report = solve(replace(spec, tol_gap=tol_gap))
+            assert report.stopped_on == ("gap" if tol_gap else "residuals") and report.converged
             sums = block_sums(spec.partition, report.S_star)
             assert np.max(np.abs(sums - spec.partition.delta)) <= 1e-12
             bordered = bordered_matrix(report.S_star, report.c_star)
@@ -910,12 +911,15 @@ class TestAndersonHistory:
         report = solve(prob)
         assert report.converged
         assert accepted[-1] < len(captured) - 1 == report.iterations - 1
+        assert report.stopped_on == "residuals"
         z, s, c = _dense(prob, *captured[-1])
-        assert np.array_equal(report.c_star, c)  # the last evaluation is reported
-        z_prev = prob.hermitian(captured[accepted[-1]][0])
-        primal, constraint, dual = residuals(z, s, c, prob, z_prev)
+        primal, constraint = residuals(z, s, c, prob)
         assert max(primal, constraint) < prob.tol_primal
-        assert dual < prob.tol_dual
+        # The last evaluation is reported certified, as c / beta with
+        # beta - 1 about (m + 1) / 2 times its residual.
+        beta = np.vdot(report.c_star, c) / np.vdot(report.c_star, report.c_star)
+        assert np.allclose(report.c_star * beta, c, rtol=0, atol=1e-14)
+        assert 1 < beta.real < 1 + prob.m * prob.tol_primal
 
 
 class TestAssembleProblem:
