@@ -61,7 +61,6 @@ from .solver import (
     SolveReport,
     admm_step,
     assemble_problem,
-    psd_project,
     solve,
     update_S_blocks,
     update_c,

@@ -30,6 +30,7 @@ from .errors import (
     InvariantViolationError,
     NumericalError,
     SpectralSDPError,
+    as_integer,
 )
 from .localization import EstimationConfig, estimate, verify_certificate
 from .multirate import Grid, MultirateSystem, align_measurements, common_grid
@@ -64,26 +65,16 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _parse(cast, value, what: str):
-    """``cast(value)`` for a value read from outside; a malformed one is an
-    input error naming ``what`` (a file and line, or a field)."""
+    """``cast(value)`` for a number read from outside; a malformed one, or a
+    bool (JSON's ``true`` is no 1), is an input error naming ``what`` (a
+    file and line, or a field). Integers are cast by the library's rule,
+    :func:`~spectral_sdp.errors.as_integer`."""
     try:
+        if isinstance(value, bool):
+            raise ValueError("a bool is no number")
         return cast(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InvalidInputError(f"{what}: cannot parse {value!r}") from exc
-
-
-def _integer(value) -> int:
-    """``int(value)``, but a bool or a fractional float raises ``ValueError``."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
-
-
-def _real(value) -> float:
-    """``float(value)``, but a bool raises ``ValueError``."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a number: {value!r}")
-    return float(value)
 
 
 def _shaped(kind: type, value, what: str):
@@ -114,9 +105,9 @@ def _read_samples_csv(path: str) -> np.ndarray:
             parts = line.split(",")
             if len(parts) != 3:
                 raise InvalidInputError(f"{path}:{lineno}: expected 3 fields")
-            if _parse(_integer, parts[0], f"{path}:{lineno}") != len(values):
+            if _parse(as_integer, parts[0], f"{path}:{lineno}") != len(values):
                 raise InvalidInputError(f"{path}:{lineno}: expected index {len(values)}")
-            re, im = (_parse(_real, v, f"{path}:{lineno}") for v in parts[1:])
+            re, im = (_parse(float, v, f"{path}:{lineno}") for v in parts[1:])
             if not (np.isfinite(re) and np.isfinite(im)):
                 raise InvalidInputError(f"{path}:{lineno}: non-finite sample {line!r}")
             values.append(complex(re, im))
@@ -153,7 +144,7 @@ def _parse_complex_list(items, what: str) -> np.ndarray:
     out = []
     for j, d in enumerate(_shaped(list, items, what)):
         d = _shaped(dict, d, f"{what}[{j}]")
-        out.append(complex(*(_parse(_real, d[k], f"{what}[{j}].{k}") for k in ("re", "im"))))
+        out.append(complex(*(_parse(float, d[k], f"{what}[{j}].{k}") for k in ("re", "im"))))
     return np.array(out, dtype=complex)
 
 
@@ -168,8 +159,13 @@ def _get(cfg: dict, path: str, default=None):
     return node
 
 
+_TOP_LEVEL_KEYS = {"schema", "scenario", "seed", "signal", "sampling", "noise", "solver", "output"}
+
+
 def _load_config(args) -> dict:
     cfg = _load_json(args.config)
+    for key in sorted(cfg.keys() - _TOP_LEVEL_KEYS):
+        raise InvalidInputError(f"{args.config}: unknown top-level key {key!r}")
     if cfg.get("schema") != SCHEMA_VERSION:
         raise InvalidInputError(
             f"{args.config}: unsupported schema {cfg.get('schema')!r}, "
@@ -186,7 +182,7 @@ def _resolve_seed(cfg: dict, args) -> int:
         source, value = ENV_SEED, os.environ[ENV_SEED]
     if getattr(args, "seed", None) is not None:
         source, value = "--seed", args.seed
-    seed = _parse(_integer, value, source)
+    seed = _parse(as_integer, value, source)
     if seed < 0:
         raise InvalidInputError(f"{source}: the seed must be nonnegative, got {seed}")
     return seed
@@ -195,7 +191,7 @@ def _resolve_seed(cfg: dict, args) -> int:
 def _resolve_sigma(cfg: dict, args) -> float:
     if getattr(args, "sigma", None) is not None:
         return float(args.sigma)
-    return _parse(_real, _get(cfg, "noise.sigma", 0.0), "noise.sigma")
+    return _parse(float, _get(cfg, "noise.sigma", 0.0), "noise.sigma")
 
 
 def _out_paths(cfg: dict, args):
@@ -210,7 +206,7 @@ def _signal_from_config(cfg: dict) -> SpikeSpectrum:
     if not sig:
         raise InvalidInputError("config has no 'signal' section")
     sig = _shaped(dict, sig, "signal")
-    freqs = np.array(_parse_list(_real, sig["freqs_hz"], "signal.freqs_hz"))
+    freqs = np.array(_parse_list(float, sig["freqs_hz"], "signal.freqs_hz"))
     amps = _parse_complex_list(sig["amps"], "signal.amps")
     return SpikeSpectrum(freqs=freqs, amps=amps)
 
@@ -232,7 +228,7 @@ def _system_from_config(cfg: dict) -> MultirateSystem:
         Grid(
             f=_parse(Fraction, g["f"], f"sampling.grids[{j}].f"),
             gamma=_parse(Fraction, g.get("gamma", 0), f"sampling.grids[{j}].gamma"),
-            n=_parse(_integer, g["n"], f"sampling.grids[{j}].n"),
+            n=_parse(as_integer, g["n"], f"sampling.grids[{j}].n"),
         )
         for j, g in enumerate(grids_cfg)
     )
@@ -253,7 +249,7 @@ def _child_seed(seed: int, key: int) -> int:
 
 def _pattern_from_config(cfg: dict, seed: int) -> SelectionPattern:
     scenario = cfg["scenario"]
-    n = _parse(_integer, _get(cfg, "sampling.n", 0), "sampling.n")
+    n = _parse(as_integer, _get(cfg, "sampling.n", 0), "sampling.n")
     if scenario == "full":
         return SelectionPattern(indices=tuple(range(n)), ambient=n)
     if scenario == "selection":
@@ -261,14 +257,14 @@ def _pattern_from_config(cfg: dict, seed: int) -> SelectionPattern:
         if not idx:
             raise InvalidInputError("selection scenario needs sampling.indices")
         return SelectionPattern(
-            indices=tuple(_parse_list(_integer, idx, "sampling.indices")),
+            indices=tuple(_parse_list(as_integer, idx, "sampling.indices")),
             ambient=n,
         )
     if scenario == "random-selection":
         p = _get(cfg, "sampling.keep_prob")
         if p is None:
             raise InvalidInputError("random-selection scenario needs sampling.keep_prob")
-        return random_selection(n, _parse(_real, p, "sampling.keep_prob"), _child_seed(seed, 0))
+        return random_selection(n, _parse(float, p, "sampling.keep_prob"), _child_seed(seed, 0))
     raise InvalidInputError(f"no selection pattern for scenario {scenario!r}")
 
 
@@ -280,35 +276,32 @@ def _sampler(cfg: dict, seed: int):
     return _pattern_from_config(cfg, seed), _rate_from_config(cfg)
 
 
-# (config section, EstimationConfig field, type)
-_CONFIG_FIELDS = (
-    ("solver", "tau", _real),
-    ("solver", "gamma", _real),
-    ("solver", "rho", _real),
-    ("solver", "max_iter", _integer),
-    ("solver", "tol_primal", _real),
-    ("solver", "tol_gap", _real),
-    ("localization", "peak_tol", _real),
-)
+# The EstimationConfig fields of the solver section, and their types;
+# sigma comes from noise.sigma or --sigma.
+_CONFIG_FIELDS = {
+    "tau": float,
+    "rho": float,
+    "max_iter": as_integer,
+    "tol_primal": float,
+    "tol_gap": float,
+}
 
 
 def _estimation_config(cfg: dict, args, sigma: float) -> EstimationConfig:
-    """``sigma`` as read, and only the fields the config or a flag of the
-    same name sets (the flag wins); ``EstimationConfig`` holds the defaults
-    of the rest and :func:`~spectral_sdp.solver.assemble_problem` checks
-    them. Any other key of their sections is an input error."""
-    known = {(section, name) for section, name, _ in _CONFIG_FIELDS}
-    for section in sorted({section for section, _ in known}):
-        for key in _shaped(dict, cfg.get(section) or {}, section):
-            if (section, key) not in known:
-                raise InvalidInputError(f"{section}.{key}: unknown field")
+    """``sigma`` as read, and only the fields the solver section or a flag
+    of the same name sets (the flag wins); ``EstimationConfig`` holds the
+    defaults of the rest and :func:`~spectral_sdp.solver.assemble_problem`
+    checks them. Any other key of the section is an input error."""
+    solver = _shaped(dict, cfg.get("solver") or {}, "solver")
+    for key in sorted(solver.keys() - _CONFIG_FIELDS.keys()):
+        raise InvalidInputError(f"solver.{key}: unknown field")
     fields = {}
-    for section, name, cast in _CONFIG_FIELDS:
+    for name, cast in _CONFIG_FIELDS.items():
         value = getattr(args, name, None)
         if value is None:
-            value = _get(cfg, f"{section}.{name}")
+            value = solver.get(name)
         if value is not None:
-            fields[name] = _parse(cast, value, f"{section}.{name}")
+            fields[name] = _parse(cast, value, f"solver.{name}")
     return EstimationConfig(sigma=sigma, **fields)
 
 
@@ -340,7 +333,7 @@ def _synthesize(cfg: dict, seed: int, sigma: float):
         ]
         return outs, truth
     f = _rate_from_config(cfg)
-    n = _parse(_integer, _get(cfg, "sampling.n", 0), "sampling.n")
+    n = _parse(as_integer, _get(cfg, "sampling.n", 0), "sampling.n")
     y = synthesize_uniform(spec, f, n)
     y = add_noise(y, NoiseSpec(sigma=sigma, seed=_child_seed(seed, 1)))
     truth["f_hz"] = f
@@ -547,7 +540,7 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args)
     seed = _resolve_seed(cfg, args)
     out_dir, prefix = _out_paths(cfg, args)
-    sizes = [_parse(_integer, s, "--sizes") for s in args.sizes.split(",")]
+    sizes = [_parse(as_integer, s, "--sizes") for s in args.sizes.split(",")]
     if min(sizes) < 1:
         raise InvalidInputError(f"--sizes: every m must be at least 1, got {args.sizes!r}")
     rows = [_bench_one(m, 2 * m, args.iters, seed + i) for i, m in enumerate(sizes)]
@@ -566,9 +559,9 @@ def cmd_verify(args) -> int:
     truth = _load_json(args.truth)
     q = _parse_complex_list(record["dual_poly"], f"{args.result}: dual_poly")
     frame = _shaped(dict, record["frame"], f"{args.result}: frame")
-    f_solve = _parse(_real, frame["solve_rate_hz"], f"{args.result}: frame.solve_rate_hz")
-    shift = _parse(_real, frame["time_shift_s"], f"{args.result}: frame.time_shift_s")
-    freqs = np.array(_parse_list(_real, truth["freqs_hz"], f"{args.truth}: freqs_hz"))
+    f_solve = _parse(float, frame["solve_rate_hz"], f"{args.result}: frame.solve_rate_hz")
+    shift = _parse(float, frame["time_shift_s"], f"{args.result}: frame.time_shift_s")
+    freqs = np.array(_parse_list(float, truth["freqs_hz"], f"{args.truth}: freqs_hz"))
     amps = _parse_complex_list(truth["amps"], f"{args.truth}: amps")
     surrogate = SpikeSpectrum(
         freqs=freqs, amps=amps * np.exp(-2j * np.pi * freqs * shift)

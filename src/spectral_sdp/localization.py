@@ -120,18 +120,14 @@ def dual_polynomial(c: np.ndarray, pattern: SelectionPattern) -> np.ndarray:
     return q
 
 
-def locate_frequencies(
-    q: np.ndarray,
-    f: float,
-    peak_tol: float = PEAK_TOL,
-    max_peaks: int | None = None,
-) -> PeakSet:
+def locate_frequencies(q: np.ndarray, f: float, max_peaks: int | None = None) -> PeakSet:
     """Find the reduced frequencies where ``|Q|`` peaks near 1.
 
     The grid local maxima of :func:`~spectral_sdp.trigops.grid_maxima`
-    with ``|Q| >= 1 - peak_tol`` are refined by Newton iterations on the
-    analytic derivative; a peak falling back to its grid value (Newton
-    left the bracket or stalled) is flagged.
+    with ``|Q| >= 1 - PEAK_TOL`` (the solver's atom threshold too) are
+    refined by Newton iterations on the analytic derivative; a peak
+    falling back to its grid value (Newton left the bracket or stalled)
+    is flagged.
     Nearby refinements (within a quarter grid step) are merged. Returned
     frequencies are ``nu * f`` in Hz, sorted.
 
@@ -140,11 +136,8 @@ def locate_frequencies(
     certifies nothing) or when more than ``max_peaks`` peaks survive.
     """
     q = np.asarray(q, dtype=complex)
-    if not 0 < peak_tol < 1:
-        raise InvalidInputError("peak_tol must be in (0, 1)")
-
     mags, maxima = grid_maxima(q)
-    threshold = 1.0 - peak_tol
+    threshold = 1.0 - PEAK_TOL
     if np.mean(mags >= threshold) >= 0.10:
         raise LocalizationError(
             "dual polynomial is a near-unit plateau; frequencies are not "
@@ -288,7 +281,9 @@ def _off_support(reduced: np.ndarray, n: int, points: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Knobs of the end-to-end pipeline; defaults match the solver's.
+    """Settings of the end-to-end pipeline, handed whole to
+    :func:`~spectral_sdp.solver.assemble_problem` as its keywords; defaults
+    match the solver's. ``tau`` unset takes the noise rule from ``sigma``.
 
     The solve stops on the relative duality gap ``tol_gap`` (0 turns that
     off) or on the residual tolerance ``tol_primal``, whichever holds
@@ -297,12 +292,10 @@ class EstimationConfig:
 
     tau: float | None = None
     sigma: float | None = None
-    gamma: float = 1.5
     rho: float = ProblemSpec.rho
     max_iter: int = ProblemSpec.max_iter
     tol_primal: float = ProblemSpec.tol_primal
     tol_gap: float = ProblemSpec.tol_gap
-    peak_tol: float = PEAK_TOL
 
 
 def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None = None) -> SpectrumEstimate:
@@ -346,22 +339,12 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
         raise InvalidInputError(
             f"sampler must be a SelectionPattern or MultirateSystem, got {type(sampler)!r}"
         )
-    spec = assemble_problem(
-        y,
-        pattern,
-        config.tau,
-        sigma=config.sigma,
-        gamma=config.gamma,
-        rho=config.rho,
-        max_iter=config.max_iter,
-        tol_primal=config.tol_primal,
-        tol_gap=config.tol_gap,
-    )
+    spec = assemble_problem(y, pattern, **vars(config))
     report = solve(spec)
     q = dual_polynomial(report.c_star, pattern)
     sup = dense_sup_norm(q)
     try:
-        peaks = locate_frequencies(q, f, peak_tol=config.peak_tol, max_peaks=pattern.m)
+        peaks = locate_frequencies(q, f, max_peaks=pattern.m)
     except LocalizationError:
         if report.converged:
             raise

@@ -20,7 +20,7 @@ from math import gcd, log
 
 import numpy as np
 
-from .errors import InvalidInputError, InvariantViolationError
+from .errors import InvalidInputError, InvariantViolationError, as_integer
 from .sampling import SelectionPattern
 from .signal_model import SpikeSpectrum, torus_separation
 
@@ -28,6 +28,8 @@ from .signal_model import SpikeSpectrum, torus_separation
 def _as_fraction(value, what: str) -> Fraction:
     """``value`` as an exact fraction that a float can also hold: sample
     times and rates are computed in floats downstream."""
+    if isinstance(value, bool):
+        raise InvalidInputError(f"{what} must be a number, got {value!r}")
     if isinstance(value, float):
         raise InvalidInputError(
             f"{what} must be exact (int, Fraction, or 'num/den' string), got float {value!r}"
@@ -55,6 +57,7 @@ class Grid:
     def __post_init__(self):
         object.__setattr__(self, "f", _as_fraction(self.f, "grid rate"))
         object.__setattr__(self, "gamma", _as_fraction(self.gamma, "grid delay"))
+        object.__setattr__(self, "n", as_integer(self.n, "grid length"))
         if self.f <= 0:
             raise InvalidInputError("grid rate must be positive")
         if self.n < 1:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, as_integer
 
 _MAX_DRAWS = 1000  # empty draws before random_selection rejects its keep probability
 
@@ -26,7 +26,8 @@ class SelectionPattern:
     ambient: int
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(as_integer(i, "index") for i in self.indices)
+        object.__setattr__(self, "ambient", as_integer(self.ambient, "ambient length"))
         if len(idx) == 0:
             raise InvalidInputError("selection pattern must be nonempty")
         if any(b <= a for a, b in zip(idx, idx[1:])):
@@ -125,10 +126,14 @@ def random_selection(n: int, p: float, seed: int) -> SelectionPattern:
     nonempty and deterministic per seed; after ``_MAX_DRAWS`` empty draws
     in a row the probability is rejected.
     """
+    n = as_integer(n, "ambient length")
     if n < 1:
         raise InvalidInputError(f"ambient length must be at least 1, got {n}")
     if not 0 < p <= 1:
         raise InvalidInputError(f"keep probability must be in (0, 1], got {p}")
+    seed = as_integer(seed, "seed")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_DRAWS):
         keep = np.flatnonzero(rng.random(n) < p)

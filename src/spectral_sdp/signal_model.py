@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, as_integer
 
 #: Algorithm name of the pseudo-random generator, recorded in output
 #: metadata so runs are reproducible across implementations.
@@ -60,12 +60,16 @@ class NoiseSpec:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise InvalidInputError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        object.__setattr__(self, "seed", as_integer(self.seed, "noise seed"))
+        if self.seed < 0:
+            raise InvalidInputError(f"noise seed must be nonnegative, got {self.seed}")
 
 
 def synthesize_uniform(spec: SpikeSpectrum, f: float, n: int) -> np.ndarray:
     """Samples ``y[k] = sum_r a_r e^{i 2 pi (xi_r / f) k}`` for k = 0..n-1."""
     if not (np.isfinite(f) and f > 0):
         raise InvalidInputError(f"sampling frequency must be finite and positive, got {f}")
+    n = as_integer(n, "n")
     if n < 1:
         raise InvalidInputError("n must be at least 1")
     k = np.arange(n)

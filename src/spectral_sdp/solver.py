@@ -88,7 +88,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError, as_integer
 from .sampling import (
     PartitionStructure,
     SelectionPattern,
@@ -129,6 +129,7 @@ class ProblemSpec:
             raise InvalidInputError(f"tau must be finite and nonnegative, got {self.tau}")
         if not (np.isfinite(self.rho) and self.rho > 0):
             raise InvalidInputError(f"rho must be finite and positive, got {self.rho}")
+        object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise InvalidInputError(f"max_iter must be at least 1, got {self.max_iter}")
         if not 0 <= self.tol_primal < np.inf:  # NaN fails too
@@ -222,6 +223,10 @@ _KRYLOV_BLOCKS = 4  # the space [X, VX, V^2 X, V^3 X]
 _RITZ_PASSES = 4  # Rayleigh-Ritz passes before the full eigh takes over
 _RITZ_TOL = 1e-13  # residual of the negative Ritz pairs, relative to ||V||_F
 
+# The factor of the noise rule tau = 1.5 sigma sqrt(m log m), which needs
+# some constant above 1 (Bhaskar, Tang & Recht, arXiv:1204.6537).
+_NOISE_FACTOR = 1.5
+
 
 def update_c(a: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Minimizer of the c-part of the augmented Lagrangian.
@@ -276,9 +281,7 @@ def _certified(z: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _ritz_projection(
-    a: np.ndarray, basis: np.ndarray, certify: bool
-) -> tuple[np.ndarray, Projection] | None:
+def _ritz_projection(a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, Projection] | None:
     """``Z = A - U Theta U*`` from the negative Ritz pairs ``(Theta, U)`` of
     the Hermitian ``a``, or None when they are not accepted. ``a`` is
     overwritten, by ``Z`` when it is returned.
@@ -288,12 +291,9 @@ def _ritz_projection(
     guard ``X``. The pairs are accepted once their residual
     ``||A U - U Theta||_F`` is at most ``_RITZ_TOL ||A||_F``, within
     ``_RITZ_PASSES`` passes; the passes stop early when, at the rate of the
-    last one, those left would fall short. With ``certify``, ``Z`` is
-    accepted only once ``Z + eps I`` has a Cholesky factor, ``eps = order *
-    machine eps * ||A||_F`` (:func:`_shift`): then ``A`` has no negative
-    eigenvalue outside ``U`` beyond rounding. Without it, ``Z`` is
-    returned uncertified, and may have negative eigenvalues that the
-    passes did not find.
+    last one, those left would fall short. ``Z`` is not certified: it
+    may keep negative eigenvalues that the passes did not find, and only
+    :func:`_certified` tells.
     """
     order = a.shape[0]
     norm = np.linalg.norm(a)
@@ -317,31 +317,24 @@ def _ritz_projection(
             return None  # at the last pass's rate, the passes left fall short
         previous = residual
     a -= (x[:, :k] * theta[:k]) @ x[:, :k].conj().T  # Z, in place
-    if certify and not _certified(a, _shift(order, norm)):
-        return None
     return a, Projection(x, k, False)
 
 
-def psd_project(
-    h: np.ndarray, basis: np.ndarray | None = None, certify: bool = True
-) -> tuple[np.ndarray, Projection]:
-    """Frobenius-nearest positive semidefinite matrix ``Z`` to the Hermitian
-    matrix ``h``, and the :class:`Projection` that warm-starts the next call.
+def psd_project(h: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.ndarray, Projection]:
+    """``Z = h - h_-``, the Hermitian matrix ``h`` less its negative
+    eigenpairs, and the :class:`Projection` that warm-starts the next call.
 
     ``h`` must hold both triangles and a real diagonal; it is only read.
-    ``Z = h - h_-`` needs only the few negative eigenpairs of ``h``: given
-    a ``basis``, such as the previous call's, they come from a
-    Rayleigh-Ritz step (``_ritz_projection``) in O(order^2 k) work, which
-    ``certify`` follows with one Cholesky factorization, O(order^3 / 3).
-    Without a basis, or when the Ritz pairs or the certificate fail, the
-    full eigendecomposition zeroes the negative eigenvalues, in O(order^3)
-    work; a call without a basis is exactly that. Without ``certify`` a
-    warm ``Z`` may keep negative eigenvalues that the Ritz step missed;
-    :func:`solve` certifies it only where it may stop.
+    Given a ``basis``, such as the previous call's, the pairs come from a
+    Rayleigh-Ritz step (:func:`_ritz_projection`) in O(order^2 k) work;
+    this ``Z`` is not certified and may keep negative eigenvalues the step
+    missed (:func:`solve` runs :func:`_certified` where it may stop).
+    Without a basis, or when the Ritz pairs are not accepted, the full
+    eigendecomposition, O(order^3), gives the nearest PSD matrix to ``h``.
     """
     if basis is not None:
         a = h.copy()
-        warm = _ritz_projection(a, basis, certify)
+        warm = _ritz_projection(a, basis)
         if warm is not None:
             return warm
     try:
@@ -360,8 +353,7 @@ def admm_step(
     ``basis`` are only read.
 
     Builds the Hermitian ``V`` with a real diagonal, projects it
-    (warm-started from ``basis`` and not certified, see
-    :func:`psd_project`) and gathers the
+    (warm-started from ``basis``, see :func:`psd_project`) and gathers the
     triangle ``z`` of ``Z``. With ``Lambda/rho = Z - V``, c and S are the
     block minimizers at ``Z + Lambda/rho``. Returns ``z``, the triangle
     ``b`` of ``(S, c, 1)``, the image ``b - Lambda/rho`` and the
@@ -369,7 +361,7 @@ def admm_step(
     """
     h = spec.hermitian(v)
     np.fill_diagonal(h.imag, 0.0)
-    z_mat, projection = psd_project(h, basis, certify=False)
+    z_mat, projection = psd_project(h, basis)
     z = z_mat.ravel().take(spec.triangle[0])
     lam = z - v  # Lambda / rho
     a_s, a_c = spec.split(z + lam)
@@ -600,7 +592,6 @@ def assemble_problem(
     tau: float | None = None,
     *,
     sigma: float | None = None,
-    gamma: float = 1.5,
     **settings,
 ) -> ProblemSpec:
     """Build a :class:`ProblemSpec` from observations and a pattern.
@@ -608,20 +599,17 @@ def assemble_problem(
     The pattern must contain index 0 (shift it first with
     :func:`~spectral_sdp.sampling.normalize_to_admissible`). When ``tau``
     is not given it defaults to the noise rule
-    ``gamma * sigma * sqrt(m log m)`` if ``sigma`` is positive, else to 0;
-    the rule needs ``gamma > 1``. ``sigma`` must be finite and nonnegative.
-    ``settings`` (``rho``, ``max_iter``, the tolerances) go to the spec.
+    ``1.5 * sigma * sqrt(m log m)`` if ``sigma`` is positive, else to 0;
+    pass ``tau`` for another factor. ``sigma`` must be finite and
+    nonnegative. ``settings`` (``rho``, ``max_iter``, the tolerances) go
+    to the spec.
     """
     if not is_admissible_selection(pattern):
         raise InvalidInputError("selection pattern must contain index 0")
     if sigma is not None and not (np.isfinite(sigma) and sigma >= 0):
         raise InvalidInputError(f"sigma must be finite and nonnegative, got {sigma}")
     if tau is None:
-        if sigma is not None and sigma > 0:
-            if not gamma > 1:
-                raise InvalidInputError(f"gamma must exceed 1 for the noise rule, got {gamma}")
-            m = pattern.m
-            tau = float(gamma * sigma * np.sqrt(m * np.log(m))) if m > 1 else 0.0
-        else:
-            tau = 0.0
+        m = pattern.m
+        noisy = sigma is not None and sigma > 0 and m > 1
+        tau = float(_NOISE_FACTOR * sigma * np.sqrt(m * np.log(m))) if noisy else 0.0
     return ProblemSpec(y=y, partition=compute_partition(pattern), tau=tau, **settings)

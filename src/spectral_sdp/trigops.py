@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-PEAK_TOL = 1e-3  # default peak threshold: a maximum of |Q| >= 1 - PEAK_TOL is a peak
+PEAK_TOL = 1e-3  # the peak threshold: a maximum of |Q| >= 1 - PEAK_TOL is a peak
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-12
@@ -36,8 +36,8 @@ def grid_size(n: int) -> int:
     """Points of the uniform grid ``|Q|`` is read on for ``n`` coefficients.
 
     Half a cell off this grid, the unit peak of the degree ``n - 1``
-    Dirichlet kernel still samples to 0.9996, above the default peak
-    threshold 0.999 of :func:`~spectral_sdp.localization.locate_frequencies`;
+    Dirichlet kernel still samples to 0.9996, above the peak threshold
+    0.999 of :func:`~spectral_sdp.localization.locate_frequencies`;
     at 8 points per coefficient it samples to 0.994 and is missed.
     """
     return max(32 * n, 4096)

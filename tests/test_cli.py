@@ -1,12 +1,16 @@
 """Command-line interface: file formats, exit codes, reproducibility."""
 
+import dataclasses
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
-from spectral_sdp.cli import main
+from spectral_sdp import EstimationConfig, assemble_problem
+from spectral_sdp.cli import _CONFIG_FIELDS, main
+from spectral_sdp.solver import ProblemSpec
 
 
 def _write_config(path, cfg):
@@ -55,6 +59,17 @@ def _multirate_config(tmp_path, seed=3, sigma=0.0):
 def _read(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def test_settings_are_the_config_fields():
+    # The CLI reads every EstimationConfig field but sigma (from noise.sigma
+    # or --sigma) from its solver section, and estimate() hands the config
+    # to assemble_problem whole.
+    names = [field.name for field in dataclasses.fields(EstimationConfig)]
+    assert list(_CONFIG_FIELDS) == [n for n in names if n != "sigma"]
+    keywords = set(inspect.signature(assemble_problem).parameters) - {"y", "pattern", "settings"}
+    keywords |= {field.name for field in dataclasses.fields(ProblemSpec)} - {"y", "partition"}
+    assert set(names) <= keywords
 
 
 class TestSynth:
@@ -427,6 +442,8 @@ class TestErrors:
             ("seed-negative", "seed"),
             ("env-seed-negative", "SPECTRAL_SDP_SEED"),
             ("flag-seed-negative", "--seed"),
+            ("rate-bool", "sampling.f"),
+            ("grid-gamma-bool", "sampling.grids[1].gamma"),
         ],
         ids=[
             "csv-field",
@@ -455,12 +472,17 @@ class TestErrors:
             "seed-negative",
             "env-seed-negative",
             "flag-seed-negative",
+            "rate-bool",
+            "grid-gamma-bool",
         ],
     )
     def test_malformed_number_exits_one(self, tmp_path, monkeypatch, capsys, case, where):
-        if case == "grid-rate":
+        if case.startswith("grid-"):
             cfg_path, cfg = _multirate_config(tmp_path)
-            cfg["sampling"]["grids"][1]["f"] = "1/0x"
+            if case == "grid-rate":
+                cfg["sampling"]["grids"][1]["f"] = "1/0x"
+            else:
+                cfg["sampling"]["grids"][1]["gamma"] = True  # must not read as 1
         else:
             cfg_path, cfg = _full_config(tmp_path)
             if case == "rate":
@@ -490,6 +512,8 @@ class TestErrors:
                 cfg["signal"]["freqs_hz"][1] = True
             elif case == "seed-negative":
                 cfg["seed"] = -2
+            elif case == "rate-bool":
+                cfg["sampling"]["f"] = True  # must not read as 1 Hz
         _write_config(cfg_path, cfg)
         if case.startswith("env-seed"):
             monkeypatch.setenv("SPECTRAL_SDP_SEED", "-5" if case == "env-seed-negative" else "abc")
@@ -535,12 +559,20 @@ class TestErrors:
         _write_config(cfg_path, cfg)
         assert main(["synth", "--config", cfg_path]) == 0
         assert main(["estimate", "--config", cfg_path]) == 0
-        cfg["solver"]["tol_dual"] = 1e-7  # an option that is gone
-        _write_config(cfg_path, cfg)
-        capsys.readouterr()
-        assert main(["estimate", "--config", cfg_path]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error:") and "solver.tol_dual" in err
+        # Settings that are gone, and a misspelt section.
+        for section, key, where in (
+            ("solver", "tol_dual", "solver.tol_dual"),
+            ("solver", "gamma", "solver.gamma"),
+            ("localization", "peak_tol", "'localization'"),
+            ("solvr", "rho", "'solvr'"),
+        ):
+            bad = json.loads(json.dumps(cfg))
+            bad.setdefault(section, {})[key] = 1.5
+            _write_config(cfg_path, bad)
+            capsys.readouterr()
+            assert main(["estimate", "--config", cfg_path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("input error:") and where in err
 
     @pytest.mark.parametrize(
         "case, where",

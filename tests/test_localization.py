@@ -24,7 +24,7 @@ from spectral_sdp import (
 )
 from spectral_sdp.errors import DimensionMismatchError
 from spectral_sdp.localization import _off_support
-from spectral_sdp.trigops import dense_sup_norm
+from spectral_sdp.trigops import PEAK_TOL, dense_sup_norm, grid_maxima, grid_size
 
 from conftest import random_complex, random_pattern, random_spike_spectrum
 
@@ -109,6 +109,20 @@ class TestLocateFrequencies:
             locate_frequencies(q, 1.0, max_peaks=3)
         out = locate_frequencies(q, 1.0)
         assert out.freqs_hz.size == n - 1
+
+    @pytest.mark.parametrize("n, j", [(8, 0), (4, grid_size(4) - 1)], ids=["inside", "across-zero"])
+    def test_equal_grid_maxima_merge_into_one_peak(self, n, j):
+        # Half a cell off the grid, a unit Dirichlet peak samples to two
+        # exactly equal maxima, at j and j + 1, and both refine onto nu0.
+        # In the second case the pair straddles the grid's wrap at index 0.
+        nu0 = (j + 0.5) / grid_size(n)
+        q = np.exp(-2j * np.pi * nu0 * np.arange(n)) / n
+        mags, maxima = grid_maxima(q)
+        peaks = mags[maxima[mags[maxima] >= 1.0 - PEAK_TOL]]
+        assert peaks.size == 2 and peaks[0] == peaks[1]
+        out = locate_frequencies(q, 1.0)
+        assert out.freqs_hz.size == 1
+        assert abs(out.freqs_hz[0] - nu0) < 1e-12
 
     def test_peak_between_coarse_grid_points_found_in_bounded_memory(self):
         # A unit Dirichlet peak half a cell off the 8n grid samples to about

@@ -30,6 +30,11 @@ class TestGridValidation:
             with pytest.raises(InvalidInputError):
                 Grid(f=f, gamma=gamma, n=4)
 
+    def test_rejects_boolean_rates_and_delays(self):
+        for f, gamma in ((True, 0), (1, True)):
+            with pytest.raises(InvalidInputError, match="must be a number"):
+                Grid(f=f, gamma=gamma, n=4)
+
     def test_rejects_values_beyond_float_range(self):
         # Exact fractions, but the sample times are computed in floats.
         for f, gamma in (("1e400", 0), (Fraction(10**400), 0), (1, "-1e400")):

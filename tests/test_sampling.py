@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 
 from spectral_sdp import (
+    EstimationConfig,
+    Grid,
     InvalidInputError,
+    NoiseSpec,
     SelectionPattern,
+    SpikeSpectrum,
     compute_partition,
+    estimate,
     is_admissible_selection,
     normalize_to_admissible,
     random_selection,
     selection_matrix,
+    synthesize_uniform,
 )
 from spectral_sdp.oracles import (
     apply_subsampling,
@@ -220,3 +226,51 @@ class TestNormalizeToAdmissible:
             pat = random_pattern(rng, int(rng.integers(2, 64)))
             shifted, _ = normalize_to_admissible(pat)
             assert is_admissible_selection(shifted)
+
+
+_SPIKE = SpikeSpectrum(freqs=np.array([0.1]), amps=np.array([1.0]))
+_FULL4 = SelectionPattern(indices=(0, 1, 2, 3), ambient=4)
+
+
+class TestIntegerInputs:
+    # One rule for every integer input: no bool, no fractional part, and a
+    # seed of at least 0; numpy integers pass.
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SelectionPattern(indices=(0, 1.5, 3), ambient=4),
+            lambda: SelectionPattern(indices=(0, True), ambient=4),
+            lambda: SelectionPattern(indices=(0, 1), ambient=2.5),
+            lambda: synthesize_uniform(_SPIKE, 1.0, 2.5),
+            lambda: estimate(np.ones(4), _FULL4, 1.0, EstimationConfig(max_iter=2.5)),
+            lambda: estimate(np.ones(4), _FULL4, 1.0, EstimationConfig(max_iter=True)),
+            lambda: Grid(f=1, gamma=0, n=2.5),
+            lambda: random_selection(5.5, 0.5, seed=0),
+            lambda: random_selection(8, 0.5, seed=-1),
+            lambda: NoiseSpec(sigma=0.1, seed=-1),
+            lambda: NoiseSpec(sigma=0.1, seed=0.5),
+        ],
+        ids=[
+            "index-fraction",
+            "index-bool",
+            "ambient-fraction",
+            "length-fraction",
+            "max-iter-fraction",
+            "max-iter-bool",
+            "grid-length-fraction",
+            "random-length-fraction",
+            "random-seed-negative",
+            "seed-negative",
+            "seed-fraction",
+        ],
+    )
+    def test_rejects_a_non_integer(self, make):
+        with pytest.raises(InvalidInputError):
+            make()
+
+    def test_numpy_integers_pass(self):
+        pat = SelectionPattern(indices=np.arange(3, dtype=np.int32), ambient=np.int64(3))
+        assert pat.indices == (0, 1, 2) and type(pat.ambient) is int
+        assert synthesize_uniform(_SPIKE, 1.0, np.int16(3)).size == 3
+        assert Grid(f=1, gamma=0, n=np.uint8(4)).n == 4
+        assert NoiseSpec(sigma=0.1, seed=np.uint64(2**63)).seed == 2**63

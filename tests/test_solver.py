@@ -27,7 +27,6 @@ from spectral_sdp import (
     estimate,
     locate_frequencies,
     poly_eval,
-    psd_project,
     solve,
     synthesize_grid,
     synthesize_uniform,
@@ -42,6 +41,7 @@ from spectral_sdp.oracles import (
     finite_perturbation_check,
     residuals,
 )
+from spectral_sdp.solver import psd_project
 
 from conftest import (
     lagrangian_block,
@@ -267,8 +267,9 @@ class TestPsdProject:
         assert not projection.full and projection.negatives == 3
         assert np.array_equal(h, before)
         assert _relative_error(z, h) <= 1e-12
-        # The warm path reads the upper triangle too: a NaN there fails its
-        # certificate, and the full eigh, which reads the lower one, takes over.
+        # The warm path reads the upper triangle too: a NaN there makes ||V||
+        # non-finite, so it declines, and the full eigh, which reads the
+        # lower one, takes over.
         other = h.copy()
         other[np.triu_indices(self.ORDER, 1)] = np.nan
         z, projection = psd_project(other, basis)
@@ -293,18 +294,24 @@ class TestPsdProject:
         neg = vecs[:, :k]
         assert np.allclose(neg.conj().T @ projection.basis @ projection.basis.conj().T @ neg, np.eye(k), atol=1e-10)
 
-    def test_a_basis_missing_a_negative_pair_falls_back(self):
+    def test_a_basis_missing_a_negative_pair_fails_the_certificate(self):
         # Exact eigenvectors span an invariant space, so no Krylov step can
-        # find the missing pair; the Cholesky certificate must reject Z.
+        # find the missing pair; the solver's Cholesky certificate must
+        # reject the warm Z and accept the full eigh's.
+        from spectral_sdp import solver
+
         rng = np.random.default_rng(52)
         n = self.ORDER
         vals = np.concatenate([[-1.5, -0.7, -1e-6], 0.5 + rng.random(n - 3)])
         h, vecs = _with_spectrum(rng, vals)
         basis = vecs[:, [0, 1, 3 + int(np.argmin(vals[3:]))]]
         z, projection = psd_project(h, basis)
+        assert not projection.full and projection.negatives == 2
+        shift = solver._shift(n, np.linalg.norm(h))
+        assert not solver._certified(z, shift)
+        z_full, projection = psd_project(h)
         assert projection.full and projection.negatives == 3
-        assert np.array_equal(z, psd_project(h)[0])  # the full eigh, as without a basis
-        assert _relative_error(z, h) <= 1e-12
+        assert solver._certified(z_full, shift)
 
     def test_psd_input_is_returned(self):
         rng = np.random.default_rng(53)
@@ -513,7 +520,7 @@ class TestSolve:
 
         attempts = []
 
-        def fail(a, basis, certify):
+        def fail(a, basis):
             attempts.append(a.shape[0])
             return None
 
@@ -618,7 +625,7 @@ class TestSolve:
         monkeypatch.setattr(
             solver,
             "psd_project",
-            lambda h, basis, certify: calls.append(1) or project(h, basis, certify),
+            lambda h, basis: calls.append(1) or project(h, basis),
         )
         rejected = [0]
         for max_iter in range(1, 13):
@@ -938,7 +945,7 @@ class TestAssembleProblem:
     def test_noise_rule_sets_tau(self):
         pat = SelectionPattern(indices=tuple(range(16)), ambient=16)
         sigma = 0.25
-        prob = assemble_problem(np.zeros(16), pat, sigma=sigma, gamma=1.5)
+        prob = assemble_problem(np.zeros(16), pat, sigma=sigma)
         assert np.isclose(prob.tau, 1.5 * sigma * np.sqrt(16 * np.log(16)))
 
     @pytest.mark.parametrize(
@@ -947,8 +954,6 @@ class TestAssembleProblem:
             {"sigma": -0.1},
             {"sigma": np.nan},
             {"sigma": np.inf},
-            {"sigma": 0.25, "gamma": 1.0},
-            {"sigma": 0.25, "gamma": 0.5},
         ],
     )
     def test_rejects_bad_noise_rule_settings(self, noise):
