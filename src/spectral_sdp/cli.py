@@ -159,13 +159,39 @@ def _get(cfg: dict, path: str, default=None):
     return node
 
 
-_TOP_LEVEL_KEYS = {"schema", "scenario", "seed", "signal", "sampling", "noise", "solver", "output"}
+# The EstimationConfig fields of the solver section, and their types;
+# sigma comes from noise.sigma or --sigma.
+_CONFIG_FIELDS = {
+    "tau": float,
+    "rho": float,
+    "max_iter": as_integer,
+    "tol_primal": float,
+    "tol_gap": float,
+}
+
+# The keys each config section, an object, may hold.
+_SECTION_KEYS = {
+    "signal": {"freqs_hz", "amps"},
+    "noise": {"sigma"},
+    "sampling": {"f", "n", "indices", "keep_prob", "grids"},
+    "solver": _CONFIG_FIELDS.keys(),
+    "output": {"dir", "prefix"},
+}
+_GRID_KEYS = {"f", "gamma", "n"}  # of each entry of sampling.grids
 
 
 def _load_config(args) -> dict:
+    """The config file; an unknown key, or a section or grid that is not an
+    object, is an input error naming it."""
     cfg = _load_json(args.config)
-    for key in sorted(cfg.keys() - _TOP_LEVEL_KEYS):
+    for key in sorted(cfg.keys() - {"schema", "scenario", "seed", *_SECTION_KEYS}):
         raise InvalidInputError(f"{args.config}: unknown top-level key {key!r}")
+    grids = _shaped(list, _get(cfg, "sampling.grids") or [], "sampling.grids")
+    objects = [(name, cfg[name], _SECTION_KEYS[name]) for name in sorted(cfg.keys() & _SECTION_KEYS)]
+    objects += [(f"sampling.grids[{j}]", g, _GRID_KEYS) for j, g in enumerate(grids)]
+    for name, node, keys in objects:
+        for key in sorted(_shaped(dict, node, name).keys() - keys):
+            raise InvalidInputError(f"{name}.{key}: unknown key")
     if cfg.get("schema") != SCHEMA_VERSION:
         raise InvalidInputError(
             f"{args.config}: unsupported schema {cfg.get('schema')!r}, "
@@ -205,7 +231,6 @@ def _signal_from_config(cfg: dict) -> SpikeSpectrum:
     sig = cfg.get("signal")
     if not sig:
         raise InvalidInputError("config has no 'signal' section")
-    sig = _shaped(dict, sig, "signal")
     freqs = np.array(_parse_list(float, sig["freqs_hz"], "signal.freqs_hz"))
     amps = _parse_complex_list(sig["amps"], "signal.amps")
     return SpikeSpectrum(freqs=freqs, amps=amps)
@@ -215,8 +240,7 @@ def _system_from_config(cfg: dict) -> MultirateSystem:
     grids_cfg = _get(cfg, "sampling.grids")
     if not grids_cfg:
         raise InvalidInputError("multirate scenario needs sampling.grids")
-    for j, g in enumerate(_shaped(list, grids_cfg, "sampling.grids")):
-        _shaped(dict, g, f"sampling.grids[{j}]")
+    for j, g in enumerate(grids_cfg):
         for key in ("f", "gamma"):
             if isinstance(g.get(key), float):
                 raise InvalidInputError(
@@ -276,25 +300,12 @@ def _sampler(cfg: dict, seed: int):
     return _pattern_from_config(cfg, seed), _rate_from_config(cfg)
 
 
-# The EstimationConfig fields of the solver section, and their types;
-# sigma comes from noise.sigma or --sigma.
-_CONFIG_FIELDS = {
-    "tau": float,
-    "rho": float,
-    "max_iter": as_integer,
-    "tol_primal": float,
-    "tol_gap": float,
-}
-
-
 def _estimation_config(cfg: dict, args, sigma: float) -> EstimationConfig:
     """``sigma`` as read, and only the fields the solver section or a flag
     of the same name sets (the flag wins); ``EstimationConfig`` holds the
     defaults of the rest and :func:`~spectral_sdp.solver.assemble_problem`
-    checks them. Any other key of the section is an input error."""
-    solver = _shaped(dict, cfg.get("solver") or {}, "solver")
-    for key in sorted(solver.keys() - _CONFIG_FIELDS.keys()):
-        raise InvalidInputError(f"solver.{key}: unknown field")
+    checks them."""
+    solver = cfg.get("solver", {})
     fields = {}
     for name, cast in _CONFIG_FIELDS.items():
         value = getattr(args, name, None)

@@ -9,7 +9,7 @@ certificate check validates interpolation and strict boundedness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -24,54 +24,33 @@ from .errors import (
 # selection_matrix is unused here; perfbench/tracing.py wraps it by this name.
 from .sampling import SelectionPattern, normalize_to_admissible, selection_matrix
 from .signal_model import SpikeSpectrum
-from .solver import ProblemSpec, assemble_problem, solve
+from .solver import ProblemSpec, SolveStats, assemble_problem, solve
 from .trigops import PEAK_TOL, dense_sup_norm, grid_maxima, grid_modulus, poly_eval, refine_maxima
 
 
 @dataclass(frozen=True)
-class EstimateDiagnostics:
-    """How an estimate was obtained and how far it can be trusted.
-
-    The solve ran on a uniform frame at ``solve_rate_hz``: frame index
-    ``k`` sits at time ``k / solve_rate_hz - time_shift_s`` of the
-    original acquisition, so ``dual_poly`` certifies the spectrum whose
-    amplitudes are rotated by ``e^{-i 2 pi xi time_shift_s}``.
-    ``rejected_extrapolations`` counts the solver iterations whose Anderson
-    extrapolation the safeguard turned down, ``full_eigh_iterations`` those
-    whose projection ran the full eigendecomposition: after a failed
-    certificate, and in the backoff that follows it (0 on most calls of
-    the benchmark's shapes). ``rank_deficit`` is
-    the count of negative eigenvalues the last accepted projection zeroed:
-    at the optimum of a noiseless instance, the number of spikes.
-    ``history_depth`` is the depth of the Anderson history, set by the
-    solver's byte budget from the problem's size. ``final_residuals`` are
-    the solve's primal and constraint residuals, and ``stopped_on`` tells
-    which rule ended it (``"gap"``, ``"residuals"`` or ``"max_iter"``).
-    Either stop returns a certified dual point, whose objective
-    ``dual_objective`` is ``gap_lower``; ``gap_lower`` and ``gap_upper``
-    bracket the optimal value of the reduced dual (NaN when the solve ran
-    out of iterations).
+class EstimateDiagnostics(SolveStats):
+    """How an estimate was obtained and how far it can be trusted: its
+    solve's :class:`~spectral_sdp.solver.SolveStats`, then what the
+    localization and the fit found. ``newton_fallbacks`` counts the peaks
+    whose Newton refinement fell back to the grid. The solve ran with
+    ``tau`` on a uniform frame at ``solve_rate_hz``: frame index ``k``
+    sits at time ``k / solve_rate_hz - time_shift_s`` of the original
+    acquisition, so ``dual_poly`` certifies the spectrum whose amplitudes
+    are rotated by ``e^{-i 2 pi xi time_shift_s}``.
     """
 
     peak_moduli: np.ndarray
     residual: float
     sup_norm: float
-    iterations: int
-    final_residuals: tuple
-    converged: bool
-    reliable: bool
     newton_fallbacks: int
     solve_rate_hz: float
     time_shift_s: float
     tau: float
-    dual_objective: float
-    rejected_extrapolations: int
-    full_eigh_iterations: int
-    rank_deficit: int
-    history_depth: int
-    gap_lower: float
-    gap_upper: float
-    stopped_on: str
+
+    @property
+    def reliable(self) -> bool:
+        return self.converged and self.newton_fallbacks == 0
 
 
 @dataclass(frozen=True)
@@ -237,8 +216,10 @@ def verify_certificate(
     grid with balls of radius ``1/(8n)`` around the spikes excluded. The
     reported margin is ``1 - sup`` over the excluded-ball grid; the
     certificate holds when all interpolation errors pass and the margin
-    is positive.
+    is positive. ``tol`` must be finite and nonnegative.
     """
+    if not 0 <= tol < np.inf:  # NaN fails too
+        raise InvalidInputError(f"tol must be finite and nonnegative, got {tol}")
     q = np.asarray(q, dtype=complex)
     n = q.size
     # Denser than the localization grid: the grid maximum is not refined.
@@ -360,24 +341,13 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
     if time_shift_s != 0.0:
         amps = amps * np.exp(2j * np.pi * time_shift_s * peaks.freqs_hz)
     diag = EstimateDiagnostics(
+        **{field.name: getattr(report, field.name) for field in fields(SolveStats)},
         peak_moduli=peaks.moduli,
         residual=fit.residual,
         sup_norm=sup,
-        iterations=report.iterations,
-        final_residuals=report.final_residuals,
-        converged=report.converged,
-        reliable=bool(report.converged and peaks.newton_ok.all()),
         newton_fallbacks=int((~peaks.newton_ok).sum()),
         solve_rate_hz=f,
         time_shift_s=time_shift_s,
         tau=spec.tau,
-        dual_objective=report.dual_objective,
-        rejected_extrapolations=report.rejected_extrapolations,
-        full_eigh_iterations=report.full_eigh_iterations,
-        rank_deficit=report.rank_deficit,
-        history_depth=report.history_depth,
-        gap_lower=report.gap_lower,
-        gap_upper=report.gap_upper,
-        stopped_on=report.stopped_on,
     )
     return SpectrumEstimate(freqs=peaks.freqs_hz, amps=amps, dual_poly=q, diagnostics=diag)

@@ -190,19 +190,25 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class SolveReport:
-    """``full_eigh_iterations`` counts fallbacks and backed-off iterations.
-    ``stopped_on`` is ``"gap"``, ``"residuals"`` or ``"max_iter"``;
-    ``gap_lower`` and ``gap_upper`` bracket the optimal value, from the
-    returned iterate (NaN after ``max_iter``); ``final_residuals`` are the
-    primal and constraint residuals."""
+class SolveStats:
+    """How a solve ended and what it took. ``stopped_on`` names the rule
+    that ended it, ``"gap"``, ``"residuals"`` or ``"max_iter"``; either
+    stop returns a certified dual point, whose ``dual_objective`` is
+    ``gap_lower``, and ``gap_lower`` and ``gap_upper`` bracket the optimal
+    value (NaN after ``max_iter``). ``final_residuals`` are the primal and
+    constraint residuals. Of the ``iterations``, ``rejected_extrapolations``
+    had their Anderson extrapolation turned down by the safeguard and
+    ``full_eigh_iterations`` ran the full eigendecomposition: after a
+    failed warm projection or certificate, and in the backoff that follows
+    (0 on most benchmark calls). ``rank_deficit`` counts the negative
+    eigenvalues the last accepted projection zeroed (at a noiseless
+    optimum, the spikes), and ``history_depth`` is the Anderson depth the
+    byte budget gave for the problem's size.
+    """
 
-    c_star: np.ndarray
-    S_star: np.ndarray
     dual_objective: float
     iterations: int
     final_residuals: tuple
-    converged: bool
     rejected_extrapolations: int
     full_eigh_iterations: int
     rank_deficit: int
@@ -210,6 +216,18 @@ class SolveReport:
     gap_lower: float
     gap_upper: float
     stopped_on: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stopped_on != "max_iter"
+
+
+@dataclass(frozen=True)
+class SolveReport(SolveStats):
+    """The returned dual point ``(S_star, c_star)`` and its statistics."""
+
+    c_star: np.ndarray
+    S_star: np.ndarray
 
 
 # The depth of the Anderson history (see _Anderson). Iterations per call
@@ -460,7 +478,7 @@ def _atoms(spec: ProblemSpec, projection: Projection, c: np.ndarray) -> np.ndarr
         values = np.abs(_fold_values(spec.partition.indices, c, nu0, d))
         j = int(np.argmax(values))
         if values[j] >= 1.0 - PEAK_TOL:
-            found.append((nu0 + j) / d % 1.0)
+            found.append((nu0 + j) / d % 1.0 % 1.0)  # -1e-18 % 1.0 is 1.0
     return np.array(found)
 
 
@@ -575,7 +593,6 @@ def solve(spec: ProblemSpec) -> SolveReport:
         dual_objective=_dual_objective(spec, c_star),
         iterations=it,
         final_residuals=(primal, constraint),
-        converged=stopped_on != "max_iter",
         rejected_extrapolations=rejected,
         full_eigh_iterations=full,
         rank_deficit=deficit,

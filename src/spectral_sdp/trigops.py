@@ -81,7 +81,7 @@ def refine_maxima(q: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     ``[nu0 - 1/grid_size(n), nu0 + 1/grid_size(n)]`` (it diverged from the
     grid cell).
 
-    Returns the refined points reduced modulo 1 and the success flags.
+    Returns the refined points reduced into [0, 1) and the success flags.
     """
     q = np.asarray(q, dtype=complex)
     points = grid_size(q.size)
@@ -108,7 +108,8 @@ def refine_maxima(q: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
                 break
         refined.append(nu if ok else start)
         ok_flags.append(ok)
-    return np.array(refined, dtype=float) % 1.0, np.array(ok_flags, dtype=bool)
+    # A second % 1.0 maps the 1.0 that rounding gives, as -1e-18 % 1.0, to 0.
+    return np.array(refined, dtype=float) % 1.0 % 1.0, np.array(ok_flags, dtype=bool)
 
 
 def dense_sup_norm(q: np.ndarray) -> float:

@@ -10,6 +10,7 @@ import pytest
 
 from spectral_sdp import EstimationConfig, assemble_problem
 from spectral_sdp.cli import _CONFIG_FIELDS, main
+from spectral_sdp.localization import EstimateDiagnostics
 from spectral_sdp.solver import ProblemSpec
 
 
@@ -226,6 +227,26 @@ class TestEstimate:
         diag = json.loads(_read(tmp_path / "out" / "run_result.json"))["diagnostics"]
         assert diag["stopped_on"] == "residuals"
         assert diag["duality_gap"]["lower"] <= diag["duality_gap"]["upper"]
+
+    def test_result_writes_every_diagnostic(self, tmp_path):
+        # A statistic added to EstimateDiagnostics without a key of its own
+        # in the result fails here; these are the keys that differ.
+        renamed = {
+            "residual": "amplitude_residual",
+            "final_residuals": "residuals",
+            "gap_lower": "duality_gap",
+            "gap_upper": "duality_gap",
+        }
+        names = [field.name for field in dataclasses.fields(EstimateDiagnostics)]
+        properties = inspect.getmembers(EstimateDiagnostics, lambda v: isinstance(v, property))
+        names += [name for name, _ in properties]
+        cfg_path, _ = _full_config(tmp_path, n=16)
+        main(["synth", "--config", cfg_path])
+        assert main(["estimate", "--config", cfg_path]) == 0
+        record = json.loads(_read(tmp_path / "out" / "run_result.json"))
+        assert {"converged", "reliable"} <= set(names)
+        written = {*record["diagnostics"], *record["frame"]}
+        assert {renamed.get(name, name) for name in names} == written
 
     def test_missing_input_exits_one_without_outputs(self, tmp_path):
         cfg_path, _ = _full_config(tmp_path)
@@ -444,6 +465,7 @@ class TestErrors:
             ("flag-seed-negative", "--seed"),
             ("rate-bool", "sampling.f"),
             ("grid-gamma-bool", "sampling.grids[1].gamma"),
+            ("verify-tol", "tol"),
         ],
         ids=[
             "csv-field",
@@ -474,6 +496,7 @@ class TestErrors:
             "flag-seed-negative",
             "rate-bool",
             "grid-gamma-bool",
+            "verify-tol",
         ],
     )
     def test_malformed_number_exits_one(self, tmp_path, monkeypatch, capsys, case, where):
@@ -536,7 +559,7 @@ class TestErrors:
         if case.startswith("bench-size"):
             command = ["bench", "--config", cfg_path, "--iters", "2"]
             command += ["--sizes", "8,x" if case == "bench-size" else "8,0"]
-        if case in ("truth-freq", "solve-rate", "time-shift"):
+        if case in ("truth-freq", "solve-rate", "time-shift", "verify-tol"):
             assert main(command) == 0
             assert main(["estimate", "--config", cfg_path]) == 0
             result = tmp_path / "out" / "run_result.json"
@@ -545,10 +568,12 @@ class TestErrors:
             record = json.loads(_read(path))
             if case == "truth-freq":
                 record["freqs_hz"][1] = "x"
-            else:
+            elif case != "verify-tol":
                 record["frame"]["solve_rate_hz" if case == "solve-rate" else "time_shift_s"] = "x"
             path.write_text(json.dumps(record), encoding="utf-8")
             command = ["verify", "--result", str(result), "--truth", str(truth)]
+            if case == "verify-tol":
+                command += ["--tol", "nan"]
         assert main(command) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error:") and where in err
@@ -573,6 +598,55 @@ class TestErrors:
             assert main(["estimate", "--config", cfg_path]) == 1
             err = capsys.readouterr().err
             assert err.startswith("input error:") and where in err
+
+    @pytest.mark.parametrize(
+        "case, where",
+        [
+            ("noise-key", "noise.sigam"),
+            ("noise-number", "noise: expected an object"),
+            ("sampling-key", "sampling.keep_porb"),
+            ("output-key", "output.prefixx"),
+            ("signal-key", "signal.freq_hz"),
+            ("grid-key", "sampling.grids[0].gama"),
+            ("grids-object", "sampling.grids: expected an array"),
+        ],
+        ids=[
+            "noise-key",
+            "noise-number",
+            "sampling-key",
+            "output-key",
+            "signal-key",
+            "grid-key",
+            "grids-object",
+        ],
+    )
+    def test_unknown_key_or_section_shape_exits_one(self, tmp_path, capsys, case, where):
+        # Unchecked, each would run at a default without a word: no noise,
+        # no delay, the default prefix.
+        if case.startswith("grid"):
+            cfg_path, cfg = _multirate_config(tmp_path)
+            if case == "grid-key":
+                cfg["sampling"]["grids"] = [{"f": "1", "gama": "1/2", "n": 24}]
+            else:
+                cfg["sampling"]["grids"] = {"f": "1", "n": 24}
+        else:
+            cfg_path, cfg = _full_config(tmp_path)
+            if case == "noise-key":
+                cfg["noise"] = {"sigam": 0.05}
+            elif case == "noise-number":
+                cfg["noise"] = 0.05
+            elif case == "sampling-key":
+                cfg["sampling"]["keep_porb"] = 0.5
+            elif case == "output-key":
+                cfg["output"]["prefixx"] = "other"
+            else:
+                cfg["signal"]["freq_hz"] = [0.2]
+        _write_config(cfg_path, cfg)
+        command = "check-grid" if case.startswith("grid") else "synth"
+        assert main([command, "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and where in err
+        assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize(
         "case, where",

@@ -1,5 +1,6 @@
 """Dual polynomial to spectrum estimate: peaks, amplitudes, certificates."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -13,17 +14,20 @@ from spectral_sdp import (
     LocalizationError,
     SelectionPattern,
     SpikeSpectrum,
+    assemble_problem,
     dual_polynomial,
     estimate,
     locate_frequencies,
     recover_amplitudes,
     selection_matrix,
+    solve,
     synthesize_grid,
     synthesize_uniform,
     verify_certificate,
 )
 from spectral_sdp.errors import DimensionMismatchError
 from spectral_sdp.localization import _off_support
+from spectral_sdp.solver import SolveStats
 from spectral_sdp.trigops import PEAK_TOL, dense_sup_norm, grid_maxima, grid_size
 
 from conftest import random_complex, random_pattern, random_spike_spectrum
@@ -124,6 +128,14 @@ class TestLocateFrequencies:
         assert out.freqs_hz.size == 1
         assert abs(out.freqs_hz[0] - nu0) < 1e-12
 
+    @pytest.mark.parametrize("n", [4, 16, 100, 1000])
+    def test_frequencies_lie_in_one_period(self, n):
+        # A peak just below 0 refines to -1e-18, which % 1.0 rounds to 1.0.
+        q = np.exp(-2j * np.pi * -1e-18 * np.arange(n)) / n
+        out = locate_frequencies(q, 1.0)
+        assert out.freqs_hz.size == 1
+        assert np.all((0 <= out.freqs_hz) & (out.freqs_hz < 1.0))
+
     def test_peak_between_coarse_grid_points_found_in_bounded_memory(self):
         # A unit Dirichlet peak half a cell off the 8n grid samples to about
         # 0.994 there, below the 0.999 threshold; the default grid keeps it.
@@ -201,6 +213,12 @@ class TestVerifyCertificate:
         report = verify_certificate(1.1 * est.dual_poly, sig, 1.0, tol=0.2)
         assert not report.is_certificate
         assert report.strict_margin < 0
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_bad_tolerance_rejected(self, tol):
+        sig = SpikeSpectrum(freqs=np.array([0.1]), amps=np.array([1.0]))
+        with pytest.raises(InvalidInputError, match="tol"):
+            verify_certificate(np.ones(16, dtype=complex) / 16, sig, 1.0, tol=tol)
 
     def test_many_spikes_in_bounded_memory(self):
         # A (grid x spikes) distance matrix would take 16 MiB here.
@@ -282,6 +300,19 @@ class TestEstimatePipeline:
         assert est.diagnostics.solve_rate_hz == 6.0
         assert np.allclose(np.sort(est.freqs), sig.freqs, atol=1e-4)
         assert np.allclose(est.amps[np.argsort(est.freqs)], sig.amps, atol=1e-3)
+
+    @pytest.mark.parametrize("max_iter", [20000, 3])
+    def test_diagnostics_carry_the_solve_statistics(self, max_iter):
+        rng = np.random.default_rng(6)
+        n = 32
+        sig = random_spike_spectrum(rng, 2, min_sep=4 / (n - 1))
+        y = synthesize_uniform(sig, 1.0, n)
+        config = EstimationConfig(rho=20.0, max_iter=max_iter)
+        diag = estimate(y, _full_pattern(n), 1.0, config).diagnostics
+        report = solve(assemble_problem(y, _full_pattern(n), **vars(config)))
+        for field in dataclasses.fields(SolveStats):  # NaN gap bounds compare equal
+            np.testing.assert_equal(getattr(diag, field.name), getattr(report, field.name))
+        assert diag.converged is diag.reliable is (max_iter > 3)
 
     def test_requires_rate_for_pattern(self):
         with pytest.raises(InvalidInputError):
