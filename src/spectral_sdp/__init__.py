@@ -56,15 +56,7 @@ from .signal_model import (
     synthesize_uniform,
     torus_separation,
 )
-from .solver import (
-    ProblemSpec,
-    SolveReport,
-    admm_step,
-    assemble_problem,
-    solve,
-    update_S_blocks,
-    update_c,
-)
+from .solver import ProblemSpec, SolveReport, assemble_problem, solve
 from .trigops import dense_sup_norm, poly_eval
 
 __version__ = "0.1.0"

@@ -74,10 +74,18 @@ not accepted, the projection falls back to the full Hermitian
 eigendecomposition, O(m^3). Only an iterate that may stop needs ``Z``
 PSD, so :func:`solve` runs the O(m^3 / 3) Cholesky certificate of a warm
 ``Z`` there alone, not at every iteration (ADMM tolerates summable
-projection errors: Eckstein & Bertsekas 1992). After a failed warm
-projection or certificate, :func:`solve` projects in full for the next
-1, 2, 4, ... iterations, doubling with each failure in a row until a warm
-one passes again.
+projection errors: Eckstein & Bertsekas 1992). For the same reason the
+Ritz pairs need only be as exact as the step: :func:`solve` accepts them
+at a residual of ``tol ||V||_F``, with ``tol`` 1e-4 times the last
+accepted fixed-point residual relative to its point, clipped to [1e-13,
+1e-5] (a relative-error rule: Eckstein & Yao, Math. Program. 170, 2018).
+Within a factor 10 of
+either stopping rule the tolerance is 1e-13, and only such an exact step
+may stop, so the certificate and the ESPRIT atoms of the gap see the
+same basis as with a fixed 1e-13. After a failed warm projection or
+certificate, :func:`solve` projects in full for the next 1, 2, 4, ...
+iterations, doubling with each failure in a row until a warm one passes
+again.
 """
 
 from __future__ import annotations
@@ -240,6 +248,10 @@ DEPTH_MIN, DEPTH_MAX = 10, 40  # depth 10 from order 173 on; the floor binds fro
 _KRYLOV_BLOCKS = 4  # the space [X, VX, V^2 X, V^3 X]
 _RITZ_PASSES = 4  # Rayleigh-Ritz passes before the full eigh takes over
 _RITZ_TOL = 1e-13  # residual of the negative Ritz pairs, relative to ||V||_F
+# solve's tolerance: _RITZ_KAPPA times the last accepted residual relative
+# to its point, clipped to [_RITZ_TOL, _RITZ_CAP], and _RITZ_TOL once that
+# residual is within a factor _NEAR_STOP of either stopping rule.
+_RITZ_KAPPA, _RITZ_CAP, _NEAR_STOP = 1e-4, 1e-5, 10.0
 
 # The factor of the noise rule tau = 1.5 sigma sqrt(m log m), which needs
 # some constant above 1 (Bhaskar, Tang & Recht, arXiv:1204.6537).
@@ -299,7 +311,9 @@ def _certified(z: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _ritz_projection(a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, Projection] | None:
+def _ritz_projection(
+    a: np.ndarray, basis: np.ndarray, tol: float = _RITZ_TOL
+) -> tuple[np.ndarray, Projection] | None:
     """``Z = A - U Theta U*`` from the negative Ritz pairs ``(Theta, U)`` of
     the Hermitian ``a``, or None when they are not accepted. ``a`` is
     overwritten, by ``Z`` when it is returned.
@@ -307,7 +321,7 @@ def _ritz_projection(a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, Proj
     Each pass is a Rayleigh-Ritz step on the block Krylov space
     ``[X, AX, A^2 X, A^3 X]`` of the last pass's negative Ritz vectors and
     guard ``X``. The pairs are accepted once their residual
-    ``||A U - U Theta||_F`` is at most ``_RITZ_TOL ||A||_F``, within
+    ``||A U - U Theta||_F`` is at most ``tol ||A||_F``, within
     ``_RITZ_PASSES`` passes; the passes stop early when, at the rate of the
     last one, those left would fall short. ``Z`` is not certified: it
     may keep negative eigenvalues that the passes did not find, and only
@@ -329,30 +343,34 @@ def _ritz_projection(a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, Proj
         k = int(np.count_nonzero(theta < 0))
         x, ax = q @ w[:, : k + 1], aq @ w[:, : k + 1]
         residual = np.linalg.norm(ax[:, :k] - x[:, :k] * theta[:k]) / norm
-        if residual <= _RITZ_TOL:
+        if residual <= tol:
             break
-        if residual * (residual / previous) ** left > _RITZ_TOL:
+        if residual * (residual / previous) ** left > tol:
             return None  # at the last pass's rate, the passes left fall short
         previous = residual
     a -= (x[:, :k] * theta[:k]) @ x[:, :k].conj().T  # Z, in place
     return a, Projection(x, k, False)
 
 
-def psd_project(h: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.ndarray, Projection]:
+def psd_project(
+    h: np.ndarray, basis: np.ndarray | None = None, tol: float = _RITZ_TOL
+) -> tuple[np.ndarray, Projection]:
     """``Z = h - h_-``, the Hermitian matrix ``h`` less its negative
     eigenpairs, and the :class:`Projection` that warm-starts the next call.
 
     ``h`` must hold both triangles and a real diagonal; it is only read.
     Given a ``basis``, such as the previous call's, the pairs come from a
-    Rayleigh-Ritz step (:func:`_ritz_projection`) in O(order^2 k) work;
-    this ``Z`` is not certified and may keep negative eigenvalues the step
-    missed (:func:`solve` runs :func:`_certified` where it may stop).
+    Rayleigh-Ritz step (:func:`_ritz_projection`) in O(order^2 k) work,
+    accepted at a residual of ``tol ||h||_F`` (1e-13 by default;
+    :func:`solve` loosens it away from a stop). This ``Z`` is not
+    certified and may keep negative eigenvalues the step missed
+    (:func:`solve` runs :func:`_certified` where it may stop).
     Without a basis, or when the Ritz pairs are not accepted, the full
     eigendecomposition, O(order^3), gives the nearest PSD matrix to ``h``.
     """
     if basis is not None:
         a = h.copy()
-        warm = _ritz_projection(a, basis)
+        warm = _ritz_projection(a, basis, tol)
         if warm is not None:
             return warm
     try:
@@ -365,21 +383,21 @@ def psd_project(h: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.ndar
 
 
 def admm_step(
-    v: np.ndarray, spec: ProblemSpec, basis: np.ndarray | None = None
+    v: np.ndarray, spec: ProblemSpec, basis: np.ndarray | None = None, tol: float = _RITZ_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Projection]:
     """The plain ADMM map ``T(V)`` on the triangle ``v`` of ``V``; ``v`` and
     ``basis`` are only read.
 
     Builds the Hermitian ``V`` with a real diagonal, projects it
-    (warm-started from ``basis``, see :func:`psd_project`) and gathers the
-    triangle ``z`` of ``Z``. With ``Lambda/rho = Z - V``, c and S are the
-    block minimizers at ``Z + Lambda/rho``. Returns ``z``, the triangle
-    ``b`` of ``(S, c, 1)``, the image ``b - Lambda/rho`` and the
-    projection's :class:`Projection`.
+    (warm-started from ``basis`` at the Ritz tolerance ``tol``, see
+    :func:`psd_project`) and gathers the triangle ``z`` of ``Z``. With
+    ``Lambda/rho = Z - V``, c and S are the block minimizers at ``Z +
+    Lambda/rho``. Returns ``z``, the triangle ``b`` of ``(S, c, 1)``, the
+    image ``b - Lambda/rho`` and the projection's :class:`Projection`.
     """
     h = spec.hermitian(v)
     np.fill_diagonal(h.imag, 0.0)
-    z_mat, projection = psd_project(h, basis)
+    z_mat, projection = psd_project(h, basis, tol)
     z = z_mat.ravel().take(spec.triangle[0])
     lam = z - v  # Lambda / rho
     a_s, a_c = spec.split(z + lam)
@@ -523,6 +541,9 @@ def solve(spec: ProblemSpec) -> SolveReport:
     tol_primal``. Either stop returns ``(S', c')``, whose dual objective
     is the lower bound, once a warm ``Z`` passes the Cholesky certificate;
     a failed one backs the solve off as a failed warm projection does.
+    Each warm projection's Ritz tolerance follows the last accepted
+    residual (see the module docstring); a stop is taken only at an
+    iterate projected in full or at ``_RITZ_TOL``.
     After ``max_iter`` the last accepted evaluation is returned, and
     non-finite iterates raise :class:`NumericalError`.
     """
@@ -538,9 +559,10 @@ def solve(spec: ProblemSpec) -> SolveReport:
     extrapolated = False
     rejected = full = backoff = cold_until = 0
     stopped_on, bounds = "max_iter", (np.nan, np.nan)
+    tol = _RITZ_TOL
     for it in range(1, spec.max_iter + 1):
         warm = it > cold_until
-        z, b, v_out, projection = admm_step(v, spec, basis if warm else None)
+        z, b, v_out, projection = admm_step(v, spec, basis if warm else None, tol)
         basis = projection.basis
         full += projection.full
         failed = projection.full
@@ -558,11 +580,13 @@ def solve(spec: ProblemSpec) -> SolveReport:
         else:  # the first evaluation is always accepted
             b_star, deficit, primal = b, projection.negatives, g_out_norm
             converged = primal < spec.tol_primal
-            shift = _shift(spec.m + 1, float(np.linalg.norm(x)))
+            norm = float(np.linalg.norm(x))
+            shift = _shift(spec.m + 1, norm)
             eps = primal + shift
             beta = np.sqrt((1.0 + eps) * (1.0 + spec.m * eps))
             near = 0 < spec.tol_gap and beta - 1.0 <= spec.tol_gap
-            if converged or near:
+            # A loose Ritz step leaves a stop to the next, tight one.
+            if (converged or near) and (projection.full or tol == _RITZ_TOL):
                 lower, upper = _gap_bounds(spec, spec.split(b)[1], projection, beta)
                 closed = near and upper - lower <= spec.tol_gap * upper
                 if closed or converged:
@@ -571,6 +595,11 @@ def solve(spec: ProblemSpec) -> SolveReport:
                         bounds = (lower, upper)
                         break
                     failed = True  # the Ritz step missed a negative eigenvalue
+            tight = primal < _NEAR_STOP * spec.tol_primal or (
+                0 < spec.tol_gap and beta - 1.0 <= _NEAR_STOP * spec.tol_gap
+            )
+            loose = min(_RITZ_CAP, max(_RITZ_TOL, _RITZ_KAPPA * primal / norm))
+            tol = _RITZ_TOL if tight else loose
             proposal = anderson.step(f, g, f_out, g_out) if it > 1 else None
             f, g, g_norm = f_out, g_out, g_out_norm
         if warm:  # after a failed warm projection, back off

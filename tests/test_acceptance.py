@@ -27,8 +27,6 @@ from spectral_sdp import (
     solve,
     synthesize_grid,
     synthesize_uniform,
-    update_S_blocks,
-    update_c,
     verify_certificate,
 )
 from spectral_sdp import ProblemSpec, random_selection
@@ -40,6 +38,7 @@ from spectral_sdp.oracles import (
     gram_eval,
     toeplitz_adjoint,
 )
+from spectral_sdp.solver import update_c, update_S_blocks
 
 from conftest import (
     lagrangian_block,

@@ -128,6 +128,23 @@ class TestLocateFrequencies:
         assert out.freqs_hz.size == 1
         assert abs(out.freqs_hz[0] - nu0) < 1e-12
 
+    def test_refinements_across_zero_merge_into_one_peak(self, monkeypatch):
+        # Two refinements a rounding apart on either side of 0 are the first
+        # and last of the sorted three, so only the wrap-around check merges
+        # them. A polynomial yields such a pair only from grid maxima that tie
+        # to the last bit around a very flat peak at 0, so the refiner is
+        # stubbed: it returns that pair and the peak at 1/2.
+        from spectral_sdp import localization
+
+        n = 8
+        q = np.zeros(n, dtype=complex)
+        q[0] = q[2] = 0.5  # |Q| = |cos(2 pi nu)|, unit at 0 and 1/2
+        refinements = np.array([1e-16, 0.5, 1.0 - 1e-16]), np.array([False, True, True])
+        monkeypatch.setattr(localization, "refine_maxima", lambda q, starts: refinements)
+        out = locate_frequencies(q, 1.0)
+        assert out.freqs_hz.tolist() == [1e-16, 0.5]
+        assert out.newton_ok.tolist() == [True, True]
+
     @pytest.mark.parametrize("n", [4, 16, 100, 1000])
     def test_frequencies_lie_in_one_period(self, n):
         # A peak just below 0 refines to -1e-18, which % 1.0 rounds to 1.0.

@@ -17,7 +17,6 @@ from spectral_sdp import (
     SelectionPattern,
     SpikeSpectrum,
     add_noise,
-    admm_step,
     align_measurements,
     assemble_problem,
     common_grid,
@@ -30,8 +29,6 @@ from spectral_sdp import (
     solve,
     synthesize_grid,
     synthesize_uniform,
-    update_S_blocks,
-    update_c,
 )
 from spectral_sdp.oracles import (
     admm_map,
@@ -41,7 +38,7 @@ from spectral_sdp.oracles import (
     finite_perturbation_check,
     residuals,
 )
-from spectral_sdp.solver import psd_project
+from spectral_sdp.solver import admm_step, psd_project, update_c, update_S_blocks
 
 from conftest import (
     lagrangian_block,
@@ -51,6 +48,7 @@ from conftest import (
     random_hermitian,
     random_pattern,
     random_spike_spectrum,
+    separated_freqs,
     triangle_of,
 )
 
@@ -430,8 +428,8 @@ class TestResiduals:
         captured = []
         step = solver.admm_step
 
-        def capture(v, spec, basis):
-            out = step(v, spec, basis)
+        def capture(*args):
+            out = step(*args)
             captured.append(out[:2])
             return out
 
@@ -520,7 +518,7 @@ class TestSolve:
 
         attempts = []
 
-        def fail(a, basis):
+        def fail(a, *args):
             attempts.append(a.shape[0])
             return None
 
@@ -625,7 +623,7 @@ class TestSolve:
         monkeypatch.setattr(
             solver,
             "psd_project",
-            lambda h, basis: calls.append(1) or project(h, basis),
+            lambda *args: calls.append(1) or project(*args),
         )
         rejected = [0]
         for max_iter in range(1, 13):
@@ -723,8 +721,8 @@ def _last_evaluation(monkeypatch, spec):
     captured = []
     step = solver.admm_step
 
-    def capture(v, spec, basis):
-        out = step(v, spec, basis)
+    def capture(*args):
+        out = step(*args)
         captured.append(out)
         return out
 
@@ -825,6 +823,73 @@ class TestDualityGap:
         assert again.full_eigh_iterations >= 1
 
 
+class TestRitzTolerance:
+    @staticmethod
+    def _criterion_5_shape(seed, **kw):
+        rng = np.random.default_rng(seed)
+        n = 64
+        sig = random_spike_spectrum(rng, 3, min_sep=4 / (n - 1))
+        return _spec_for(_full_pattern(n), y=synthesize_uniform(sig, 1.0, n), rho=30.0, **kw)
+
+    def test_loose_away_from_a_stop_and_tight_where_it_may_stop(self, monkeypatch):
+        from spectral_sdp import solver
+
+        # Per iteration, the tolerances its Ritz step received; the
+        # iterations whose Z went to the certificate.
+        received, certified = [], []
+        step, ritz, certify = solver.admm_step, solver._ritz_projection, solver._certified
+
+        def record_step(*args):
+            received.append([])
+            return step(*args)
+
+        def record_ritz(a, basis, tol):
+            received[-1].append(tol)
+            return ritz(a, basis, tol)
+
+        def record_certificate(*args):
+            certified.append(len(received) - 1)
+            return certify(*args)
+
+        monkeypatch.setattr(solver, "admm_step", record_step)
+        monkeypatch.setattr(solver, "_ritz_projection", record_ritz)
+        monkeypatch.setattr(solver, "_certified", record_certificate)
+        report = solve(self._criterion_5_shape(46))
+        assert report.stopped_on == "gap" and len(received) == report.iterations
+        tols = [tol for call in received for tol in call]
+        assert all(solver._RITZ_TOL <= tol <= solver._RITZ_CAP for tol in tols)
+        assert max(tols) > solver._RITZ_TOL
+        assert received[-1] and certified
+        for it in {len(received) - 1, *certified}:
+            assert received[it] == [solver._RITZ_TOL] * len(received[it])
+
+    def test_residual_stop_runs_no_more_full_projections(self, monkeypatch):
+        # With tol_gap = 0 the residual rule stops the solve. A cap at
+        # _RITZ_TOL gives every warm projection the fixed tolerance.
+        from spectral_sdp import solver
+
+        spec = self._criterion_5_shape(44, tol_gap=0.0)
+        report = solve(spec)
+        monkeypatch.setattr(solver, "_RITZ_CAP", solver._RITZ_TOL)
+        fixed = solve(spec)
+        assert report.stopped_on == fixed.stopped_on == "residuals"
+        assert report.full_eigh_iterations <= fixed.full_eigh_iterations
+
+    def test_criterion_11_shape_projects_warm_throughout(self):
+        # n = 128, s = 3 at 10 dB, tau factor 1.5, rho 100: the fixed 1e-13
+        # tolerance sent 11 of 55 iterations to the full eigh.
+        rng = np.random.default_rng(1100)
+        n, s = 128, 3
+        freqs = separated_freqs(rng, s, 4 / (n - 1))
+        amps = np.exp(2j * np.pi * rng.random(s))
+        clean = synthesize_uniform(SpikeSpectrum(freqs=freqs, amps=amps), 1.0, n)
+        sigma = float(np.sqrt((np.abs(amps) ** 2).sum() / 10))
+        y = add_noise(clean, NoiseSpec(sigma=sigma, seed=int(rng.integers(0, 2**63 - 1))))
+        tau = 1.5 * sigma * np.sqrt(n * np.log(n))
+        report = solve(_spec_for(_full_pattern(n), y=y, tau=tau, rho=100.0))
+        assert report.converged and report.full_eigh_iterations == 0
+
+
 class TestAndersonHistory:
     def test_float32_ring_buffers_sized_by_the_byte_budget(self):
         from spectral_sdp import solver
@@ -904,8 +969,8 @@ class TestAndersonHistory:
         captured, accepted = [], [0]
         admm_step, anderson_step = solver.admm_step, solver._Anderson.step
 
-        def capture(v, spec, basis):
-            out = admm_step(v, spec, basis)
+        def capture(*args):
+            out = admm_step(*args)
             captured.append(out[:2])
             return out
 
