@@ -12,7 +12,8 @@ degenerates to it smoothly in the same code.
 Every (m+1) x (m+1) Hermitian matrix the solver handles is held as one
 vector, its *triangle* (:attr:`ProblemSpec.triangle`): the upper-triangle
 entries in partition order, so a block of S is a contiguous slice and the
-border ``c`` a slice after it.
+border ``c`` a slice after it. One gather (:meth:`ProblemSpec.hermitian`)
+builds the matrix of a triangle, with a real diagonal.
 
 The ADMM is the classical two-block splitting (Boyd et al. 2011, §5;
 SCS, O'Donoghue et al., arXiv:1312.3039): ``X = [[S, c], [c*, 1]]`` with
@@ -90,6 +91,7 @@ again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -106,6 +108,19 @@ from .sampling import (
 from .trigops import PEAK_TOL
 
 
+def _as_real(value, what: str) -> float:
+    """``float(value)``, where a bool or a value ``float`` cannot read
+    raises :class:`InvalidInputError` naming ``what``: the rule of
+    :func:`~spectral_sdp.errors.as_integer` for the real settings."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{what} must be a real number, got {value!r}") from exc
+    if isinstance(value, (bool, np.bool_)):
+        raise InvalidInputError(f"{what} must be a real number, got {value!r}")
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Data and knobs of one reduced dual solve.
@@ -114,7 +129,9 @@ class ProblemSpec:
     Lagrangian weight. The solve stops where the relative duality gap
     ``(UB - LB) / UB`` is at most ``tol_gap``, in [0, 1) (0 turns that
     rule off), or where the fixed-point residual is below ``tol_primal``
-    (absolute, Frobenius).
+    (absolute, Frobenius). The real settings are stored as ``float``; a
+    bool or a value ``float`` cannot read is an :class:`InvalidInputError`
+    naming the field, as for the integer ``max_iter``.
     """
 
     y: np.ndarray
@@ -126,6 +143,8 @@ class ProblemSpec:
     tol_gap: float = 1e-5
 
     def __post_init__(self):
+        for name in ("tau", "rho", "tol_primal", "tol_gap"):
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
         y = np.asarray(self.y, dtype=complex)
         if y.ndim != 1 or y.size != self.partition.m:
             raise InvalidInputError(
@@ -133,16 +152,16 @@ class ProblemSpec:
             )
         if not np.all(np.isfinite(y)):
             raise InvalidInputError("y must be finite")
-        if not (np.isfinite(self.tau) and self.tau >= 0):
+        if not (math.isfinite(self.tau) and self.tau >= 0):
             raise InvalidInputError(f"tau must be finite and nonnegative, got {self.tau}")
-        if not (np.isfinite(self.rho) and self.rho > 0):
+        if not (math.isfinite(self.rho) and self.rho > 0):
             raise InvalidInputError(f"rho must be finite and positive, got {self.rho}")
         object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise InvalidInputError(f"max_iter must be at least 1, got {self.max_iter}")
         if not 0 <= self.tol_primal < np.inf:  # NaN fails too
             raise InvalidInputError(f"tol_primal must be in [0, inf), got {self.tol_primal}")
-        if not (np.isfinite(self.tol_gap) and 0 <= self.tol_gap < 1):
+        if not (math.isfinite(self.tol_gap) and 0 <= self.tol_gap < 1):
             raise InvalidInputError(f"tol_gap must be in [0, 1), got {self.tol_gap}")
         object.__setattr__(self, "y", y)
 
@@ -188,13 +207,30 @@ class ProblemSpec:
         k = self.partition.rows.size
         return t[:k], t[k:-1]
 
-    def hermitian(self, t: np.ndarray) -> np.ndarray:
-        """The Hermitian (m+1) x (m+1) matrix whose triangle is ``t``."""
+    @cached_property
+    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(index, diagonal)``: ``diagonal`` holds the triangle's diagonal
+        entries, and ``index`` the position of each entry of a raveled
+        (m+1) x (m+1) Hermitian matrix in ``[t, conj(t), real(t[diagonal])]``."""
         upper, lower = self.triangle
-        h = np.empty((self.m + 1) ** 2, dtype=complex)
-        h[lower] = t.conj()
-        h[upper] = t  # the diagonal keeps t's entries
-        return h.reshape(self.m + 1, self.m + 1)
+        size = upper.size
+        diagonal = np.flatnonzero(upper == lower)
+        index = np.empty((self.m + 1) ** 2, dtype=np.intp)
+        index[lower] = np.arange(size, 2 * size)
+        index[upper] = np.arange(size)
+        index[upper[diagonal]] = 2 * size + np.arange(diagonal.size)
+        return index, diagonal
+
+    def hermitian(self, t: np.ndarray) -> np.ndarray:
+        """The Hermitian (m+1) x (m+1) matrix whose triangle is ``t``, with
+        the real parts of t's diagonal entries on its diagonal: one gather."""
+        index, diagonal = self._gather
+        size = t.size
+        source = np.empty(2 * size + diagonal.size, dtype=complex)
+        source[:size] = t
+        np.conjugate(t, out=source[size : 2 * size])
+        source[2 * size :] = t.real[diagonal]
+        return source.take(index).reshape(self.m + 1, self.m + 1)
 
 
 @dataclass(frozen=True)
@@ -258,18 +294,20 @@ _RITZ_KAPPA, _RITZ_CAP, _NEAR_STOP = 1e-4, 1e-5, 10.0
 _NOISE_FACTOR = 1.5
 
 
-def update_c(a: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Minimizer of the c-part of the augmented Lagrangian.
+def update_c(a: np.ndarray, spec: ProblemSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Minimizer of the c-part of the augmented Lagrangian, written into
+    ``out`` when given (``a`` itself may be ``out``).
 
     ``a`` is the border of ``Z + Lambda/rho``, the entries ``(i, m)`` of
     the triangle; the minimizer is ``c = (conj(y) + 2 rho a) / (2 rho + tau)``.
     """
-    return (spec.y.conj() + 2.0 * spec.rho * a) / (2.0 * spec.rho + spec.tau)
+    return np.divide(spec.y.conj() + 2.0 * spec.rho * a, 2.0 * spec.rho + spec.tau, out=out)
 
 
-def update_S_blocks(a: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+def update_S_blocks(a: np.ndarray, spec: ProblemSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Exact minimizer of every block Lagrangian on its block-sum set, as
-    S's part of the triangle.
+    S's part of the triangle, written into ``out`` when given (``a`` itself
+    may be ``out``).
 
     ``a`` is S's part of the triangle of ``Z + Lambda/rho``, in partition
     order, so block k is the slice of ``sizes[k]`` entries at ``starts[k]``.
@@ -279,7 +317,7 @@ def update_S_blocks(a: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """
     part = spec.partition
     shift = (np.add.reduceat(a, part.starts) - part.delta) / part.sizes
-    return a - np.repeat(shift, part.sizes)
+    return np.subtract(a, np.repeat(shift, part.sizes), out=out)
 
 
 class Projection(NamedTuple):
@@ -291,6 +329,17 @@ class Projection(NamedTuple):
     basis: np.ndarray
     negatives: int
     full: bool
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` as a float, the Euclidean norm of the raveled
+    ``x``, evaluated as NumPy does (``sqrt(x . x)``, and ``sqrt(re . re +
+    im . im)`` for complex ``x``) without its dispatch."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def _shift(order: int, norm: float) -> float:
@@ -315,8 +364,8 @@ def _ritz_projection(
     a: np.ndarray, basis: np.ndarray, tol: float = _RITZ_TOL
 ) -> tuple[np.ndarray, Projection] | None:
     """``Z = A - U Theta U*`` from the negative Ritz pairs ``(Theta, U)`` of
-    the Hermitian ``a``, or None when they are not accepted. ``a`` is
-    overwritten, by ``Z`` when it is returned.
+    the Hermitian ``a``, or None when they are not accepted. ``a`` is only
+    read.
 
     Each pass is a Rayleigh-Ritz step on the block Krylov space
     ``[X, AX, A^2 X, A^3 X]`` of the last pass's negative Ritz vectors and
@@ -328,8 +377,8 @@ def _ritz_projection(
     :func:`_certified` tells.
     """
     order = a.shape[0]
-    norm = np.linalg.norm(a)
-    if not np.isfinite(norm) or _KRYLOV_BLOCKS * basis.shape[1] >= order:
+    norm = _norm(a)
+    if not math.isfinite(norm) or _KRYLOV_BLOCKS * basis.shape[1] >= order:
         return None
     x = basis
     previous = np.inf
@@ -337,19 +386,19 @@ def _ritz_projection(
         blocks = [x]
         for _ in range(_KRYLOV_BLOCKS - 1):
             blocks.append(a @ blocks[-1] / norm)  # scaled, so no power overflows
-        q = np.linalg.qr(np.hstack(blocks))[0]
+        q = np.linalg.qr(np.concatenate(blocks, axis=1))[0]
         aq = a @ q
         theta, w = np.linalg.eigh(q.conj().T @ aq)
         k = int(np.count_nonzero(theta < 0))
         x, ax = q @ w[:, : k + 1], aq @ w[:, : k + 1]
-        residual = np.linalg.norm(ax[:, :k] - x[:, :k] * theta[:k]) / norm
+        residual = _norm(ax[:, :k] - x[:, :k] * theta[:k]) / norm
         if residual <= tol:
             break
         if residual * (residual / previous) ** left > tol:
             return None  # at the last pass's rate, the passes left fall short
         previous = residual
-    a -= (x[:, :k] * theta[:k]) @ x[:, :k].conj().T  # Z, in place
-    return a, Projection(x, k, False)
+    update = (x[:, :k] * theta[:k]) @ x[:, :k].conj().T
+    return np.subtract(a, update, out=update), Projection(x, k, False)  # Z
 
 
 def psd_project(
@@ -369,8 +418,7 @@ def psd_project(
     eigendecomposition, O(order^3), gives the nearest PSD matrix to ``h``.
     """
     if basis is not None:
-        a = h.copy()
-        warm = _ritz_projection(a, basis, tol)
+        warm = _ritz_projection(h, basis, tol)
         if warm is not None:
             return warm
     try:
@@ -388,21 +436,23 @@ def admm_step(
     """The plain ADMM map ``T(V)`` on the triangle ``v`` of ``V``; ``v`` and
     ``basis`` are only read.
 
-    Builds the Hermitian ``V`` with a real diagonal, projects it
-    (warm-started from ``basis`` at the Ritz tolerance ``tol``, see
-    :func:`psd_project`) and gathers the triangle ``z`` of ``Z``. With
-    ``Lambda/rho = Z - V``, c and S are the block minimizers at ``Z +
-    Lambda/rho``. Returns ``z``, the triangle ``b`` of ``(S, c, 1)``, the
-    image ``b - Lambda/rho`` and the projection's :class:`Projection`.
+    Builds the Hermitian ``V`` with a real diagonal by one gather
+    (:meth:`ProblemSpec.hermitian`), projects it (warm-started from
+    ``basis`` at the Ritz tolerance ``tol``, see :func:`psd_project`) and
+    gathers the triangle ``z`` of ``Z``. With ``Lambda/rho = Z - V``, c and
+    S are the block minimizers at ``Z + Lambda/rho``, written over the
+    slices of its triangle. Returns ``z``, the triangle ``b`` of ``(S, c, 1)``,
+    the image ``b - Lambda/rho`` and the projection's :class:`Projection`.
     """
-    h = spec.hermitian(v)
-    np.fill_diagonal(h.imag, 0.0)
-    z_mat, projection = psd_project(h, basis, tol)
+    z_mat, projection = psd_project(spec.hermitian(v), basis, tol)
     z = z_mat.ravel().take(spec.triangle[0])
     lam = z - v  # Lambda / rho
-    a_s, a_c = spec.split(z + lam)
-    b = np.concatenate([update_S_blocks(a_s, spec), update_c(a_c, spec), [1.0]])
-    return z, b, b - lam, projection
+    b = z + lam  # Z + Lambda/rho, then (S, c, 1) in place
+    s, c = spec.split(b)
+    update_S_blocks(s, spec, out=s)
+    update_c(c, spec, out=c)
+    b[-1] = 1.0
+    return z, b, np.subtract(b, lam, out=lam), projection
 
 
 class _Anderson:
@@ -568,10 +618,10 @@ def solve(spec: ProblemSpec) -> SolveReport:
         failed = projection.full
         # The image T(x) and the residual g = T(x) - x = b - Z, the primal
         # residual.
-        f_out = v_out.view(float) * scale
+        f_out = np.multiply(v_out.view(float), scale, out=v_out.view(float))
         g_out = f_out - x
-        g_out_norm = float(np.linalg.norm(g_out))
-        if not np.isfinite(g_out_norm):
+        g_out_norm = _norm(g_out)
+        if not math.isfinite(g_out_norm):
             raise NumericalError(f"non-finite residual at iteration {it}: {g_out_norm}")
         if extrapolated and g_out_norm > g_norm:
             rejected += 1  # the safeguard: next comes the plain step
@@ -580,10 +630,10 @@ def solve(spec: ProblemSpec) -> SolveReport:
         else:  # the first evaluation is always accepted
             b_star, deficit, primal = b, projection.negatives, g_out_norm
             converged = primal < spec.tol_primal
-            norm = float(np.linalg.norm(x))
+            norm = _norm(x)
             shift = _shift(spec.m + 1, norm)
             eps = primal + shift
-            beta = np.sqrt((1.0 + eps) * (1.0 + spec.m * eps))
+            beta = math.sqrt((1.0 + eps) * (1.0 + spec.m * eps))
             near = 0 < spec.tol_gap and beta - 1.0 <= spec.tol_gap
             # A loose Ritz step leaves a stop to the next, tight one.
             if (converged or near) and (projection.full or tol == _RITZ_TOL):
@@ -647,13 +697,15 @@ def assemble_problem(
     is not given it defaults to the noise rule
     ``1.5 * sigma * sqrt(m log m)`` if ``sigma`` is positive, else to 0;
     pass ``tau`` for another factor. ``sigma`` must be finite and
-    nonnegative. ``settings`` (``rho``, ``max_iter``, the tolerances) go
-    to the spec.
+    nonnegative, and is read as the spec's real settings are. ``settings``
+    (``rho``, ``max_iter``, the tolerances) go to the spec.
     """
     if not is_admissible_selection(pattern):
         raise InvalidInputError("selection pattern must contain index 0")
-    if sigma is not None and not (np.isfinite(sigma) and sigma >= 0):
-        raise InvalidInputError(f"sigma must be finite and nonnegative, got {sigma}")
+    if sigma is not None:
+        sigma = _as_real(sigma, "sigma")
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise InvalidInputError(f"sigma must be finite and nonnegative, got {sigma}")
     if tau is None:
         m = pattern.m
         noisy = sigma is not None and sigma > 0 and m > 1

@@ -1,6 +1,6 @@
 """ADMM building blocks and full solves of the reduced dual."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +38,7 @@ from spectral_sdp.oracles import (
     finite_perturbation_check,
     residuals,
 )
-from spectral_sdp.solver import admm_step, psd_project, update_c, update_S_blocks
+from spectral_sdp.solver import _norm, admm_step, psd_project, update_c, update_S_blocks
 
 from conftest import (
     lagrangian_block,
@@ -99,6 +99,34 @@ class TestTriangle:
             assert np.array_equal(block_sums(spec.partition, h[:-1, :-1]), np.add.reduceat(s, spec.partition.starts))
             weighted = t.view(float) * np.repeat(spec.weight, 2)
             assert np.isclose(np.linalg.norm(weighted), np.linalg.norm(h))
+
+    def test_hermitian_is_the_scatter_with_a_real_diagonal(self, two_grid_system):
+        rng = np.random.default_rng(41)
+        patterns = [random_pattern(rng, int(rng.integers(1, 20)), admissible=True) for _ in range(8)]
+        for pat in patterns + [common_grid(two_grid_system).observation_set]:
+            spec = _spec_for(pat)
+            upper, lower = spec.triangle
+            t = random_complex(rng, upper.size)  # complex diagonal entries too
+            scattered = np.empty((pat.m + 1) ** 2, dtype=complex)
+            scattered[lower] = t.conj()
+            scattered[upper] = t
+            scattered = scattered.reshape(pat.m + 1, pat.m + 1)
+            np.fill_diagonal(scattered.imag, 0.0)
+            assert spec.hermitian(t).tobytes() == scattered.tobytes()
+
+
+class TestNorm:
+    def test_equals_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(42)
+        for size in (1, 7, 130, 8385):
+            x = rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8)
+            assert _norm(x) == np.linalg.norm(x)
+        for order in (2, 65, 130):
+            a = random_hermitian(rng, order) + 1e-3 * random_complex(rng, order, order)
+            assert _norm(a) == np.linalg.norm(a)
+            for cols in (slice(0, 1), slice(0, 3), slice(1, None, 2)):
+                assert _norm(a[:, cols]) == np.linalg.norm(a[:, cols])
+        assert type(_norm(x)) is float
 
 
 class TestUpdateC:
@@ -579,9 +607,7 @@ class TestSolve:
             s = update_S_blocks(a_s, prob)
             b = np.concatenate([s, update_c(a_c, prob), [1.0]])
             v = b - lam
-            h = prob.hermitian(v)
-            np.fill_diagonal(h.imag, 0.0)
-            z_mat = psd_project(h)[0]
+            z_mat = psd_project(prob.hermitian(v))[0]
             assert np.linalg.eigvalsh(z_mat).min() >= -1e-10
             z = z_mat.ravel().take(upper)
             lam = z - v
@@ -636,6 +662,15 @@ class TestSolve:
             rejected.append(report.rejected_extrapolations)
         # Some budgets end on a rejected extrapolation.
         assert any(b > a for a, b in zip(rejected, rejected[1:]))
+
+    def test_a_second_solve_of_one_spec_is_byte_identical(self):
+        # No state leaks between solves through the spec's cached indices.
+        for spec, _ in _gap_shapes(63):
+            runs = [solve(spec), solve(spec), solve(replace(spec))]
+            dumped = [
+                [np.asarray(getattr(run, f.name)).tobytes() for f in fields(run)] for run in runs
+            ]
+            assert dumped[0] == dumped[1] == dumped[2]
 
     def test_residuals_trend_downward(self):
         rng = np.random.default_rng(12)
@@ -758,6 +793,7 @@ class TestDualityGap:
             assert np.linalg.eigvalsh(bordered).min() >= -1e-10
             assert dense_sup_norm(dual_polynomial(report.c_star, pattern)) <= 1 + 1e-9
             assert report.dual_objective == report.gap_lower
+            assert np.array_equal(report.S_star, report.S_star.conj().T)
 
     def test_relative_gap_is_scale_free(self, monkeypatch):
         from spectral_sdp import solver
@@ -1025,6 +1061,37 @@ class TestAssembleProblem:
         pat = SelectionPattern(indices=tuple(range(4)), ambient=4)
         with pytest.raises(InvalidInputError):
             assemble_problem(np.zeros(4), pat, **noise)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("rho", True),
+            ("tau", True),
+            ("tol_primal", True),
+            ("tol_gap", False),
+            ("sigma", True),
+            ("rho", np.True_),
+            ("max_iter", True),
+            ("rho", None),
+            ("tau", "large"),
+            ("tol_gap", 1j),
+        ],
+    )
+    def test_rejects_a_bool_or_a_non_number_naming_the_field(self, name, value):
+        pat = SelectionPattern(indices=tuple(range(4)), ambient=4)
+        with pytest.raises(InvalidInputError, match=name):
+            assemble_problem(np.zeros(4), pat, **{name: value})
+
+    def test_real_settings_are_stored_as_floats(self):
+        pat = SelectionPattern(indices=tuple(range(4)), ambient=4)
+        prob = assemble_problem(
+            np.zeros(4), pat, tau=1, rho=np.float32(2.5), tol_primal=0, tol_gap=np.float64(0.5)
+        )
+        values = {"tau": 1.0, "rho": 2.5, "tol_primal": 0.0, "tol_gap": 0.5}
+        for name, value in values.items():
+            assert type(getattr(prob, name)) is float and getattr(prob, name) == value
+        noisy = assemble_problem(np.zeros(4), pat, sigma=np.int64(2))
+        assert noisy.tau == assemble_problem(np.zeros(4), pat, sigma=2.0).tau > 0
 
     def test_explicit_tau_wins(self):
         pat = SelectionPattern(indices=tuple(range(4)), ambient=4)

@@ -64,4 +64,5 @@ def test_estimate_reaches_every_traced_span(two_grid_system):
     ):
         assert tracer.calls[name] == len(ests), name
     assert tracer.calls["multirate.align"] == 1
-    assert tracer.calls["solver.eigh"] >= sum(e.diagnostics.iterations for e in ests)
+    # One projection per iteration, through the module attribute.
+    assert tracer.calls["solver.eigh"] == sum(e.diagnostics.iterations for e in ests)
