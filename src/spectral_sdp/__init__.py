@@ -45,7 +45,6 @@ from .sampling import (
     is_admissible_selection,
     normalize_to_admissible,
     random_selection,
-    selection_matrix,
 )
 from .signal_model import (
     RNG_ALGORITHM,
@@ -57,6 +56,6 @@ from .signal_model import (
     torus_separation,
 )
 from .solver import ProblemSpec, SolveReport, assemble_problem, solve
-from .trigops import dense_sup_norm, poly_eval
+from .trigops import poly_eval
 
 __version__ = "0.1.0"

@@ -30,7 +30,9 @@ from .errors import (
     InvariantViolationError,
     NumericalError,
     SpectralSDPError,
+    as_fraction,
     as_integer,
+    as_real,
 )
 from .localization import EstimationConfig, estimate, verify_certificate
 from .multirate import Grid, MultirateSystem, align_measurements, common_grid
@@ -64,19 +66,6 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _parse(cast, value, what: str):
-    """``cast(value)`` for a number read from outside; a malformed one, or a
-    bool (JSON's ``true`` is no 1), is an input error naming ``what`` (a
-    file and line, or a field). Integers are cast by the library's rule,
-    :func:`~spectral_sdp.errors.as_integer`."""
-    try:
-        if isinstance(value, bool):
-            raise ValueError("a bool is no number")
-        return cast(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InvalidInputError(f"{what}: cannot parse {value!r}") from exc
-
-
 def _shaped(kind: type, value, what: str):
     """``value`` when it is a JSON array (``kind`` list) or object (dict);
     otherwise an input error naming ``what``."""
@@ -105,9 +94,9 @@ def _read_samples_csv(path: str) -> np.ndarray:
             parts = line.split(",")
             if len(parts) != 3:
                 raise InvalidInputError(f"{path}:{lineno}: expected 3 fields")
-            if _parse(as_integer, parts[0], f"{path}:{lineno}") != len(values):
+            if as_integer(parts[0], f"{path}:{lineno}") != len(values):
                 raise InvalidInputError(f"{path}:{lineno}: expected index {len(values)}")
-            re, im = (_parse(float, v, f"{path}:{lineno}") for v in parts[1:])
+            re, im = (as_real(v, f"{path}:{lineno}") for v in parts[1:])
             if not (np.isfinite(re) and np.isfinite(im)):
                 raise InvalidInputError(f"{path}:{lineno}: non-finite sample {line!r}")
             values.append(complex(re, im))
@@ -135,16 +124,17 @@ def _complex_list(values) -> list:
     return [{"re": float(v.real), "im": float(v.imag)} for v in values]
 
 
-def _parse_list(cast, items, what: str) -> list:
-    """``cast`` of every entry of the array ``items``, entry ``j`` named ``what[j]``."""
-    return [_parse(cast, x, f"{what}[{j}]") for j, x in enumerate(_shaped(list, items, what))]
+def _parse_list(read, items, what: str) -> list:
+    """``read`` (an :mod:`~spectral_sdp.errors` reader) of every entry of the
+    array ``items``, entry ``j`` named ``what[j]``."""
+    return [read(x, f"{what}[{j}]") for j, x in enumerate(_shaped(list, items, what))]
 
 
 def _parse_complex_list(items, what: str) -> np.ndarray:
     out = []
     for j, d in enumerate(_shaped(list, items, what)):
         d = _shaped(dict, d, f"{what}[{j}]")
-        out.append(complex(*(_parse(float, d[k], f"{what}[{j}].{k}") for k in ("re", "im"))))
+        out.append(complex(*(as_real(d[k], f"{what}[{j}].{k}") for k in ("re", "im"))))
     return np.array(out, dtype=complex)
 
 
@@ -159,14 +149,14 @@ def _get(cfg: dict, path: str, default=None):
     return node
 
 
-# The EstimationConfig fields of the solver section, and their types;
+# The EstimationConfig fields of the solver section, and their readers;
 # sigma comes from noise.sigma or --sigma.
 _CONFIG_FIELDS = {
-    "tau": float,
-    "rho": float,
+    "tau": as_real,
+    "rho": as_real,
     "max_iter": as_integer,
-    "tol_primal": float,
-    "tol_gap": float,
+    "tol_primal": as_real,
+    "tol_gap": as_real,
 }
 
 # The keys each config section, an object, may hold.
@@ -208,7 +198,7 @@ def _resolve_seed(cfg: dict, args) -> int:
         source, value = ENV_SEED, os.environ[ENV_SEED]
     if getattr(args, "seed", None) is not None:
         source, value = "--seed", args.seed
-    seed = _parse(as_integer, value, source)
+    seed = as_integer(value, source)
     if seed < 0:
         raise InvalidInputError(f"{source}: the seed must be nonnegative, got {seed}")
     return seed
@@ -216,8 +206,8 @@ def _resolve_seed(cfg: dict, args) -> int:
 
 def _resolve_sigma(cfg: dict, args) -> float:
     if getattr(args, "sigma", None) is not None:
-        return float(args.sigma)
-    return _parse(float, _get(cfg, "noise.sigma", 0.0), "noise.sigma")
+        return args.sigma
+    return as_real(_get(cfg, "noise.sigma", 0.0), "noise.sigma")
 
 
 def _out_paths(cfg: dict, args):
@@ -231,7 +221,7 @@ def _signal_from_config(cfg: dict) -> SpikeSpectrum:
     sig = cfg.get("signal")
     if not sig:
         raise InvalidInputError("config has no 'signal' section")
-    freqs = np.array(_parse_list(float, sig["freqs_hz"], "signal.freqs_hz"))
+    freqs = np.array(_parse_list(as_real, sig["freqs_hz"], "signal.freqs_hz"))
     amps = _parse_complex_list(sig["amps"], "signal.amps")
     return SpikeSpectrum(freqs=freqs, amps=amps)
 
@@ -250,9 +240,9 @@ def _system_from_config(cfg: dict) -> MultirateSystem:
                 )
     grids = tuple(
         Grid(
-            f=_parse(Fraction, g["f"], f"sampling.grids[{j}].f"),
-            gamma=_parse(Fraction, g.get("gamma", 0), f"sampling.grids[{j}].gamma"),
-            n=_parse(as_integer, g["n"], f"sampling.grids[{j}].n"),
+            f=as_fraction(g["f"], f"sampling.grids[{j}].f"),
+            gamma=as_fraction(g.get("gamma", 0), f"sampling.grids[{j}].gamma"),
+            n=as_integer(g["n"], f"sampling.grids[{j}].n"),
         )
         for j, g in enumerate(grids_cfg)
     )
@@ -260,10 +250,11 @@ def _system_from_config(cfg: dict) -> MultirateSystem:
 
 
 def _rate_from_config(cfg: dict) -> float:
+    """``sampling.f``: a JSON number, or an exact ``"num/den"`` string."""
     f = _get(cfg, "sampling.f")
     if f is None:
         raise InvalidInputError("config needs sampling.f")
-    return _parse(lambda v: float(Fraction(v)), f, "sampling.f")
+    return as_real(as_fraction(f, "sampling.f") if isinstance(f, str) else f, "sampling.f")
 
 
 def _child_seed(seed: int, key: int) -> int:
@@ -273,7 +264,7 @@ def _child_seed(seed: int, key: int) -> int:
 
 def _pattern_from_config(cfg: dict, seed: int) -> SelectionPattern:
     scenario = cfg["scenario"]
-    n = _parse(as_integer, _get(cfg, "sampling.n", 0), "sampling.n")
+    n = as_integer(_get(cfg, "sampling.n", 0), "sampling.n")
     if scenario == "full":
         return SelectionPattern(indices=tuple(range(n)), ambient=n)
     if scenario == "selection":
@@ -288,7 +279,7 @@ def _pattern_from_config(cfg: dict, seed: int) -> SelectionPattern:
         p = _get(cfg, "sampling.keep_prob")
         if p is None:
             raise InvalidInputError("random-selection scenario needs sampling.keep_prob")
-        return random_selection(n, _parse(float, p, "sampling.keep_prob"), _child_seed(seed, 0))
+        return random_selection(n, as_real(p, "sampling.keep_prob"), _child_seed(seed, 0))
     raise InvalidInputError(f"no selection pattern for scenario {scenario!r}")
 
 
@@ -307,12 +298,12 @@ def _estimation_config(cfg: dict, args, sigma: float) -> EstimationConfig:
     checks them."""
     solver = cfg.get("solver", {})
     fields = {}
-    for name, cast in _CONFIG_FIELDS.items():
+    for name, read in _CONFIG_FIELDS.items():
         value = getattr(args, name, None)
         if value is None:
             value = solver.get(name)
         if value is not None:
-            fields[name] = _parse(cast, value, f"solver.{name}")
+            fields[name] = read(value, f"solver.{name}")
     return EstimationConfig(sigma=sigma, **fields)
 
 
@@ -344,7 +335,7 @@ def _synthesize(cfg: dict, seed: int, sigma: float):
         ]
         return outs, truth
     f = _rate_from_config(cfg)
-    n = _parse(as_integer, _get(cfg, "sampling.n", 0), "sampling.n")
+    n = as_integer(_get(cfg, "sampling.n", 0), "sampling.n")
     y = synthesize_uniform(spec, f, n)
     y = add_noise(y, NoiseSpec(sigma=sigma, seed=_child_seed(seed, 1)))
     truth["f_hz"] = f
@@ -551,7 +542,7 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args)
     seed = _resolve_seed(cfg, args)
     out_dir, prefix = _out_paths(cfg, args)
-    sizes = [_parse(as_integer, s, "--sizes") for s in args.sizes.split(",")]
+    sizes = [as_integer(s, "--sizes") for s in args.sizes.split(",")]
     if min(sizes) < 1:
         raise InvalidInputError(f"--sizes: every m must be at least 1, got {args.sizes!r}")
     rows = [_bench_one(m, 2 * m, args.iters, seed + i) for i, m in enumerate(sizes)]
@@ -570,9 +561,9 @@ def cmd_verify(args) -> int:
     truth = _load_json(args.truth)
     q = _parse_complex_list(record["dual_poly"], f"{args.result}: dual_poly")
     frame = _shaped(dict, record["frame"], f"{args.result}: frame")
-    f_solve = _parse(float, frame["solve_rate_hz"], f"{args.result}: frame.solve_rate_hz")
-    shift = _parse(float, frame["time_shift_s"], f"{args.result}: frame.time_shift_s")
-    freqs = np.array(_parse_list(float, truth["freqs_hz"], f"{args.truth}: freqs_hz"))
+    f_solve = as_real(frame["solve_rate_hz"], f"{args.result}: frame.solve_rate_hz")
+    shift = as_real(frame["time_shift_s"], f"{args.result}: frame.time_shift_s")
+    freqs = np.array(_parse_list(as_real, truth["freqs_hz"], f"{args.truth}: freqs_hz"))
     amps = _parse_complex_list(truth["amps"], f"{args.truth}: amps")
     surrogate = SpikeSpectrum(
         freqs=freqs, amps=amps * np.exp(-2j * np.pi * freqs * shift)

@@ -1,9 +1,13 @@
-"""Exception hierarchy shared across the package, and the integer rule
-that the library and the CLI both read integer inputs by.
+"""Exception hierarchy shared across the package, and the rules that the
+library and the CLI both read outside numbers by: integers, reals and
+exact rationals. A bool is no number under any of them, and a value the
+cast cannot read is an :class:`InvalidInputError` naming the field.
 
 The CLI maps these onto exit codes: bad inputs exit 1, numerical
 non-convergence exits 2, internal invariant violations exit 3.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,14 +40,44 @@ class LocalizationError(SpectralSDPError, RuntimeError):
     """Frequency localization failed (degenerate or overcrowded dual)."""
 
 
-def as_integer(value, what: str = "value") -> int:
-    """``int(value)``, where a bool, a number with a fractional part or a
-    value ``int`` cannot read raises :class:`InvalidInputError` naming
-    ``what``. numpy integers, integral floats and integer strings pass."""
+def _cast(cast, value, what: str, kind: str):
+    """``cast(value)``, where a bool (JSON's ``true`` is no 1) or a value
+    ``cast`` cannot read raises :class:`InvalidInputError` naming ``what``."""
     try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from exc
-    if isinstance(value, (bool, np.bool_)) or (not isinstance(value, str) and out != value):
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError("a bool is no number")
+        return cast(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InvalidInputError(f"{what} must be {kind}, got {value!r}") from exc
+
+
+def as_integer(value, what: str = "value") -> int:
+    """``int(value)`` by :func:`_cast`, where a number with a fractional
+    part is rejected too. numpy integers, integral floats and integer
+    strings pass."""
+    out = _cast(int, value, what, "an integer")
+    if not isinstance(value, str) and out != value:
         raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    return out
+
+
+def as_real(value, what: str = "value") -> float:
+    """``float(value)`` by :func:`_cast`; range checks are the caller's."""
+    return _cast(float, value, what, "a real number")
+
+
+def as_fraction(value, what: str = "value") -> Fraction:
+    """``Fraction(value)`` by :func:`_cast`, for a value a float can also
+    hold (sample times and rates are computed in floats downstream). A
+    float is rejected rather than read: grid existence is an exact
+    integrality condition that rounding would make ill-defined."""
+    if isinstance(value, float):
+        raise InvalidInputError(
+            f"{what} must be exact (int, Fraction, or 'num/den' string), got float {value!r}"
+        )
+    out = _cast(Fraction, value, what, "a number")
+    try:
+        float(out)
+    except OverflowError as exc:
+        raise InvalidInputError(f"{what} is beyond float range") from exc
     return out

@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
     LocalizationError,
+    as_real,
 )
 # selection_matrix is unused here; perfbench/tracing.py wraps it by this name.
 from .sampling import SelectionPattern, normalize_to_admissible, selection_matrix
@@ -85,6 +86,19 @@ class CertificateReport:
     sup_off_support: float
 
 
+def _rate(f, caller: str) -> float:
+    """The sampling rate ``f`` read by :func:`~spectral_sdp.errors.as_real`,
+    when finite and positive; otherwise an :class:`InvalidInputError`
+    saying that ``caller`` needs such a rate."""
+    try:
+        rate = as_real(f, "f")
+    except InvalidInputError:
+        rate = math.nan
+    if not (math.isfinite(rate) and rate > 0):
+        raise InvalidInputError(f"{caller} needs a finite positive rate f, got {f!r}")
+    return rate
+
+
 def dual_polynomial(c: np.ndarray, pattern: SelectionPattern) -> np.ndarray:
     """Coefficients ``q = M* c`` of the dual polynomial: ``c`` scattered onto
     the kept indices, zero elsewhere."""
@@ -114,6 +128,7 @@ def locate_frequencies(q: np.ndarray, f: float, max_peaks: int | None = None) ->
     plateau (at least 10% of the grid above threshold: such a dual
     certifies nothing) or when more than ``max_peaks`` peaks survive.
     """
+    f = _rate(f, "locate_frequencies")
     q = np.asarray(q, dtype=complex)
     mags, maxima = grid_maxima(q)
     threshold = 1.0 - PEAK_TOL
@@ -166,6 +181,7 @@ def recover_amplitudes(
     of frequencies), read off the singular values it returns, raises
     :class:`ConditioningError`.
     """
+    f = _rate(f, "recover_amplitudes")
     y = np.asarray(y, dtype=complex)
     freqs = np.asarray(freqs, dtype=float)
     if y.shape != (pattern.m,):
@@ -218,6 +234,7 @@ def verify_certificate(
     certificate holds when all interpolation errors pass and the margin
     is positive. ``tol`` must be finite and nonnegative.
     """
+    f, tol = _rate(f, "verify_certificate"), as_real(tol, "tol")
     if not 0 <= tol < np.inf:  # NaN fails too
         raise InvalidInputError(f"tol must be finite and nonnegative, got {tol}")
     q = np.asarray(q, dtype=complex)
@@ -307,12 +324,7 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
         pattern, f = cg.observation_set, float(cg.f0)
         time_shift_s = float(cg.gamma0 / cg.f0)
     elif isinstance(sampler, SelectionPattern):
-        try:
-            valid = f > 0 and math.isfinite(f)
-        except (TypeError, OverflowError):  # None, or beyond float range
-            valid = False
-        if not valid:
-            raise InvalidInputError("estimate from a pattern needs a finite positive rate f")
+        f = _rate(f, "estimate from a pattern")
         y = np.asarray(y, dtype=complex)
         pattern, k0 = normalize_to_admissible(sampler)
         time_shift_s = -k0 / f

@@ -20,29 +20,9 @@ from math import gcd, log
 
 import numpy as np
 
-from .errors import InvalidInputError, InvariantViolationError, as_integer
+from .errors import InvalidInputError, InvariantViolationError, as_fraction, as_integer, as_real
 from .sampling import SelectionPattern
 from .signal_model import SpikeSpectrum, torus_separation
-
-
-def _as_fraction(value, what: str) -> Fraction:
-    """``value`` as an exact fraction that a float can also hold: sample
-    times and rates are computed in floats downstream."""
-    if isinstance(value, bool):
-        raise InvalidInputError(f"{what} must be a number, got {value!r}")
-    if isinstance(value, float):
-        raise InvalidInputError(
-            f"{what} must be exact (int, Fraction, or 'num/den' string), got float {value!r}"
-        )
-    try:
-        out = Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InvalidInputError(f"cannot parse {what} from {value!r}") from exc
-    try:
-        float(out)
-    except OverflowError as exc:
-        raise InvalidInputError(f"{what} is beyond float range") from exc
-    return out
 
 
 @dataclass(frozen=True)
@@ -55,8 +35,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "f", _as_fraction(self.f, "grid rate"))
-        object.__setattr__(self, "gamma", _as_fraction(self.gamma, "grid delay"))
+        object.__setattr__(self, "f", as_fraction(self.f, "grid rate"))
+        object.__setattr__(self, "gamma", as_fraction(self.gamma, "grid delay"))
         object.__setattr__(self, "n", as_integer(self.n, "grid length"))
         if self.f <= 0:
             raise InvalidInputError("grid rate must be positive")
@@ -239,10 +219,11 @@ def random_bound_report(n: int, m: int, s: int, delta: float, C: float) -> bool:
     Natural logarithms; any base change is absorbed by the caller-supplied
     constant ``C``, which the underlying theory leaves unspecified.
     """
+    delta, C = as_real(delta, "delta"), as_real(C, "C")
     if not 0 < delta < 1:
-        raise InvalidInputError("delta must be in (0, 1)")
-    if C <= 0:
-        raise InvalidInputError("C must be positive")
+        raise InvalidInputError(f"delta must be in (0, 1), got {delta}")
+    if not (math.isfinite(C) and C > 0):
+        raise InvalidInputError(f"C must be finite and positive, got {C}")
     bound = C * max(log(n / delta) ** 2, s * log(s / delta) * log(n / delta))
     return m >= bound
 

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, as_integer
+from .errors import InvalidInputError, as_integer, as_real
 
 _MAX_DRAWS = 1000  # empty draws before random_selection rejects its keep probability
 
@@ -129,6 +129,7 @@ def random_selection(n: int, p: float, seed: int) -> SelectionPattern:
     n = as_integer(n, "ambient length")
     if n < 1:
         raise InvalidInputError(f"ambient length must be at least 1, got {n}")
+    p = as_real(p, "keep probability")
     if not 0 < p <= 1:
         raise InvalidInputError(f"keep probability must be in (0, 1], got {p}")
     seed = as_integer(seed, "seed")

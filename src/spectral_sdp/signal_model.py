@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, as_integer
+from .errors import InvalidInputError, as_integer, as_real
 
 #: Algorithm name of the pseudo-random generator, recorded in output
 #: metadata so runs are reproducible across implementations.
@@ -58,6 +58,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "sigma", as_real(self.sigma, "sigma"))
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise InvalidInputError(f"sigma must be finite and nonnegative, got {self.sigma}")
         object.__setattr__(self, "seed", as_integer(self.seed, "noise seed"))
@@ -67,6 +68,7 @@ class NoiseSpec:
 
 def synthesize_uniform(spec: SpikeSpectrum, f: float, n: int) -> np.ndarray:
     """Samples ``y[k] = sum_r a_r e^{i 2 pi (xi_r / f) k}`` for k = 0..n-1."""
+    f = as_real(f, "sampling frequency")
     if not (np.isfinite(f) and f > 0):
         raise InvalidInputError(f"sampling frequency must be finite and positive, got {f}")
     n = as_integer(n, "n")

@@ -98,7 +98,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, as_integer
+from .errors import InvalidInputError, NumericalError, as_integer, as_real
 from .sampling import (
     PartitionStructure,
     SelectionPattern,
@@ -106,19 +106,6 @@ from .sampling import (
     is_admissible_selection,
 )
 from .trigops import PEAK_TOL
-
-
-def _as_real(value, what: str) -> float:
-    """``float(value)``, where a bool or a value ``float`` cannot read
-    raises :class:`InvalidInputError` naming ``what``: the rule of
-    :func:`~spectral_sdp.errors.as_integer` for the real settings."""
-    try:
-        out = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"{what} must be a real number, got {value!r}") from exc
-    if isinstance(value, (bool, np.bool_)):
-        raise InvalidInputError(f"{what} must be a real number, got {value!r}")
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,9 +116,9 @@ class ProblemSpec:
     Lagrangian weight. The solve stops where the relative duality gap
     ``(UB - LB) / UB`` is at most ``tol_gap``, in [0, 1) (0 turns that
     rule off), or where the fixed-point residual is below ``tol_primal``
-    (absolute, Frobenius). The real settings are stored as ``float``; a
-    bool or a value ``float`` cannot read is an :class:`InvalidInputError`
-    naming the field, as for the integer ``max_iter``.
+    (absolute, Frobenius). The real settings are read by
+    :func:`~spectral_sdp.errors.as_real` and stored as ``float``; the
+    integer ``max_iter`` by :func:`~spectral_sdp.errors.as_integer`.
     """
 
     y: np.ndarray
@@ -144,7 +131,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         for name in ("tau", "rho", "tol_primal", "tol_gap"):
-            object.__setattr__(self, name, _as_real(getattr(self, name), name))
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         y = np.asarray(self.y, dtype=complex)
         if y.ndim != 1 or y.size != self.partition.m:
             raise InvalidInputError(
@@ -703,7 +690,7 @@ def assemble_problem(
     if not is_admissible_selection(pattern):
         raise InvalidInputError("selection pattern must contain index 0")
     if sigma is not None:
-        sigma = _as_real(sigma, "sigma")
+        sigma = as_real(sigma, "sigma")
         if not (math.isfinite(sigma) and sigma >= 0):
             raise InvalidInputError(f"sigma must be finite and nonnegative, got {sigma}")
     if tau is None:

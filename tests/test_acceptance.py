@@ -20,10 +20,8 @@ from spectral_sdp import (
     assemble_problem,
     common_grid,
     compute_partition,
-    dense_sup_norm,
     dual_polynomial,
     estimate,
-    selection_matrix,
     solve,
     synthesize_grid,
     synthesize_uniform,
@@ -38,7 +36,9 @@ from spectral_sdp.oracles import (
     gram_eval,
     toeplitz_adjoint,
 )
+from spectral_sdp.sampling import selection_matrix
 from spectral_sdp.solver import update_c, update_S_blocks
+from spectral_sdp.trigops import dense_sup_norm
 
 from conftest import (
     lagrangian_block,

@@ -19,7 +19,6 @@ from spectral_sdp import (
     estimate,
     locate_frequencies,
     recover_amplitudes,
-    selection_matrix,
     solve,
     synthesize_grid,
     synthesize_uniform,
@@ -27,6 +26,7 @@ from spectral_sdp import (
 )
 from spectral_sdp.errors import DimensionMismatchError
 from spectral_sdp.localization import _off_support
+from spectral_sdp.sampling import selection_matrix
 from spectral_sdp.solver import SolveStats
 from spectral_sdp.trigops import PEAK_TOL, dense_sup_norm, grid_maxima, grid_size
 

@@ -1,9 +1,12 @@
-"""Import rules of the package, read from its source with ``ast``.
+"""Structure rules of the package, read from its source with ``ast``.
 
 The oracles stay independent references: no library module imports
-``spectral_sdp.oracles``. And no module imports ``scipy``, which the
-package does not declare and which costs a noticeable share of start-up
-time to import.
+``spectral_sdp.oracles``. No module imports ``scipy``, which the package
+does not declare and which costs a noticeable share of start-up time to
+import. And only ``errors`` tells a bool from a number: every other
+module reads outside numbers through its ``as_integer``, ``as_real`` and
+``as_fraction``, so no other module passes ``bool`` or ``np.bool_`` to
+``isinstance``.
 """
 
 import ast
@@ -46,6 +49,25 @@ def _violations(module: str, tree: ast.AST) -> list[str]:
     ]
 
 
+def _bool_checks(module: str, tree: ast.AST) -> list[str]:
+    """The ``isinstance`` calls of package module ``module`` whose class
+    argument names ``bool`` or a numpy bool, alone or in a tuple; none
+    are allowed outside ``errors``."""
+    if module == "errors":
+        return []
+    return [
+        f"{module}:{node.lineno} passes a bool class to isinstance"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and len(node.args) == 2
+        and any(
+            getattr(sub, "id", None) == "bool" or getattr(sub, "attr", None) in ("bool", "bool_")
+            for sub in ast.walk(node.args[1])
+        )
+    ]
+
+
 def test_no_module_imports_scipy_or_the_oracles():
     modules = {path.stem: path for path in SOURCE.glob("*.py")}
     assert {"__init__", "oracles", "solver"} <= set(modules)
@@ -53,6 +75,31 @@ def test_no_module_imports_scipy_or_the_oracles():
     for module, path in sorted(modules.items()):
         bad += _violations(module, ast.parse(path.read_text(encoding="utf-8")))
     assert not bad, bad
+
+
+def test_only_errors_tells_a_bool_from_a_number():
+    modules = {path.stem: path for path in SOURCE.glob("*.py")}
+    assert {"cli", "errors", "multirate", "solver"} <= set(modules)
+    bad = []
+    for module, path in sorted(modules.items()):
+        bad += _bool_checks(module, ast.parse(path.read_text(encoding="utf-8")))
+    assert not bad, bad
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "isinstance(x, bool)",
+        "isinstance(x, (int, bool))",
+        "isinstance(x, np.bool_)",
+        "isinstance(x, (bool, numpy.bool_))",
+        "def f(x):\n    return isinstance(x, np.bool)",
+    ],
+)
+def test_the_bool_check_catches_each_form(source):
+    assert _bool_checks("cli", ast.parse(source))
+    assert not _bool_checks("errors", ast.parse(source))
+    assert not _bool_checks("cli", ast.parse(source.replace("bool", "float")))
 
 
 @pytest.mark.parametrize(

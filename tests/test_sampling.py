@@ -10,15 +10,20 @@ from spectral_sdp import (
     Grid,
     InvalidInputError,
     NoiseSpec,
+    ProblemSpec,
     SelectionPattern,
     SpikeSpectrum,
+    assemble_problem,
     compute_partition,
     estimate,
     is_admissible_selection,
+    locate_frequencies,
     normalize_to_admissible,
+    random_bound_report,
     random_selection,
-    selection_matrix,
+    recover_amplitudes,
     synthesize_uniform,
+    verify_certificate,
 )
 from spectral_sdp.oracles import (
     apply_subsampling,
@@ -27,6 +32,7 @@ from spectral_sdp.oracles import (
     is_admissible_general,
     r_op_adjoint,
 )
+from spectral_sdp.sampling import selection_matrix
 
 from conftest import random_complex, random_hermitian, random_pattern
 
@@ -274,3 +280,65 @@ class TestIntegerInputs:
         assert synthesize_uniform(_SPIKE, 1.0, np.int16(3)).size == 3
         assert Grid(f=1, gamma=0, n=np.uint8(4)).n == 4
         assert NoiseSpec(sigma=0.1, seed=np.uint64(2**63)).seed == 2**63
+
+
+_Q = np.ones(4, dtype=complex) / 4
+
+# Every public real input: (label, call with the value, the name it is
+# reported under). Each is read by errors.as_real and range-checked by
+# its owner; the rates of localization by one rule.
+_REAL_INPUTS = [
+    *(
+        (name, lambda v, name=name: ProblemSpec(np.zeros(4), compute_partition(_FULL4), **{name: v}), name)
+        for name in ("tau", "rho", "tol_primal", "tol_gap")
+    ),
+    ("assemble-sigma", lambda v: assemble_problem(np.zeros(4), _FULL4, sigma=v), "sigma"),
+    ("noise-sigma", lambda v: NoiseSpec(sigma=v), "sigma"),
+    ("keep-prob", lambda v: random_selection(10, v, 1), "keep probability"),
+    ("synthesize-f", lambda v: synthesize_uniform(_SPIKE, v, 4), "sampling frequency"),
+    ("estimate-f", lambda v: estimate(np.ones(4), _FULL4, v), "rate f"),
+    ("amplitudes-f", lambda v: recover_amplitudes(np.ones(4), _FULL4, [0.1], v), "rate f"),
+    ("locate-f", lambda v: locate_frequencies(_Q, v), "rate f"),
+    ("certificate-f", lambda v: verify_certificate(_Q, _SPIKE, v), "rate f"),
+    ("certificate-tol", lambda v: verify_certificate(_Q, _SPIKE, 1.0, tol=v), "tol"),
+    ("bound-delta", lambda v: random_bound_report(64, 64, 1, v, 1.0), "delta"),
+    ("bound-C", lambda v: random_bound_report(64, 64, 1, 0.1, v), "C"),
+]
+_NOT_REALS = {"bool": True, "numpy-bool": np.True_, "string": "x", "none": None}
+_REJECTED = [
+    pytest.param(call, name, value, id=f"{label}-{kind}")
+    for label, call, name in _REAL_INPUTS
+    for kind, value in _NOT_REALS.items()
+    if (label, kind) != ("assemble-sigma", "none")  # None: no sigma given
+] + [pytest.param(_REAL_INPUTS[-1][1], "C", c, id=f"bound-C-{c}") for c in (np.nan, np.inf)]
+
+
+class TestRealInputs:
+    # One rule for every real input, errors.as_real: a bool is no number
+    # (True must not read as 1), and a value float() cannot read is an
+    # InvalidInputError naming the argument, never a bare TypeError.
+    @pytest.mark.parametrize("call, name, value", _REJECTED)
+    def test_rejects_a_non_number_naming_the_argument(self, call, name, value):
+        with pytest.raises(InvalidInputError, match=rf"\b{name}\b"):
+            call(value)
+
+    @pytest.mark.parametrize(
+        "f", [0, -1.0, np.nan, np.inf, 10**400], ids=["zero", "negative", "nan", "inf", "beyond-float"]
+    )
+    def test_localization_rates_must_be_finite_and_positive(self, f):
+        for call in (
+            lambda: recover_amplitudes(np.ones(4), _FULL4, [0.1], f),
+            lambda: locate_frequencies(_Q, f),
+            lambda: verify_certificate(_Q, _SPIKE, f),
+        ):
+            with pytest.raises(InvalidInputError, match="finite positive rate f"):
+                call()
+
+    def test_numbers_of_any_real_type_pass_as_floats(self):
+        assert type(NoiseSpec(sigma=np.float32(0.5)).sigma) is float
+        assert random_selection(10, np.float64(1.0), 1).m == 10
+        assert np.array_equal(synthesize_uniform(_SPIKE, np.int64(4), 4), synthesize_uniform(_SPIKE, 4.0, 4))
+        assert verify_certificate(_Q, _SPIKE, np.int64(1), tol=1).is_certificate == verify_certificate(
+            _Q, _SPIKE, 1.0, tol=1.0
+        ).is_certificate
+        assert random_bound_report(64, 64, 1, np.float32(0.1), 1) is True

@@ -21,7 +21,6 @@ from spectral_sdp import (
     assemble_problem,
     common_grid,
     compute_partition,
-    dense_sup_norm,
     dual_polynomial,
     estimate,
     locate_frequencies,
@@ -39,6 +38,7 @@ from spectral_sdp.oracles import (
     residuals,
 )
 from spectral_sdp.solver import _norm, admm_step, psd_project, update_c, update_S_blocks
+from spectral_sdp.trigops import dense_sup_norm
 
 from conftest import (
     lagrangian_block,

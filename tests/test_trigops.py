@@ -6,9 +6,7 @@ import pytest
 from spectral_sdp import (
     InvalidInputError,
     NumericalError,
-    dense_sup_norm,
     poly_eval,
-    selection_matrix,
     SelectionPattern,
 )
 from spectral_sdp.errors import DimensionMismatchError
@@ -20,7 +18,8 @@ from spectral_sdp.oracles import (
     toeplitz_adjoint,
     toeplitz_from_vector,
 )
-from spectral_sdp.trigops import grid_modulus, grid_size, refine_maxima
+from spectral_sdp.sampling import selection_matrix
+from spectral_sdp.trigops import dense_sup_norm, grid_modulus, grid_size, refine_maxima
 
 from conftest import random_complex, random_hermitian
 
