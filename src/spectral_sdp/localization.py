@@ -91,12 +91,9 @@ def _rate(f, caller: str) -> float:
     when finite and positive; otherwise an :class:`InvalidInputError`
     saying that ``caller`` needs such a rate."""
     try:
-        rate = as_real(f, "f")
+        return as_real(f, "f", "(0, inf)")
     except InvalidInputError:
-        rate = math.nan
-    if not (math.isfinite(rate) and rate > 0):
-        raise InvalidInputError(f"{caller} needs a finite positive rate f, got {f!r}")
-    return rate
+        raise InvalidInputError(f"{caller} needs a finite positive rate f, got {f!r}") from None
 
 
 def dual_polynomial(c: np.ndarray, pattern: SelectionPattern) -> np.ndarray:
@@ -234,9 +231,7 @@ def verify_certificate(
     certificate holds when all interpolation errors pass and the margin
     is positive. ``tol`` must be finite and nonnegative.
     """
-    f, tol = _rate(f, "verify_certificate"), as_real(tol, "tol")
-    if not 0 <= tol < np.inf:  # NaN fails too
-        raise InvalidInputError(f"tol must be finite and nonnegative, got {tol}")
+    f, tol = _rate(f, "verify_certificate"), as_real(tol, "tol", "[0, inf)")
     q = np.asarray(q, dtype=complex)
     n = q.size
     # Denser than the localization grid: the grid maximum is not refined.

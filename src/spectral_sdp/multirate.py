@@ -37,11 +37,9 @@ class Grid:
     def __post_init__(self):
         object.__setattr__(self, "f", as_fraction(self.f, "grid rate"))
         object.__setattr__(self, "gamma", as_fraction(self.gamma, "grid delay"))
-        object.__setattr__(self, "n", as_integer(self.n, "grid length"))
+        object.__setattr__(self, "n", as_integer(self.n, "grid length", least=1))
         if self.f <= 0:
             raise InvalidInputError("grid rate must be positive")
-        if self.n < 1:
-            raise InvalidInputError("grid must acquire at least one sample")
 
 
 @dataclass(frozen=True)
@@ -219,11 +217,8 @@ def random_bound_report(n: int, m: int, s: int, delta: float, C: float) -> bool:
     Natural logarithms; any base change is absorbed by the caller-supplied
     constant ``C``, which the underlying theory leaves unspecified.
     """
-    delta, C = as_real(delta, "delta"), as_real(C, "C")
-    if not 0 < delta < 1:
-        raise InvalidInputError(f"delta must be in (0, 1), got {delta}")
-    if not (math.isfinite(C) and C > 0):
-        raise InvalidInputError(f"C must be finite and positive, got {C}")
+    n, m, s = as_integer(n, "n", least=1), as_integer(m, "m", least=0), as_integer(s, "s", least=1)
+    delta, C = as_real(delta, "delta", "(0, 1)"), as_real(C, "C", "(0, inf)")
     bound = C * max(log(n / delta) ** 2, s * log(s / delta) * log(n / delta))
     return m >= bound
 

@@ -126,15 +126,9 @@ def random_selection(n: int, p: float, seed: int) -> SelectionPattern:
     nonempty and deterministic per seed; after ``_MAX_DRAWS`` empty draws
     in a row the probability is rejected.
     """
-    n = as_integer(n, "ambient length")
-    if n < 1:
-        raise InvalidInputError(f"ambient length must be at least 1, got {n}")
-    p = as_real(p, "keep probability")
-    if not 0 < p <= 1:
-        raise InvalidInputError(f"keep probability must be in (0, 1], got {p}")
-    seed = as_integer(seed, "seed")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+    n = as_integer(n, "ambient length", least=1)
+    p = as_real(p, "keep probability", "(0, 1]")
+    seed = as_integer(seed, "seed", least=0)
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_DRAWS):
         keep = np.flatnonzero(rng.random(n) < p)

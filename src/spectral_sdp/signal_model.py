@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, as_integer, as_real
+from .errors import InvalidInputError, as_array, as_integer, as_real
 
 #: Algorithm name of the pseudo-random generator, recorded in output
 #: metadata so runs are reproducible across implementations.
@@ -30,8 +30,8 @@ class SpikeSpectrum:
     amps: np.ndarray
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=float)
-        amps = np.asarray(self.amps, dtype=complex)
+        freqs = as_array(self.freqs, "freqs", float)
+        amps = as_array(self.amps, "amps", complex)
         if freqs.ndim != 1 or freqs.size == 0:
             raise InvalidInputError("freqs must be a nonempty 1-d array")
         if amps.shape != freqs.shape:
@@ -58,22 +58,14 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", as_real(self.sigma, "sigma"))
-        if not (np.isfinite(self.sigma) and self.sigma >= 0):
-            raise InvalidInputError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        object.__setattr__(self, "seed", as_integer(self.seed, "noise seed"))
-        if self.seed < 0:
-            raise InvalidInputError(f"noise seed must be nonnegative, got {self.seed}")
+        object.__setattr__(self, "sigma", as_real(self.sigma, "sigma", "[0, inf)"))
+        object.__setattr__(self, "seed", as_integer(self.seed, "noise seed", least=0))
 
 
 def synthesize_uniform(spec: SpikeSpectrum, f: float, n: int) -> np.ndarray:
     """Samples ``y[k] = sum_r a_r e^{i 2 pi (xi_r / f) k}`` for k = 0..n-1."""
-    f = as_real(f, "sampling frequency")
-    if not (np.isfinite(f) and f > 0):
-        raise InvalidInputError(f"sampling frequency must be finite and positive, got {f}")
-    n = as_integer(n, "n")
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
+    f = as_real(f, "sampling frequency", "(0, inf)")
+    n = as_integer(n, "n", least=1)
     k = np.arange(n)
     phases = np.exp(2j * np.pi * np.outer(k, spec.freqs / f))
     return phases @ spec.amps

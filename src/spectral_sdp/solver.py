@@ -130,8 +130,11 @@ class ProblemSpec:
     tol_gap: float = 1e-5
 
     def __post_init__(self):
-        for name in ("tau", "rho", "tol_primal", "tol_gap"):
-            object.__setattr__(self, name, as_real(getattr(self, name), name))
+        object.__setattr__(self, "tau", as_real(self.tau, "tau", "[0, inf)"))
+        object.__setattr__(self, "rho", as_real(self.rho, "rho", "(0, inf)"))
+        object.__setattr__(self, "tol_primal", as_real(self.tol_primal, "tol_primal", "[0, inf)"))
+        object.__setattr__(self, "tol_gap", as_real(self.tol_gap, "tol_gap", "[0, 1)"))
+        object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter", least=1))
         y = np.asarray(self.y, dtype=complex)
         if y.ndim != 1 or y.size != self.partition.m:
             raise InvalidInputError(
@@ -139,17 +142,6 @@ class ProblemSpec:
             )
         if not np.all(np.isfinite(y)):
             raise InvalidInputError("y must be finite")
-        if not (math.isfinite(self.tau) and self.tau >= 0):
-            raise InvalidInputError(f"tau must be finite and nonnegative, got {self.tau}")
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise InvalidInputError(f"rho must be finite and positive, got {self.rho}")
-        object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter"))
-        if self.max_iter < 1:
-            raise InvalidInputError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not 0 <= self.tol_primal < np.inf:  # NaN fails too
-            raise InvalidInputError(f"tol_primal must be in [0, inf), got {self.tol_primal}")
-        if not (math.isfinite(self.tol_gap) and 0 <= self.tol_gap < 1):
-            raise InvalidInputError(f"tol_gap must be in [0, 1), got {self.tol_gap}")
         object.__setattr__(self, "y", y)
 
     @property
@@ -690,9 +682,7 @@ def assemble_problem(
     if not is_admissible_selection(pattern):
         raise InvalidInputError("selection pattern must contain index 0")
     if sigma is not None:
-        sigma = as_real(sigma, "sigma")
-        if not (math.isfinite(sigma) and sigma >= 0):
-            raise InvalidInputError(f"sigma must be finite and nonnegative, got {sigma}")
+        sigma = as_real(sigma, "sigma", "[0, inf)")
     if tau is None:
         m = pattern.m
         noisy = sigma is not None and sigma > 0 and m > 1

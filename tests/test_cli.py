@@ -422,7 +422,7 @@ class TestErrors:
         }
         cfg_path = _write_config(tmp_path / "bad.json", cfg)
         assert main(["check-grid", "--config", cfg_path]) == 1
-        assert "'f'" in capsys.readouterr().err
+        assert "sampling.grids[0].f" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["f", "gamma"])
     def test_grid_beyond_float_range_exits_one(self, tmp_path, capsys, key):

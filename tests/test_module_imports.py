@@ -6,10 +6,12 @@ does not declare and which costs a noticeable share of start-up time to
 import. And only ``errors`` tells a bool from a number: every other
 module reads outside numbers through its ``as_integer``, ``as_real`` and
 ``as_fraction``, so no other module passes ``bool`` or ``np.bool_`` to
-``isinstance``.
+``isinstance``. The interval ``within`` that a module gives ``as_real``
+is a string literal written as the message prints it, like ``"[0, 1)"``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,31 @@ def _bool_checks(module: str, tree: ast.AST) -> list[str]:
     ]
 
 
+_INTERVAL = re.compile(r"^[\[(]-?(\d+(\.\d+)?|inf), -?(\d+(\.\d+)?|inf)[\])]$")
+
+
+def _intervals(tree: ast.AST) -> list[ast.expr]:
+    """The ``within`` arguments, third or by keyword, of the ``as_real``
+    calls in ``tree``."""
+    return [
+        arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "as_real" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for arg in node.args[2:3] + [kw.value for kw in node.keywords if kw.arg == "within"]
+    ]
+
+
+def _bad_intervals(module: str, tree: ast.AST) -> list[str]:
+    """The intervals given to ``as_real`` in package module ``module`` that
+    are not a string literal of the form the messages print."""
+    return [
+        f"{module}:{arg.lineno} passes as_real the interval {ast.unparse(arg)}"
+        for arg in _intervals(tree)
+        if not (isinstance(arg, ast.Constant) and _INTERVAL.match(str(arg.value)))
+    ]
+
+
 def test_no_module_imports_scipy_or_the_oracles():
     modules = {path.stem: path for path in SOURCE.glob("*.py")}
     assert {"__init__", "oracles", "solver"} <= set(modules)
@@ -100,6 +127,35 @@ def test_the_bool_check_catches_each_form(source):
     assert _bool_checks("cli", ast.parse(source))
     assert not _bool_checks("errors", ast.parse(source))
     assert not _bool_checks("cli", ast.parse(source.replace("bool", "float")))
+
+
+def test_every_range_is_a_literal_interval():
+    modules = {path.stem: path for path in SOURCE.glob("*.py")}
+    given, bad = 0, []
+    for module, path in sorted(modules.items()):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        given += len(_intervals(tree))
+        bad += _bad_intervals(module, tree)
+    assert given >= 12, given  # the rule sees the ranged reads at all
+    assert not bad, bad
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        'as_real(x, "x", "(0, inf")',
+        'as_real(x, "x", "0, 1)")',
+        'as_real(x, "x", "[0,1)")',
+        'as_real(x, "x", "(0, 1}")',
+        'errors.as_real(x, "x", within="[a, 1)")',
+        'as_real(x, "x", within)',
+        'def f(x):\n    return as_real(x, "x", within="(0 , 1]")',
+    ],
+)
+def test_the_interval_check_catches_each_form(source):
+    assert _bad_intervals("cli", ast.parse(source))
+    assert not _bad_intervals("cli", ast.parse('as_real(x, "x", "(0, 1]")'))
+    assert not _bad_intervals("cli", ast.parse('as_real(x, "x")'))
 
 
 @pytest.mark.parametrize(

@@ -263,6 +263,16 @@ class TestRandomBoundReport:
         with pytest.raises(InvalidInputError):
             random_bound_report(8, 8, 1, 1.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [((0, 8, 1), "n"), ((64, 8, 0), "s"), ((True, 8, 1), "n"), ((64.5, 8, 1), "n")],
+        ids=["n-zero", "s-zero", "n-bool", "n-fraction"],
+    )
+    def test_rejects_a_bad_integer_naming_it(self, args, name):
+        # Not a bare "math domain error" from log, and True is no 1.
+        with pytest.raises(InvalidInputError, match=rf"^{name} must"):
+            random_bound_report(*args, 0.1, 1.0)
+
 
 class TestComplexityReport:
     def test_single_grid_ratio_one(self):

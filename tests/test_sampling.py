@@ -285,32 +285,82 @@ class TestIntegerInputs:
 _Q = np.ones(4, dtype=complex) / 4
 
 # Every public real input: (label, call with the value, the name it is
-# reported under). Each is read by errors.as_real and range-checked by
-# its owner; the rates of localization by one rule.
+# reported under, the interval it must lie in). Each is read and
+# range-checked by errors.as_real; the rates of localization by one rule.
 _REAL_INPUTS = [
     *(
-        (name, lambda v, name=name: ProblemSpec(np.zeros(4), compute_partition(_FULL4), **{name: v}), name)
-        for name in ("tau", "rho", "tol_primal", "tol_gap")
+        (name, lambda v, name=name: ProblemSpec(np.zeros(4), compute_partition(_FULL4), **{name: v}), name, within)
+        for name, within in (
+            ("tau", "[0, inf)"),
+            ("rho", "(0, inf)"),
+            ("tol_primal", "[0, inf)"),
+            ("tol_gap", "[0, 1)"),
+        )
     ),
-    ("assemble-sigma", lambda v: assemble_problem(np.zeros(4), _FULL4, sigma=v), "sigma"),
-    ("noise-sigma", lambda v: NoiseSpec(sigma=v), "sigma"),
-    ("keep-prob", lambda v: random_selection(10, v, 1), "keep probability"),
-    ("synthesize-f", lambda v: synthesize_uniform(_SPIKE, v, 4), "sampling frequency"),
-    ("estimate-f", lambda v: estimate(np.ones(4), _FULL4, v), "rate f"),
-    ("amplitudes-f", lambda v: recover_amplitudes(np.ones(4), _FULL4, [0.1], v), "rate f"),
-    ("locate-f", lambda v: locate_frequencies(_Q, v), "rate f"),
-    ("certificate-f", lambda v: verify_certificate(_Q, _SPIKE, v), "rate f"),
-    ("certificate-tol", lambda v: verify_certificate(_Q, _SPIKE, 1.0, tol=v), "tol"),
-    ("bound-delta", lambda v: random_bound_report(64, 64, 1, v, 1.0), "delta"),
-    ("bound-C", lambda v: random_bound_report(64, 64, 1, 0.1, v), "C"),
+    ("assemble-sigma", lambda v: assemble_problem(np.zeros(4), _FULL4, sigma=v), "sigma", "[0, inf)"),
+    ("noise-sigma", lambda v: NoiseSpec(sigma=v), "sigma", "[0, inf)"),
+    ("keep-prob", lambda v: random_selection(10, v, 1), "keep probability", "(0, 1]"),
+    ("synthesize-f", lambda v: synthesize_uniform(_SPIKE, v, 4), "sampling frequency", "(0, inf)"),
+    ("estimate-f", lambda v: estimate(np.ones(4), _FULL4, v), "rate f", "(0, inf)"),
+    ("amplitudes-f", lambda v: recover_amplitudes(np.ones(4), _FULL4, [0.1], v), "rate f", "(0, inf)"),
+    ("locate-f", lambda v: locate_frequencies(_Q, v), "rate f", "(0, inf)"),
+    ("certificate-f", lambda v: verify_certificate(_Q, _SPIKE, v), "rate f", "(0, inf)"),
+    ("certificate-tol", lambda v: verify_certificate(_Q, _SPIKE, 1.0, tol=v), "tol", "[0, inf)"),
+    ("bound-delta", lambda v: random_bound_report(64, 64, 1, v, 1.0), "delta", "(0, 1)"),
+    ("bound-C", lambda v: random_bound_report(64, 64, 1, 0.1, v), "C", "(0, inf)"),
 ]
+# Every public integer input with a lower bound: (label, call with the
+# value, the name it is reported under, the least value it may take).
+_INTEGER_INPUTS = [
+    ("max_iter", lambda v: ProblemSpec(np.zeros(4), compute_partition(_FULL4), max_iter=v), "max_iter", 1),
+    ("noise-seed", lambda v: NoiseSpec(sigma=0.1, seed=v), "noise seed", 0),
+    ("synthesize-n", lambda v: synthesize_uniform(_SPIKE, 1.0, v), "n", 1),
+    ("random-n", lambda v: random_selection(v, 0.5, 1), "ambient length", 1),
+    ("random-seed", lambda v: random_selection(10, 0.5, v), "seed", 0),
+    ("grid-n", lambda v: Grid(f=1, gamma=0, n=v), "grid length", 1),
+    ("bound-n", lambda v: random_bound_report(v, 64, 1, 0.1, 1.0), "n", 1),
+    ("bound-m", lambda v: random_bound_report(64, v, 1, 0.1, 1.0), "m", 0),
+    ("bound-s", lambda v: random_bound_report(64, 64, v, 0.1, 1.0), "s", 1),
+]
+
+
+def _ends(within: str):
+    """``((lo, closed), (hi, closed))`` of an interval like ``"[0, 1)"``."""
+    lo, hi = (float(end) for end in within[1:-1].split(", "))
+    return (lo, within[0] == "["), (hi, within[-1] == "]")
+
+
+def _just_outside(within: str) -> list[float]:
+    """Each finite end when open, the next float beyond it when closed."""
+    return [
+        float(np.nextafter(end, beyond)) if closed else end
+        for (end, closed), beyond in zip(_ends(within), (-np.inf, np.inf))
+        if np.isfinite(end)
+    ]
+
+
 _NOT_REALS = {"bool": True, "numpy-bool": np.True_, "string": "x", "none": None}
 _REJECTED = [
     pytest.param(call, name, value, id=f"{label}-{kind}")
-    for label, call, name in _REAL_INPUTS
+    for label, call, name, _ in _REAL_INPUTS
     for kind, value in _NOT_REALS.items()
     if (label, kind) != ("assemble-sigma", "none")  # None: no sigma given
-] + [pytest.param(_REAL_INPUTS[-1][1], "C", c, id=f"bound-C-{c}") for c in (np.nan, np.inf)]
+]
+_OUT_OF_RANGE = [
+    pytest.param(call, name, value, id=f"{label}-{value}")
+    for label, call, name, within in _REAL_INPUTS
+    for value in [*_just_outside(within), np.nan, np.inf]
+] + [
+    pytest.param(call, name, value, id=f"{label}-{value}")
+    for label, call, name, least in _INTEGER_INPUTS
+    for value in (least - 1, np.nan, np.inf)
+]
+_CLOSED_ENDS = [
+    pytest.param(call, end, id=f"{label}-{end}")
+    for label, call, _, within in _REAL_INPUTS
+    for end, closed in _ends(within)
+    if closed
+] + [pytest.param(call, least, id=f"{label}-{least}") for label, call, _, least in _INTEGER_INPUTS]
 
 
 class TestRealInputs:
@@ -321,6 +371,17 @@ class TestRealInputs:
     def test_rejects_a_non_number_naming_the_argument(self, call, name, value):
         with pytest.raises(InvalidInputError, match=rf"\b{name}\b"):
             call(value)
+
+    # The range is checked in the same read: just outside an end, NaN and
+    # inf are rejected naming the argument, and a closed end is accepted.
+    @pytest.mark.parametrize("call, name, value", _OUT_OF_RANGE)
+    def test_rejects_a_value_out_of_range_naming_the_argument(self, call, name, value):
+        with pytest.raises(InvalidInputError, match=rf"\b{name}\b"):
+            call(value)
+
+    @pytest.mark.parametrize("call, value", _CLOSED_ENDS)
+    def test_accepts_a_closed_end(self, call, value):
+        call(value)
 
     @pytest.mark.parametrize(
         "f", [0, -1.0, np.nan, np.inf, 10**400], ids=["zero", "negative", "nan", "inf", "beyond-float"]

@@ -38,6 +38,21 @@ class TestSpikeSpectrum:
         with pytest.raises(InvalidInputError):
             SpikeSpectrum(freqs=np.array([0.1, 0.2]), amps=np.array([1.0, bad]))
 
+    @pytest.mark.parametrize(
+        "freqs, amps, name",
+        [
+            ([True], [1.0], "freqs"),
+            ([0.1, True], [1.0, 1.0], "freqs"),
+            (np.array([True]), [1.0], "freqs"),
+            ([0.1], [True], "amps"),
+        ],
+        ids=["bool-freq", "bool-entry", "bool-array", "bool-amp"],
+    )
+    def test_rejects_a_bool_spike(self, freqs, amps, name):
+        # True must not read as a spike at 1.0 Hz or an amplitude of 1.
+        with pytest.raises(InvalidInputError, match=rf"^{name}\b"):
+            SpikeSpectrum(freqs=freqs, amps=amps)
+
     def test_s_counts_spikes(self):
         spec = SpikeSpectrum(freqs=np.array([0.1, 0.2]), amps=np.array([1.0, 2.0]))
         assert spec.s == 2
