@@ -532,7 +532,8 @@ def cmd_bench(args) -> int:
     seed = _resolve_seed(cfg, args)
     out_dir, prefix = _out_paths(cfg, args)
     sizes = [as_integer(s, "--sizes", least=1) for s in args.sizes.split(",")]
-    rows = [_bench_one(m, 2 * m, args.iters, seed + i) for i, m in enumerate(sizes)]
+    iters = as_integer(args.iters, "--iters", least=1)
+    rows = [_bench_one(m, 2 * m, iters, seed + i) for i, m in enumerate(sizes)]
     lines = ["m,iter_time_us,total_ms,iterations"]
     for m, it_us, tot_ms, nit in rows:
         lines.append(f"{m},{it_us:.3f},{tot_ms:.3f},{nit}")

@@ -78,15 +78,14 @@ PSD, so :func:`solve` runs the O(m^3 / 3) Cholesky certificate of a warm
 projection errors: Eckstein & Bertsekas 1992). For the same reason the
 Ritz pairs need only be as exact as the step: :func:`solve` accepts them
 at a residual of ``tol ||V||_F``, with ``tol`` 1e-4 times the last
-accepted fixed-point residual relative to its point, clipped to [1e-13,
-1e-5] (a relative-error rule: Eckstein & Yao, Math. Program. 170, 2018).
-Within a factor 10 of
-either stopping rule the tolerance is 1e-13, and only such an exact step
-may stop, so the certificate and the ESPRIT atoms of the gap see the
-same basis as with a fixed 1e-13. After a failed warm projection or
-certificate, :func:`solve` projects in full for the next 1, 2, 4, ...
-iterations, doubling with each failure in a row until a warm one passes
-again.
+accepted fixed-point residual relative to its point, and at least 1e-13
+(a relative-error rule: Eckstein & Yao, Math. Program. 170, 2018). The
+certificate alone decides whether a warm iterate may stop, whatever its
+tolerance; the gap's upper bound holds for any atoms, so a loose basis
+can delay a gap stop but not make one wrong. After a failed warm
+projection or certificate, :func:`solve` projects in full for the next
+1, 2, 4, ... iterations, doubling with each failure in a row until a
+warm one passes again.
 """
 
 from __future__ import annotations
@@ -264,9 +263,8 @@ _KRYLOV_BLOCKS = 4  # the space [X, VX, V^2 X, V^3 X]
 _RITZ_PASSES = 4  # Rayleigh-Ritz passes before the full eigh takes over
 _RITZ_TOL = 1e-13  # residual of the negative Ritz pairs, relative to ||V||_F
 # solve's tolerance: _RITZ_KAPPA times the last accepted residual relative
-# to its point, clipped to [_RITZ_TOL, _RITZ_CAP], and _RITZ_TOL once that
-# residual is within a factor _NEAR_STOP of either stopping rule.
-_RITZ_KAPPA, _RITZ_CAP, _NEAR_STOP = 1e-4, 1e-5, 10.0
+# to its point, and at least _RITZ_TOL.
+_RITZ_KAPPA = 1e-4
 
 # The factor of the noise rule tau = 1.5 sigma sqrt(m log m), which needs
 # some constant above 1 (Bhaskar, Tang & Recht, arXiv:1204.6537).
@@ -390,7 +388,7 @@ def psd_project(
     Given a ``basis``, such as the previous call's, the pairs come from a
     Rayleigh-Ritz step (:func:`_ritz_projection`) in O(order^2 k) work,
     accepted at a residual of ``tol ||h||_F`` (1e-13 by default;
-    :func:`solve` loosens it away from a stop). This ``Z`` is not
+    :func:`solve` loosens it with the residual). This ``Z`` is not
     certified and may keep negative eigenvalues the step missed
     (:func:`solve` runs :func:`_certified` where it may stop).
     Without a basis, or when the Ritz pairs are not accepted, the full
@@ -571,8 +569,8 @@ def solve(spec: ProblemSpec) -> SolveReport:
     is the lower bound, once a warm ``Z`` passes the Cholesky certificate;
     a failed one backs the solve off as a failed warm projection does.
     Each warm projection's Ritz tolerance follows the last accepted
-    residual (see the module docstring); a stop is taken only at an
-    iterate projected in full or at ``_RITZ_TOL``.
+    residual (see the module docstring); the certificate alone guards
+    the stop.
     After ``max_iter`` the last accepted evaluation is returned, and
     non-finite iterates raise :class:`NumericalError`.
     """
@@ -614,8 +612,7 @@ def solve(spec: ProblemSpec) -> SolveReport:
             eps = primal + shift
             beta = math.sqrt((1.0 + eps) * (1.0 + spec.m * eps))
             near = 0 < spec.tol_gap and beta - 1.0 <= spec.tol_gap
-            # A loose Ritz step leaves a stop to the next, tight one.
-            if (converged or near) and (projection.full or tol == _RITZ_TOL):
+            if converged or near:
                 lower, upper = _gap_bounds(spec, spec.split(b)[1], projection, beta)
                 closed = near and upper - lower <= spec.tol_gap * upper
                 if closed or converged:
@@ -624,11 +621,7 @@ def solve(spec: ProblemSpec) -> SolveReport:
                         bounds = (lower, upper)
                         break
                     failed = True  # the Ritz step missed a negative eigenvalue
-            tight = primal < _NEAR_STOP * spec.tol_primal or (
-                0 < spec.tol_gap and beta - 1.0 <= _NEAR_STOP * spec.tol_gap
-            )
-            loose = min(_RITZ_CAP, max(_RITZ_TOL, _RITZ_KAPPA * primal / norm))
-            tol = _RITZ_TOL if tight else loose
+            tol = max(_RITZ_TOL, _RITZ_KAPPA * primal / norm)
             proposal = anderson.step(f, g, f_out, g_out) if it > 1 else None
             f, g, g_norm = f_out, g_out, g_out_norm
         if warm:  # after a failed warm projection, back off

@@ -454,6 +454,7 @@ class TestErrors:
             ("amp-im", "signal.amps[1].im"),
             ("bench-size", "--sizes"),
             ("bench-size-zero", "--sizes"),
+            ("bench-iters-zero", "--iters"),
             ("truth-freq", "run_truth.json: freqs_hz[1]"),
             ("solve-rate", "run_result.json: frame.solve_rate_hz"),
             ("time-shift", "run_result.json: frame.time_shift_s"),
@@ -485,6 +486,7 @@ class TestErrors:
             "amp-im",
             "bench-size",
             "bench-size-zero",
+            "bench-iters-zero",
             "truth-freq",
             "solve-rate",
             "time-shift",
@@ -556,9 +558,10 @@ class TestErrors:
             else:
                 lines[2] = "1,abc,0.0" if case == "csv-field" else "1,nan,0.0"
             samples.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        if case.startswith("bench-size"):
-            command = ["bench", "--config", cfg_path, "--iters", "2"]
-            command += ["--sizes", "8,x" if case == "bench-size" else "8,0"]
+        if case.startswith("bench-"):
+            iters = "0" if case == "bench-iters-zero" else "2"
+            sizes = {"bench-size": "8,x", "bench-size-zero": "8,0"}.get(case, "8")
+            command = ["bench", "--config", cfg_path, "--iters", iters, "--sizes", sizes]
         if case in ("truth-freq", "solve-rate", "time-shift", "verify-tol"):
             assert main(command) == 0
             assert main(["estimate", "--config", cfg_path]) == 0

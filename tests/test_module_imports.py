@@ -8,6 +8,8 @@ module reads outside numbers through its ``as_integer``, ``as_real`` and
 ``as_fraction``, so no other module passes ``bool`` or ``np.bool_`` to
 ``isinstance``. The interval ``within`` that a module gives ``as_real``
 is a string literal written as the message prints it, like ``"[0, 1)"``.
+Every module-level UPPER_CASE constant is read somewhere in the package
+besides its assignment.
 """
 
 import ast
@@ -179,3 +181,61 @@ def test_the_check_catches_each_import_form(source):
 def test_the_oracles_may_import_the_library_but_not_scipy():
     assert not _violations("oracles", ast.parse("from .sampling import SelectionPattern"))
     assert _violations("oracles", ast.parse("import scipy.linalg"))
+
+
+_CONSTANT = re.compile(r"^_?[A-Z][A-Z0-9_]*$")
+
+
+def _constants(tree: ast.Module) -> dict[str, int]:
+    """The UPPER_CASE names that a module assigns at its top level, each
+    with the line of its assignment."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name) and _CONSTANT.match(sub.id):
+                    names[sub.id] = node.lineno
+    return names
+
+
+def _dead_constants(trees: dict[str, ast.Module]) -> list[str]:
+    """The constants of ``trees`` (module name -> tree) that no module reads,
+    as a name or as an attribute."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        f"{module}:{line} assigns {name}, which no module reads"
+        for module, tree in sorted(trees.items())
+        for name, line in sorted(_constants(tree).items())
+        if name not in read
+    ]
+
+
+def test_every_constant_is_read():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCE.glob("*.py")
+    }
+    assert sum(len(_constants(tree)) for tree in trees.values()) >= 20  # the rule sees them
+    bad = _dead_constants(trees)
+    assert not bad, bad
+
+
+def test_the_constant_check_catches_a_dead_constant():
+    trees = {
+        "a": ast.parse("LIVE, _DEAD = 1, 2\nOTHER: int = 3\nlower = 4\ndef f():\n    return LIVE"),
+        "b": ast.parse("from . import a\nprint(a.OTHER, lower)"),
+    }
+    assert _dead_constants(trees) == ["a:1 assigns _DEAD, which no module reads"]
+    del trees["b"]
+    assert len(_dead_constants(trees)) == 2

@@ -539,7 +539,7 @@ class TestSolve:
         diag = estimate(ys, system, config=EstimationConfig(rho=30.0, tol_primal=5e-9)).diagnostics
         assert diag.converged and diag.full_eigh_iterations == 0
 
-    def test_failed_certificates_back_off(self, monkeypatch):
+    def test_failed_warm_projections_back_off(self, monkeypatch):
         # After each failed warm attempt the next 1, 2, 4, ... projections
         # are full ones, so N iterations make at most log2(N) + 1 attempts.
         from spectral_sdp import solver
@@ -559,6 +559,23 @@ class TestSolve:
         assert set(attempts) == {65}
         assert report.full_eigh_iterations == report.iterations
         assert 1 <= len(attempts) <= np.ceil(np.log2(report.iterations)) + 1
+
+    def test_sparse_selection_backs_off_and_stops_on_the_gap(self):
+        # m = 61 of n = 2048 (the long-sparse shape): V keeps more negative
+        # eigenvalues than the Krylov space admits or the Ritz passes
+        # resolve, so warm projections fail and the backoff runs full ones.
+        rng = np.random.default_rng(48)
+        n, m = 2048, 61
+        keep = np.sort(rng.choice(n, size=m, replace=False))
+        sig = random_spike_spectrum(rng, 2, min_sep=4 / (n - 1))
+        y = synthesize_uniform(sig, 1.0, n)[keep]
+        pattern = SelectionPattern(indices=tuple(int(i) for i in keep), ambient=n)
+        est = estimate(y, pattern, 1.0, EstimationConfig(rho=15.0, tol_primal=5e-9))
+        diag = est.diagnostics
+        assert diag.stopped_on == "gap"
+        assert est.freqs.size == 2
+        assert np.allclose(np.sort(est.freqs), sig.freqs, rtol=0, atol=1e-3)
+        assert 0 < diag.full_eigh_iterations < diag.iterations
 
     def test_benchmark_shapes_converge_within_120_iterations(self):
         # Criterion 5's shape (n = 64, s = 3, rho 30) and criterion 6's
@@ -867,46 +884,60 @@ class TestRitzTolerance:
         sig = random_spike_spectrum(rng, 3, min_sep=4 / (n - 1))
         return _spec_for(_full_pattern(n), y=synthesize_uniform(sig, 1.0, n), rho=30.0, **kw)
 
-    def test_loose_away_from_a_stop_and_tight_where_it_may_stop(self, monkeypatch):
+    def test_each_tolerance_follows_the_last_accepted_residual(self, monkeypatch):
+        # Every evaluation's tolerance is _RITZ_KAPPA times the fixed-point
+        # residual of the last accepted one relative to its point, and at
+        # least _RITZ_TOL; the warm stopping iterate passed the certificate.
         from spectral_sdp import solver
 
-        # Per iteration, the tolerances its Ritz step received; the
-        # iterations whose Z went to the certificate.
-        received, certified = [], []
-        step, ritz, certify = solver.admm_step, solver._ritz_projection, solver._certified
+        spec = self._criterion_5_shape(46)
+        scale = np.repeat(spec.weight, 2)
+        # Per evaluation: [received tolerance, rule at its own residual,
+        # accepted, projected in full]; and the outcome of each certificate
+        # with the evaluation it judged.
+        evaluations, certificates = [], []
+        step, anderson_step, certify = solver.admm_step, solver._Anderson.step, solver._certified
 
-        def record_step(*args):
-            received.append([])
-            return step(*args)
+        def record_step(v, problem, basis, tol):
+            z, b, image, projection = step(v, problem, basis, tol)
+            point = v.view(float) * scale
+            residual = _norm(image.view(float) * scale - point)
+            rule = max(solver._RITZ_TOL, solver._RITZ_KAPPA * residual / _norm(point))
+            evaluations.append([tol, rule, not evaluations, projection.full])
+            return z, b, image, projection
 
-        def record_ritz(a, basis, tol):
-            received[-1].append(tol)
-            return ritz(a, basis, tol)
+        def record_accepted(self, *args):
+            evaluations[-1][2] = True
+            return anderson_step(self, *args)
 
         def record_certificate(*args):
-            certified.append(len(received) - 1)
-            return certify(*args)
+            certificates.append((len(evaluations) - 1, certify(*args)))
+            return certificates[-1][1]
 
         monkeypatch.setattr(solver, "admm_step", record_step)
-        monkeypatch.setattr(solver, "_ritz_projection", record_ritz)
+        monkeypatch.setattr(solver._Anderson, "step", record_accepted)
         monkeypatch.setattr(solver, "_certified", record_certificate)
-        report = solve(self._criterion_5_shape(46))
-        assert report.stopped_on == "gap" and len(received) == report.iterations
-        tols = [tol for call in received for tol in call]
-        assert all(solver._RITZ_TOL <= tol <= solver._RITZ_CAP for tol in tols)
-        assert max(tols) > solver._RITZ_TOL
-        assert received[-1] and certified
-        for it in {len(received) - 1, *certified}:
-            assert received[it] == [solver._RITZ_TOL] * len(received[it])
+        report = solve(spec)
+        assert report.stopped_on == "gap" and len(evaluations) == report.iterations
+        assert report.rejected_extrapolations > 0  # so acceptance matters
+        tols = [evaluation[0] for evaluation in evaluations]
+        assert tols[0] == solver._RITZ_TOL and max(tols) > 1e-6
+        expected = solver._RITZ_TOL
+        for tol, rule, accepted, _ in evaluations:
+            assert tol == pytest.approx(expected, rel=1e-6)
+            expected = rule if accepted else expected
+        last = len(evaluations) - 1
+        assert not evaluations[last][3] and certificates[-1] == (last, True)
+        assert tols[last] > solver._RITZ_TOL  # a loose warm step may stop
 
     def test_residual_stop_runs_no_more_full_projections(self, monkeypatch):
-        # With tol_gap = 0 the residual rule stops the solve. A cap at
-        # _RITZ_TOL gives every warm projection the fixed tolerance.
+        # With tol_gap = 0 the residual rule stops the solve. A _RITZ_KAPPA
+        # of 0 gives every warm projection the fixed tolerance _RITZ_TOL.
         from spectral_sdp import solver
 
         spec = self._criterion_5_shape(44, tol_gap=0.0)
         report = solve(spec)
-        monkeypatch.setattr(solver, "_RITZ_CAP", solver._RITZ_TOL)
+        monkeypatch.setattr(solver, "_RITZ_KAPPA", 0.0)
         fixed = solve(spec)
         assert report.stopped_on == fixed.stopped_on == "residuals"
         assert report.full_eigh_iterations <= fixed.full_eigh_iterations
