@@ -7,6 +7,9 @@ line flags override config fields, and the environment variable
 flag > env > config > default). Grid rates and delays are exact strings
 ("num/den"), complex numbers are {re, im} objects, and sample files are
 CSV with header ``index,re,im``. All writes are atomic (temp + rename).
+Every number is read once, by :mod:`spectral_sdp.errors`, under the name
+it was given by: ``--max-iter`` for a flag, ``solver.max_iter`` for a
+config key.
 
 Exit codes: 0 success, 1 usage/input error, 2 numerical non-convergence,
 3 internal invariant violation.
@@ -96,9 +99,7 @@ def _read_samples_csv(path: str) -> np.ndarray:
                 raise InvalidInputError(f"{path}:{lineno}: expected 3 fields")
             if as_integer(parts[0], f"{path}:{lineno}") != len(values):
                 raise InvalidInputError(f"{path}:{lineno}: expected index {len(values)}")
-            re, im = (as_real(v, f"{path}:{lineno}") for v in parts[1:])
-            if not (np.isfinite(re) and np.isfinite(im)):
-                raise InvalidInputError(f"{path}:{lineno}: non-finite sample {line!r}")
+            re, im = (as_real(v, f"{path}:{lineno}", "(-inf, inf)") for v in parts[1:])
             values.append(complex(re, im))
     return np.array(values, dtype=complex)
 
@@ -149,14 +150,14 @@ def _get(cfg: dict, path: str, default=None):
     return node
 
 
-# The EstimationConfig fields of the solver section, and their readers;
-# sigma comes from noise.sigma or --sigma.
+# The EstimationConfig fields of the solver section, and their readers with
+# the ranges ProblemSpec applies; sigma comes from noise.sigma or --sigma.
 _CONFIG_FIELDS = {
-    "tau": as_real,
-    "rho": as_real,
-    "max_iter": as_integer,
-    "tol_primal": as_real,
-    "tol_gap": as_real,
+    "tau": lambda value, what: as_real(value, what, "[0, inf)"),
+    "rho": lambda value, what: as_real(value, what, "(0, inf)"),
+    "max_iter": lambda value, what: as_integer(value, what, least=1),
+    "tol_primal": lambda value, what: as_real(value, what, "[0, inf)"),
+    "tol_gap": lambda value, what: as_real(value, what, "[0, 1)"),
 }
 
 # The keys each config section, an object, may hold.
@@ -202,9 +203,10 @@ def _resolve_seed(cfg: dict, args) -> int:
 
 
 def _resolve_sigma(cfg: dict, args) -> float:
+    source, value = "noise.sigma", _get(cfg, "noise.sigma", 0.0)
     if getattr(args, "sigma", None) is not None:
-        return args.sigma
-    return as_real(_get(cfg, "noise.sigma", 0.0), "noise.sigma")
+        source, value = "--sigma", args.sigma
+    return as_real(value, source, "[0, inf)")
 
 
 def _out_paths(cfg: dict, args):
@@ -281,18 +283,18 @@ def _sampler(cfg: dict, seed: int):
 
 
 def _estimation_config(cfg: dict, args, sigma: float) -> EstimationConfig:
-    """``sigma`` as read, and only the fields the solver section or a flag
-    of the same name sets (the flag wins); ``EstimationConfig`` holds the
-    defaults of the rest and :func:`~spectral_sdp.solver.assemble_problem`
-    checks them."""
+    """``sigma`` as read, and only the fields a flag or the solver section
+    sets (the flag wins), each read under the name it was given by, like
+    ``--max-iter`` or ``solver.max_iter``; ``EstimationConfig`` holds the
+    defaults of the rest."""
     solver = cfg.get("solver", {})
     fields = {}
     for name, read in _CONFIG_FIELDS.items():
-        value = getattr(args, name, None)
-        if value is None:
-            value = solver.get(name)
+        source, value = f"solver.{name}", solver.get(name)
+        if getattr(args, name, None) is not None:
+            source, value = "--" + name.replace("_", "-"), getattr(args, name)
         if value is not None:
-            fields[name] = read(value, f"solver.{name}")
+            fields[name] = read(value, source)
     return EstimationConfig(sigma=sigma, **fields)
 
 
@@ -556,7 +558,8 @@ def cmd_verify(args) -> int:
     surrogate = SpikeSpectrum(
         freqs=freqs, amps=amps * np.exp(-2j * np.pi * freqs * shift)
     )
-    report = verify_certificate(q, surrogate, f_solve, tol=args.tol)
+    tol = as_real(args.tol, "--tol", "[0, inf)")
+    report = verify_certificate(q, surrogate, f_solve, tol=tol)
     print(
         f"certificate: {report.is_certificate} "
         f"(max interpolation error {report.interp_errors.max():.3e}, "
@@ -586,13 +589,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", default=None)
         p.add_argument("--out-dir", dest="out_dir", default=None)
         p.add_argument("--prefix", default=None)
 
     p = sub.add_parser("synth", help="synthesize sample files from a spike model")
     add_common(p)
-    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--sigma", default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("sample", help="reduce raw acquisitions to the net observation vector")
@@ -607,21 +610,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="run the full estimation pipeline")
     add_common(p)
     p.add_argument("--input-prefix", dest="input_prefix", default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+    p.add_argument("--sigma", default=None)
+    p.add_argument("--tau", default=None)
+    p.add_argument("--max-iter", dest="max_iter", default=None)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("bench", help="time solver iterations across problem sizes")
     add_common(p)
     p.add_argument("--sizes", default="50,100,200", help="comma-separated m values")
-    p.add_argument("--iters", type=int, default=300)
+    p.add_argument("--iters", default=300)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="check a result's dual certificate against ground truth")
     p.add_argument("--result", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", default=1e-3)
     p.set_defaults(func=cmd_verify)
     return parser
 

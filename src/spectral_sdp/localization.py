@@ -86,16 +86,6 @@ class CertificateReport:
     sup_off_support: float
 
 
-def _rate(f, caller: str) -> float:
-    """The sampling rate ``f`` read by :func:`~spectral_sdp.errors.as_real`,
-    when finite and positive; otherwise an :class:`InvalidInputError`
-    saying that ``caller`` needs such a rate."""
-    try:
-        return as_real(f, "f", "(0, inf)")
-    except InvalidInputError:
-        raise InvalidInputError(f"{caller} needs a finite positive rate f, got {f!r}") from None
-
-
 def dual_polynomial(c: np.ndarray, pattern: SelectionPattern) -> np.ndarray:
     """Coefficients ``q = M* c`` of the dual polynomial: ``c`` scattered onto
     the kept indices, zero elsewhere."""
@@ -125,7 +115,7 @@ def locate_frequencies(q: np.ndarray, f: float, max_peaks: int | None = None) ->
     plateau (at least 10% of the grid above threshold: such a dual
     certifies nothing) or when more than ``max_peaks`` peaks survive.
     """
-    f = _rate(f, "locate_frequencies")
+    f = as_real(f, "f", "(0, inf)")
     q = np.asarray(q, dtype=complex)
     mags, maxima = grid_maxima(q)
     threshold = 1.0 - PEAK_TOL
@@ -178,7 +168,7 @@ def recover_amplitudes(
     of frequencies), read off the singular values it returns, raises
     :class:`ConditioningError`.
     """
-    f = _rate(f, "recover_amplitudes")
+    f = as_real(f, "f", "(0, inf)")
     y = np.asarray(y, dtype=complex)
     freqs = np.asarray(freqs, dtype=float)
     if y.shape != (pattern.m,):
@@ -231,7 +221,7 @@ def verify_certificate(
     certificate holds when all interpolation errors pass and the margin
     is positive. ``tol`` must be finite and nonnegative.
     """
-    f, tol = _rate(f, "verify_certificate"), as_real(tol, "tol", "[0, inf)")
+    f, tol = as_real(f, "f", "(0, inf)"), as_real(tol, "tol", "[0, inf)")
     q = np.asarray(q, dtype=complex)
     n = q.size
     # Denser than the localization grid: the grid maximum is not refined.
@@ -319,7 +309,7 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
         pattern, f = cg.observation_set, float(cg.f0)
         time_shift_s = float(cg.gamma0 / cg.f0)
     elif isinstance(sampler, SelectionPattern):
-        f = _rate(f, "estimate from a pattern")
+        f = as_real(f, "f", "(0, inf)")
         y = np.asarray(y, dtype=complex)
         pattern, k0 = normalize_to_admissible(sampler)
         time_shift_s = -k0 / f

@@ -104,7 +104,7 @@ from .sampling import (
     compute_partition,
     is_admissible_selection,
 )
-from .trigops import PEAK_TOL
+from .trigops import PEAK_TOL, grid_modulus
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,27 +489,16 @@ def _dual_objective(spec: ProblemSpec, c: np.ndarray) -> float:
     return float(np.real(spec.y @ c)) - 0.5 * spec.tau * float(np.linalg.norm(c) ** 2)
 
 
-def _fold_values(indices: np.ndarray, c: np.ndarray, nu0: float, d: int) -> np.ndarray:
-    """``Q(e^{i 2 pi (nu0 + j) / d})`` for ``j = 0..d-1``, where ``Q`` has
-    the coefficient ``c[t]`` at ``indices[t]``.
-
-    With ``k = r + d l``, ``Q = sum_r w_r e^{i 2 pi j r / d}`` for the fold
-    ``w_r = sum_l c e^{i 2 pi nu0 k / d}``: one length-``d`` FFT.
-    """
-    w = np.zeros(d, dtype=complex)
-    np.add.at(w, indices % d, c * np.exp(2j * np.pi * nu0 / d * indices))
-    return d * np.fft.ifft(w)
-
-
 def _atoms(spec: ProblemSpec, projection: Projection, c: np.ndarray) -> np.ndarray:
     """Reduced frequencies read by ESPRIT off the negative eigenvectors.
 
     On the pairs ``(i, j)`` of :attr:`ProblemSpec.longest_block`, of lag
     ``d``, the first ``m`` rows of the eigenvectors satisfy ``U[j] = U[i]
     Phi``, and the eigenvalues of ``Phi`` are ``e^{-i 2 pi nu d}``
-    (Roy & Kailath 1989). Each gives ``d`` candidates ``(nu0 + j) / d``;
-    the one of largest ``|Q|`` (:func:`_fold_values`) is kept when
-    ``|Q| >= 1 - PEAK_TOL``. None are read when the block has fewer pairs
+    (Roy & Kailath 1989). Each gives ``d`` candidates ``(nu0 + j) / d``,
+    the grid of ``d`` points at offset ``nu0`` that
+    :func:`~spectral_sdp.trigops.grid_modulus` reads; the one of largest
+    ``|Q|`` is kept when ``|Q| >= 1 - PEAK_TOL``. None are read when the block has fewer pairs
     than there are negative eigenvalues.
     """
     k, block = projection.negatives, spec.longest_block
@@ -518,9 +507,12 @@ def _atoms(spec: ProblemSpec, projection: Projection, c: np.ndarray) -> np.ndarr
     d, rows, cols = block
     u = projection.basis[: spec.m, :k]
     phi = np.linalg.lstsq(u[rows], u[cols], rcond=None)[0]
+    indices = spec.partition.indices
+    q = np.zeros(indices.max() + 1, dtype=complex)
+    q[indices] = c
     found = []
     for nu0 in -np.angle(np.linalg.eigvals(phi)) / (2 * np.pi):
-        values = np.abs(_fold_values(spec.partition.indices, c, nu0, d))
+        values = grid_modulus(q, d, nu0)
         j = int(np.argmax(values))
         if values[j] >= 1.0 - PEAK_TOL:
             found.append((nu0 + j) / d % 1.0 % 1.0)  # -1e-18 % 1.0 is 1.0

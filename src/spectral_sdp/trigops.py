@@ -2,15 +2,14 @@
 and at the refined maxima of the modulus.
 
 A polynomial is its coefficient vector ``q`` indexed 0..n-1,
-``Q(z) = sum_k q[k] z^k``. At points only its ``m`` nonzero coefficients
-are read, ``O(m)`` per point. All functions are pure.
+``Q(z) = sum_k q[k] z^k``. Only its ``m`` nonzero coefficients are read:
+``O(m)`` per point, and folded onto a grid of any size before one FFT.
+All functions are pure.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import InvalidInputError
 
 PEAK_TOL = 1e-3  # the peak threshold: a maximum of |Q| >= 1 - PEAK_TOL is a peak
 
@@ -43,19 +42,20 @@ def grid_size(n: int) -> int:
     return max(32 * n, 4096)
 
 
-def grid_modulus(q: np.ndarray, points: int) -> np.ndarray:
-    """``|Q(e^{i 2 pi j / points})|`` for ``j = 0..points-1``.
+def grid_modulus(q: np.ndarray, points: int, offset: float = 0.0) -> np.ndarray:
+    """``|Q(e^{i 2 pi (j + offset) / points})|`` for ``j = 0..points-1``.
 
-    One zero-padded inverse FFT: ``points * |ifft(q, points)|``, in
-    ``O(points log points)`` time and ``O(points)`` memory. ``points``
-    must be at least the number of coefficients (fewer would alias them).
+    With ``k = r + points l``, ``Q = sum_r w_r e^{i 2 pi j r / points}``
+    for the fold ``w_r = sum_l q[k] e^{i 2 pi offset k / points}`` of the
+    nonzero ``q[k]``: ``points * |ifft(w)|``, one inverse FFT, in
+    ``O(points log points)`` time and ``O(points)`` memory. The fold is
+    exact at any ``points``, fewer than the coefficients included.
     """
     q = np.asarray(q, dtype=complex)
-    if points < q.size:
-        raise InvalidInputError(
-            f"grid of {points} points cannot hold {q.size} coefficients"
-        )
-    return points * np.abs(np.fft.ifft(q, points))
+    k = np.flatnonzero(q)
+    w = np.zeros(min(points, q.size), dtype=complex)  # ifft pads it to points
+    np.add.at(w, k % points, q[k] * np.exp(2j * np.pi * offset / points * k))
+    return points * np.abs(np.fft.ifft(w, points))
 
 
 def grid_maxima(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

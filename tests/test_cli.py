@@ -1,5 +1,6 @@
 """Command-line interface: file formats, exit codes, reproducibility."""
 
+import argparse
 import dataclasses
 import inspect
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from spectral_sdp import EstimationConfig, assemble_problem
-from spectral_sdp.cli import _CONFIG_FIELDS, main
+from spectral_sdp.cli import _CONFIG_FIELDS, build_parser, main
 from spectral_sdp.localization import EstimateDiagnostics
 from spectral_sdp.solver import ProblemSpec
 
@@ -71,6 +72,20 @@ def test_settings_are_the_config_fields():
     keywords = set(inspect.signature(assemble_problem).parameters) - {"y", "pattern", "settings"}
     keywords |= {field.name for field in dataclasses.fields(ProblemSpec)} - {"y", "partition"}
     assert set(names) <= keywords
+
+
+def test_no_flag_is_read_before_errors_reads_it():
+    # argparse hands every flag on as typed, so errors reads each number
+    # once, under the flag's name; a type= would read it first.
+    parsers, typed = [build_parser()], []
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            elif action.type is not None:
+                typed.append(f"{parser.prog} {'/'.join(action.option_strings)}")
+    assert len(parsers) == 7  # the walk reaches every subcommand
+    assert not typed, typed
 
 
 class TestSynth:
@@ -467,6 +482,13 @@ class TestErrors:
             ("rate-bool", "sampling.f"),
             ("grid-gamma-bool", "sampling.grids[1].gamma"),
             ("verify-tol", "tol"),
+            ("verify-tol-negative", "--tol must be in [0, inf), got -1.0"),
+            ("max-iter-zero", "solver.max_iter must be at least 1, got 0"),
+            ("estimate-max-iter-zero", "--max-iter must be at least 1, got 0"),
+            ("estimate-max-iter-fraction", "--max-iter must be an integer, got '2.5'"),
+            ("estimate-tau-nan", "--tau must be in [0, inf), got nan"),
+            ("estimate-tau-word", "--tau must be a real number, got 'x'"),
+            ("estimate-sigma-negative", "--sigma must be in [0, inf), got -1.0"),
         ],
         ids=[
             "csv-field",
@@ -499,6 +521,13 @@ class TestErrors:
             "rate-bool",
             "grid-gamma-bool",
             "verify-tol",
+            "verify-tol-negative",
+            "max-iter-zero",
+            "estimate-max-iter-zero",
+            "estimate-max-iter-fraction",
+            "estimate-tau-nan",
+            "estimate-tau-word",
+            "estimate-sigma-negative",
         ],
     )
     def test_malformed_number_exits_one(self, tmp_path, monkeypatch, capsys, case, where):
@@ -529,6 +558,8 @@ class TestErrors:
                 cfg["sampling"]["n"] = 32.7  # must not truncate to 32
             elif case == "max-iter-fraction":
                 cfg["solver"]["max_iter"] = 3.9  # must not truncate to 3
+            elif case == "max-iter-zero":
+                cfg["solver"]["max_iter"] = 0
             elif case == "rho-bool":
                 cfg["solver"]["rho"] = True  # must not read as 1
             elif case == "sigma-bool":
@@ -547,7 +578,17 @@ class TestErrors:
             command += ["--sigma", "nan"]
         if case == "flag-seed-negative":
             command += ["--seed", "-1"]
-        if case in ("csv-field", "csv-nan", "csv-index", "index", "max-iter-fraction", "rho-bool"):
+        # Each estimate flag is named as typed, not as the field it sets.
+        command += {
+            "estimate-max-iter-zero": ["--max-iter", "0"],
+            "estimate-max-iter-fraction": ["--max-iter", "2.5"],
+            "estimate-tau-nan": ["--tau", "nan"],
+            "estimate-tau-word": ["--tau", "x"],
+            "estimate-sigma-negative": ["--sigma", "-1"],
+        }.get(case, [])
+        if case.startswith(("csv-", "estimate-")) or case in (
+            "index", "max-iter-fraction", "max-iter-zero", "rho-bool"
+        ):
             assert main(["synth", "--config", cfg_path]) == 0
             command[0] = "sample" if case == "index" else "estimate"
         if case.startswith("csv-"):
@@ -562,7 +603,7 @@ class TestErrors:
             iters = "0" if case == "bench-iters-zero" else "2"
             sizes = {"bench-size": "8,x", "bench-size-zero": "8,0"}.get(case, "8")
             command = ["bench", "--config", cfg_path, "--iters", iters, "--sizes", sizes]
-        if case in ("truth-freq", "solve-rate", "time-shift", "verify-tol"):
+        if case in ("truth-freq", "solve-rate", "time-shift", "verify-tol", "verify-tol-negative"):
             assert main(command) == 0
             assert main(["estimate", "--config", cfg_path]) == 0
             result = tmp_path / "out" / "run_result.json"
@@ -571,12 +612,12 @@ class TestErrors:
             record = json.loads(_read(path))
             if case == "truth-freq":
                 record["freqs_hz"][1] = "x"
-            elif case != "verify-tol":
+            elif not case.startswith("verify-tol"):
                 record["frame"]["solve_rate_hz" if case == "solve-rate" else "time_shift_s"] = "x"
             path.write_text(json.dumps(record), encoding="utf-8")
             command = ["verify", "--result", str(result), "--truth", str(truth)]
-            if case == "verify-tol":
-                command += ["--tol", "nan"]
+            if case.startswith("verify-tol"):
+                command += ["--tol", "nan" if case == "verify-tol" else "-1"]
         assert main(command) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error:") and where in err

@@ -344,7 +344,7 @@ class TestEstimatePipeline:
 
         monkeypatch.setattr(localization, "solve", no_solve)
         shifted = SelectionPattern(indices=tuple(range(3, 24)), ambient=24)
-        with pytest.raises(InvalidInputError, match="finite positive rate"):
+        with pytest.raises(InvalidInputError, match="^f must be"):
             estimate(np.ones(21), shifted, f)
 
     def test_certificate_implies_peak_count(self):

@@ -301,10 +301,10 @@ _REAL_INPUTS = [
     ("noise-sigma", lambda v: NoiseSpec(sigma=v), "sigma", "[0, inf)"),
     ("keep-prob", lambda v: random_selection(10, v, 1), "keep probability", "(0, 1]"),
     ("synthesize-f", lambda v: synthesize_uniform(_SPIKE, v, 4), "sampling frequency", "(0, inf)"),
-    ("estimate-f", lambda v: estimate(np.ones(4), _FULL4, v), "rate f", "(0, inf)"),
-    ("amplitudes-f", lambda v: recover_amplitudes(np.ones(4), _FULL4, [0.1], v), "rate f", "(0, inf)"),
-    ("locate-f", lambda v: locate_frequencies(_Q, v), "rate f", "(0, inf)"),
-    ("certificate-f", lambda v: verify_certificate(_Q, _SPIKE, v), "rate f", "(0, inf)"),
+    ("estimate-f", lambda v: estimate(np.ones(4), _FULL4, v), "f", "(0, inf)"),
+    ("amplitudes-f", lambda v: recover_amplitudes(np.ones(4), _FULL4, [0.1], v), "f", "(0, inf)"),
+    ("locate-f", lambda v: locate_frequencies(_Q, v), "f", "(0, inf)"),
+    ("certificate-f", lambda v: verify_certificate(_Q, _SPIKE, v), "f", "(0, inf)"),
     ("certificate-tol", lambda v: verify_certificate(_Q, _SPIKE, 1.0, tol=v), "tol", "[0, inf)"),
     ("bound-delta", lambda v: random_bound_report(64, 64, 1, v, 1.0), "delta", "(0, 1)"),
     ("bound-C", lambda v: random_bound_report(64, 64, 1, 0.1, v), "C", "(0, inf)"),
@@ -392,7 +392,7 @@ class TestRealInputs:
             lambda: locate_frequencies(_Q, f),
             lambda: verify_certificate(_Q, _SPIKE, f),
         ):
-            with pytest.raises(InvalidInputError, match="finite positive rate f"):
+            with pytest.raises(InvalidInputError, match="^f must be"):
                 call()
 
     def test_numbers_of_any_real_type_pass_as_floats(self):

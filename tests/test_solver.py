@@ -24,7 +24,6 @@ from spectral_sdp import (
     dual_polynomial,
     estimate,
     locate_frequencies,
-    poly_eval,
     solve,
     synthesize_grid,
     synthesize_uniform,
@@ -841,20 +840,6 @@ class TestDualityGap:
                 peaks = locate_frequencies(q, 1.0).freqs_hz
                 assert esprit.size == peaks.size == projection.negatives
                 assert np.max(np.abs(esprit - peaks)) <= 1e-8
-
-    def test_fold_values_equal_poly_eval(self):
-        from spectral_sdp import solver
-
-        rng = np.random.default_rng(65)
-        indices = np.sort(rng.choice(300, size=40, replace=False))
-        c = random_complex(rng, 40)
-        q = np.zeros(300, dtype=complex)
-        q[indices] = c
-        for d in (1, 7, 64):
-            nu0 = rng.uniform(-0.5, 0.5)
-            values = solver._fold_values(indices, c, nu0, d)
-            expected = poly_eval(q, (nu0 + np.arange(d)) / d)
-            assert np.allclose(values, expected, rtol=0, atol=1e-11)
 
     def test_failed_certificate_does_not_stop(self, monkeypatch):
         # The first certificate a stop asks for fails: the solve goes on,

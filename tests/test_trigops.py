@@ -199,9 +199,24 @@ class TestGridModulus:
         assert fast.shape == (points,)
         assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(dense)
 
-    def test_rejects_fewer_points_than_coefficients(self):
-        with pytest.raises(InvalidInputError):
-            grid_modulus(np.ones(8), 7)
+    @pytest.mark.parametrize("points", [1, 7, 64])
+    def test_folds_fewer_points_than_coefficients(self, points):
+        # 40 nonzero coefficients of 300, folded k mod points.
+        rng = np.random.default_rng(65)
+        q = np.zeros(300, dtype=complex)
+        q[rng.choice(300, size=40, replace=False)] = random_complex(rng, 40)
+        expected = np.abs(poly_eval(q, np.arange(points) / points))
+        assert np.max(np.abs(grid_modulus(q, points) - expected)) <= 1e-11
+
+    @pytest.mark.parametrize("points", [7, 64, 1000])
+    def test_reads_a_grid_at_an_offset(self, points):
+        # The grid (j + offset) / points, below and above 300 coefficients.
+        rng = np.random.default_rng(66)
+        q = np.zeros(300, dtype=complex)
+        q[rng.choice(300, size=40, replace=False)] = random_complex(rng, 40)
+        for offset in rng.uniform(-0.5, 0.5, size=3):
+            expected = np.abs(poly_eval(q, (offset + np.arange(points)) / points))
+            assert np.max(np.abs(grid_modulus(q, points, offset) - expected)) <= 1e-11
 
 
 class TestRefineMaxima:
