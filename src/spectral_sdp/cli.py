@@ -7,9 +7,10 @@ line flags override config fields, and the environment variable
 flag > env > config > default). Grid rates and delays are exact strings
 ("num/den"), complex numbers are {re, im} objects, and sample files are
 CSV with header ``index,re,im``. All writes are atomic (temp + rename).
-Every number is read once, by :mod:`spectral_sdp.errors`, under the name
-it was given by: ``--max-iter`` for a flag, ``solver.max_iter`` for a
-config key.
+Every config key is read once, at load, whichever subcommand runs, and a
+null key is unset. Every number is read once, by
+:mod:`spectral_sdp.errors`, under the name it was given by:
+``--max-iter`` for a flag, ``solver.max_iter`` for a config key.
 
 Exit codes: 0 success, 1 usage/input error, 2 numerical non-convergence,
 3 internal invariant violation.
@@ -69,13 +70,22 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _shaped(kind: type, value, what: str):
-    """``value`` when it is a JSON array (``kind`` list) or object (dict);
-    otherwise an input error naming ``what``."""
+def _shaped(value, what: str, kind: type = dict):
+    """``value`` when it is a JSON object (``kind`` dict), array (list) or
+    string (str); otherwise an input error naming ``what``."""
     if not isinstance(value, kind):
-        expected = "an array" if kind is list else "an object"
+        expected = {dict: "an object", list: "an array", str: "a string"}[kind]
         raise InvalidInputError(f"{what}: expected {expected}, got {value!r}")
     return value
+
+
+def _need(node: dict, key: str, where: str = "", read=None):
+    """``node[key]``, read by ``read`` under the name ``where + key`` when
+    one is given; an absent or null key is an input error that names it,
+    like ``signal.amps[0].im is missing``."""
+    if node.get(key) is None:
+        raise InvalidInputError(f"{where}{key} is missing")
+    return node[key] if read is None else read(node[key], where + key)
 
 
 def _write_samples_csv(path: str, y: np.ndarray) -> None:
@@ -107,7 +117,7 @@ def _read_samples_csv(path: str) -> np.ndarray:
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return _shaped(dict, json.load(fh), path)
+            return _shaped(json.load(fh), path)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: invalid JSON ({exc})") from exc
 
@@ -128,124 +138,113 @@ def _complex_list(values) -> list:
 def _parse_list(read, items, what: str) -> list:
     """``read`` (an :mod:`~spectral_sdp.errors` reader) of every entry of the
     array ``items``, entry ``j`` named ``what[j]``."""
-    return [read(x, f"{what}[{j}]") for j, x in enumerate(_shaped(list, items, what))]
+    return [read(x, f"{what}[{j}]") for j, x in enumerate(_shaped(items, what, list))]
 
 
 def _parse_complex_list(items, what: str) -> np.ndarray:
+    """The array ``items`` of ``{re, im}`` objects, as complex numbers."""
     out = []
-    for j, d in enumerate(_shaped(list, items, what)):
-        d = _shaped(dict, d, f"{what}[{j}]")
-        out.append(complex(*(as_real(d[k], f"{what}[{j}].{k}") for k in ("re", "im"))))
+    for j, d in enumerate(_shaped(items, what, list)):
+        d = _shaped(d, f"{what}[{j}]")
+        out.append(complex(*(_need(d, k, f"{what}[{j}].", as_real) for k in ("re", "im"))))
     return np.array(out, dtype=complex)
 
 
 # ---------- config handling ----------
 
-def _get(cfg: dict, path: str, default=None):
-    node = cfg
-    for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
-            return default
-        node = node[key]
-    return node
+def _schema(value, what: str) -> int:
+    if as_integer(value, what) != SCHEMA_VERSION:
+        raise InvalidInputError(f"unsupported {what} {value!r}, expected {SCHEMA_VERSION}")
+    return SCHEMA_VERSION
 
 
-# The EstimationConfig fields of the solver section, and their readers with
-# the ranges ProblemSpec applies; sigma comes from noise.sigma or --sigma.
-_CONFIG_FIELDS = {
-    "tau": lambda value, what: as_real(value, what, "[0, inf)"),
-    "rho": lambda value, what: as_real(value, what, "(0, inf)"),
-    "max_iter": lambda value, what: as_integer(value, what, least=1),
-    "tol_primal": lambda value, what: as_real(value, what, "[0, inf)"),
-    "tol_gap": lambda value, what: as_real(value, what, "[0, 1)"),
+def _scenario(value, what: str) -> str:
+    if value not in ("full", "selection", "random-selection", "multirate"):
+        raise InvalidInputError(f"unknown {what} {value!r}")
+    return value
+
+
+def _rate(value, what: str) -> float:
+    """A JSON number, or an exact ``"num/den"`` string."""
+    return as_real(as_fraction(value, what) if isinstance(value, str) else value, what, "(0, inf)")
+
+
+def _grids(items, what: str) -> MultirateSystem:
+    """The system of the array ``items`` of grid objects: each an exact
+    rate ``f`` and length ``n``, and a delay ``gamma`` (0 when unset)."""
+    grids = []
+    for j, grid in enumerate(_shaped(items, what, list)):
+        name = f"{what}[{j}]"
+        for key in sorted(_shaped(grid, name).keys() - {"f", "gamma", "n"}):
+            raise InvalidInputError(f"unknown key '{name}.{key}'")
+        f = _need(grid, "f", name + ".", as_fraction)
+        as_real(f, name + ".f", "(0, inf)")  # the range Grid checks again
+        gamma = as_fraction(0 if grid.get("gamma") is None else grid["gamma"], name + ".gamma")
+        n = _need(grid, "n", name + ".", lambda value, what: as_integer(value, what, least=1))
+        grids.append(Grid(f=f, gamma=gamma, n=n))
+    return MultirateSystem(grids=tuple(grids))
+
+
+# Every config key, as written, with its reader: the range each checks is
+# the one the library checks again. A section is the part before the dot.
+_READERS = {
+    "schema": _schema,
+    "scenario": _scenario,
+    "seed": lambda value, what: as_integer(value, what, least=0),
+    "signal.freqs_hz": lambda value, what: np.array(_parse_list(as_real, value, what)),
+    "signal.amps": _parse_complex_list,
+    "noise.sigma": lambda value, what: as_real(value, what, "[0, inf)"),
+    "sampling.f": _rate,
+    "sampling.n": lambda value, what: as_integer(value, what, least=1),
+    "sampling.indices": lambda value, what: tuple(_parse_list(as_integer, value, what)),
+    "sampling.keep_prob": lambda value, what: as_real(value, what, "(0, 1]"),
+    "sampling.grids": _grids,
+    # The EstimationConfig fields but sigma, with the ranges ProblemSpec applies.
+    "solver.tau": lambda value, what: as_real(value, what, "[0, inf)"),
+    "solver.rho": lambda value, what: as_real(value, what, "(0, inf)"),
+    "solver.max_iter": lambda value, what: as_integer(value, what, least=1),
+    "solver.tol_primal": lambda value, what: as_real(value, what, "[0, inf)"),
+    "solver.tol_gap": lambda value, what: as_real(value, what, "[0, 1)"),
+    "output.dir": lambda value, what: _shaped(value, what, str),
+    "output.prefix": lambda value, what: _shaped(value, what, str),
 }
 
-# The keys each config section, an object, may hold.
-_SECTION_KEYS = {
-    "signal": {"freqs_hz", "amps"},
-    "noise": {"sigma"},
-    "sampling": {"f", "n", "indices", "keep_prob", "grids"},
-    "solver": _CONFIG_FIELDS.keys(),
-    "output": {"dir", "prefix"},
-}
-_GRID_KEYS = {"f", "gamma", "n"}  # of each entry of sampling.grids
 
-
-def _load_config(args) -> dict:
-    """The config file; an unknown key, or a section or grid that is not an
-    object, is an input error naming it."""
+def _load_config(args) -> tuple[dict, dict]:
+    """The config file as written, and its settings: each key as written,
+    like ``sampling.n``, to its value as read. Every non-null key is read
+    once, by its reader in ``_READERS``; then ``SPECTRAL_SDP_SEED``
+    overrides ``seed``, and each flag the key that ends in its name
+    (``--out-dir`` sets ``output.dir``), read under the flag as typed. An
+    unknown key, or a section that is not an object, is an input error."""
     cfg = _load_json(args.config)
-    for key in sorted(cfg.keys() - {"schema", "scenario", "seed", *_SECTION_KEYS}):
-        raise InvalidInputError(f"{args.config}: unknown top-level key {key!r}")
-    grids = _shaped(list, _get(cfg, "sampling.grids") or [], "sampling.grids")
-    objects = [(name, cfg[name], _SECTION_KEYS[name]) for name in sorted(cfg.keys() & _SECTION_KEYS)]
-    objects += [(f"sampling.grids[{j}]", g, _GRID_KEYS) for j, g in enumerate(grids)]
-    for name, node, keys in objects:
-        for key in sorted(_shaped(dict, node, name).keys() - keys):
-            raise InvalidInputError(f"{name}.{key}: unknown key")
-    if cfg.get("schema") != SCHEMA_VERSION:
-        raise InvalidInputError(
-            f"{args.config}: unsupported schema {cfg.get('schema')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-    if cfg.get("scenario") not in ("full", "selection", "random-selection", "multirate"):
-        raise InvalidInputError(f"unknown scenario {cfg.get('scenario')!r}")
-    return cfg
-
-
-def _resolve_seed(cfg: dict, args) -> int:
-    source, value = "seed", cfg.get("seed", 0)
+    settings = {"seed": 0, "noise.sigma": 0.0, "output.dir": ".", "output.prefix": "run"}
+    nodes = [("", cfg)]  # (prefix, object): the file, then each section
+    for prefix, node in nodes:
+        for key, value in node.items():
+            name = prefix + key
+            if value is None:
+                continue
+            if name in _READERS:
+                settings[name] = _READERS[name](value, name)
+            elif not prefix and any(k.startswith(name + ".") for k in _READERS):
+                nodes.append((name + ".", _shaped(value, name)))
+            else:
+                raise InvalidInputError(f"unknown key {name!r}")
     if os.environ.get(ENV_SEED) is not None:
-        source, value = ENV_SEED, os.environ[ENV_SEED]
-    if getattr(args, "seed", None) is not None:
-        source, value = "--seed", args.seed
-    return as_integer(value, source, least=0)
+        settings["seed"] = _READERS["seed"](os.environ[ENV_SEED], ENV_SEED)
+    for key, read in _READERS.items():
+        flag = "out_dir" if key == "output.dir" else key.rpartition(".")[2]
+        if getattr(args, flag, None) is not None:
+            settings[key] = read(getattr(args, flag), "--" + flag.replace("_", "-"))
+    for key in ("schema", "scenario"):
+        _need(settings, key)
+    return cfg, settings
 
 
-def _resolve_sigma(cfg: dict, args) -> float:
-    source, value = "noise.sigma", _get(cfg, "noise.sigma", 0.0)
-    if getattr(args, "sigma", None) is not None:
-        source, value = "--sigma", args.sigma
-    return as_real(value, source, "[0, inf)")
-
-
-def _out_paths(cfg: dict, args):
-    out_dir = getattr(args, "out_dir", None) or _get(cfg, "output.dir", ".")
-    prefix = getattr(args, "prefix", None) or _get(cfg, "output.prefix", "run")
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir, prefix
-
-
-def _signal_from_config(cfg: dict) -> SpikeSpectrum:
-    sig = cfg.get("signal")
-    if not sig:
-        raise InvalidInputError("config has no 'signal' section")
-    freqs = np.array(_parse_list(as_real, sig["freqs_hz"], "signal.freqs_hz"))
-    amps = _parse_complex_list(sig["amps"], "signal.amps")
-    return SpikeSpectrum(freqs=freqs, amps=amps)
-
-
-def _system_from_config(cfg: dict) -> MultirateSystem:
-    grids_cfg = _get(cfg, "sampling.grids")
-    if not grids_cfg:
-        raise InvalidInputError("multirate scenario needs sampling.grids")
-    grids = tuple(
-        Grid(
-            f=as_fraction(g["f"], f"sampling.grids[{j}].f"),
-            gamma=as_fraction(g.get("gamma", 0), f"sampling.grids[{j}].gamma"),
-            n=as_integer(g["n"], f"sampling.grids[{j}].n"),
-        )
-        for j, g in enumerate(grids_cfg)
-    )
-    return MultirateSystem(grids=grids)
-
-
-def _rate_from_config(cfg: dict) -> float:
-    """``sampling.f``: a JSON number, or an exact ``"num/den"`` string."""
-    f = _get(cfg, "sampling.f")
-    if f is None:
-        raise InvalidInputError("config needs sampling.f")
-    return as_real(as_fraction(f, "sampling.f") if isinstance(f, str) else f, "sampling.f")
+def _out_paths(settings: dict):
+    os.makedirs(settings["output.dir"], exist_ok=True)
+    return settings["output.dir"], settings["output.prefix"]
 
 
 def _child_seed(seed: int, key: int) -> int:
@@ -253,101 +252,67 @@ def _child_seed(seed: int, key: int) -> int:
     return int(child.generate_state(1, dtype=np.uint64)[0])
 
 
-def _pattern_from_config(cfg: dict, seed: int) -> SelectionPattern:
-    scenario = cfg["scenario"]
-    n = as_integer(_get(cfg, "sampling.n", 0), "sampling.n")
-    if scenario == "full":
-        return SelectionPattern(indices=tuple(range(n)), ambient=n)
-    if scenario == "selection":
-        idx = _get(cfg, "sampling.indices")
-        if not idx:
-            raise InvalidInputError("selection scenario needs sampling.indices")
-        return SelectionPattern(
-            indices=tuple(_parse_list(as_integer, idx, "sampling.indices")),
-            ambient=n,
-        )
-    if scenario == "random-selection":
-        p = _get(cfg, "sampling.keep_prob")
-        if p is None:
-            raise InvalidInputError("random-selection scenario needs sampling.keep_prob")
-        return random_selection(n, as_real(p, "sampling.keep_prob"), _child_seed(seed, 0))
-    raise InvalidInputError(f"no selection pattern for scenario {scenario!r}")
-
-
-def _sampler(cfg: dict, seed: int):
+def _sampler(settings: dict):
     """``(sampler, f)``: the config's :class:`MultirateSystem` with no rate,
     or its :class:`SelectionPattern` with ``sampling.f``."""
-    if cfg["scenario"] == "multirate":
-        return _system_from_config(cfg), None
-    return _pattern_from_config(cfg, seed), _rate_from_config(cfg)
+    scenario = settings["scenario"]
+    if scenario == "multirate":
+        return _need(settings, "sampling.grids"), None
+    n = _need(settings, "sampling.n")
+    if scenario == "full":
+        pattern = SelectionPattern(indices=tuple(range(n)), ambient=n)
+    elif scenario == "selection":
+        pattern = SelectionPattern(indices=_need(settings, "sampling.indices"), ambient=n)
+    else:
+        p = _need(settings, "sampling.keep_prob")
+        pattern = random_selection(n, p, _child_seed(settings["seed"], 0))
+    return pattern, _need(settings, "sampling.f")
 
 
-def _estimation_config(cfg: dict, args, sigma: float) -> EstimationConfig:
-    """``sigma`` as read, and only the fields a flag or the solver section
-    sets (the flag wins), each read under the name it was given by, like
-    ``--max-iter`` or ``solver.max_iter``; ``EstimationConfig`` holds the
-    defaults of the rest."""
-    solver = cfg.get("solver", {})
-    fields = {}
-    for name, read in _CONFIG_FIELDS.items():
-        source, value = f"solver.{name}", solver.get(name)
-        if getattr(args, name, None) is not None:
-            source, value = "--" + name.replace("_", "-"), getattr(args, name)
-        if value is not None:
-            fields[name] = read(value, source)
-    return EstimationConfig(sigma=sigma, **fields)
+def _estimation_config(settings: dict) -> EstimationConfig:
+    """``noise.sigma``, and the ``solver`` keys that are set;
+    ``EstimationConfig`` holds the defaults of the rest."""
+    fields = {
+        key.removeprefix("solver."): value
+        for key, value in settings.items()
+        if key.startswith("solver.")
+    }
+    return EstimationConfig(sigma=settings["noise.sigma"], **fields)
 
 
 # ---------- synthesis ----------
 
-def _synthesize(cfg: dict, seed: int, sigma: float):
-    """Returns (per-grid sample vectors, truth dict). Non-multirate
-    scenarios produce one raw uniform vector."""
-    spec = _signal_from_config(cfg)
-    scenario = cfg["scenario"]
+def cmd_synth(args) -> int:
+    cfg, settings = _load_config(args)
+    seed, sigma = settings["seed"], settings["noise.sigma"]
+    out_dir, prefix = _out_paths(settings)
+    freqs, amps = _need(settings, "signal.freqs_hz"), _need(settings, "signal.amps")
+    spec = SpikeSpectrum(freqs=freqs, amps=amps)
     truth = {
         "schema": SCHEMA_VERSION,
-        "scenario": scenario,
+        "scenario": settings["scenario"],
         "freqs_hz": [float(x) for x in spec.freqs],
         "amps": _complex_list(spec.amps),
         "sigma": sigma,
         "seed": seed,
         "rng": RNG_ALGORITHM,
     }
-    if scenario == "multirate":
-        system = _system_from_config(cfg)
-        outs = []
-        for j, grid in enumerate(system.grids):
-            y = synthesize_grid(spec, grid)
-            y = add_noise(y, NoiseSpec(sigma=sigma, seed=_child_seed(seed, 1 + j)))
-            outs.append(y)
-        truth["grids"] = [
-            {"f": str(g.f), "gamma": str(g.gamma), "n": g.n} for g in system.grids
-        ]
-        return outs, truth
-    f = _rate_from_config(cfg)
-    n = as_integer(_get(cfg, "sampling.n", 0), "sampling.n")
-    y = synthesize_uniform(spec, f, n)
-    y = add_noise(y, NoiseSpec(sigma=sigma, seed=_child_seed(seed, 1)))
-    truth["f_hz"] = f
-    truth["n"] = n
-    return [y], truth
-
-
-def cmd_synth(args) -> int:
-    cfg = _load_config(args)
-    seed = _resolve_seed(cfg, args)
-    sigma = _resolve_sigma(cfg, args)
-    out_dir, prefix = _out_paths(cfg, args)
-    vectors, truth = _synthesize(cfg, seed, sigma)
-    if cfg["scenario"] == "multirate":
-        for j, y in enumerate(vectors):
-            _write_samples_csv(os.path.join(out_dir, f"{prefix}_grid{j}.csv"), y)
+    # Non-multirate scenarios synthesize one raw uniform vector.
+    if settings["scenario"] == "multirate":
+        grids = _need(settings, "sampling.grids").grids
+        raw = {f"{prefix}_grid{j}.csv": synthesize_grid(spec, g) for j, g in enumerate(grids)}
+        truth["grids"] = [{"f": str(g.f), "gamma": str(g.gamma), "n": g.n} for g in grids]
     else:
-        _write_samples_csv(os.path.join(out_dir, f"{prefix}_samples.csv"), vectors[0])
+        f, n = _need(settings, "sampling.f"), _need(settings, "sampling.n")
+        raw = {f"{prefix}_samples.csv": synthesize_uniform(spec, f, n)}
+        truth["f_hz"], truth["n"] = f, n
+    # Vector j draws its noise from child seed 1 + j.
+    for j, (name, y) in enumerate(raw.items()):
+        y = add_noise(y, NoiseSpec(sigma=sigma, seed=_child_seed(seed, 1 + j)))
+        _write_samples_csv(os.path.join(out_dir, name), y)
     truth["config_sha256"] = _config_hash(cfg)
     _atomic_write(os.path.join(out_dir, f"{prefix}_truth.json"), _dump_json(truth))
-    print(f"wrote {len(vectors)} sample file(s) under {out_dir}/{prefix}_*")
+    print(f"wrote {len(raw)} sample file(s) under {out_dir}/{prefix}_*")
     return EXIT_OK
 
 
@@ -379,12 +344,11 @@ def _load_inputs(args, sampler, out_dir: str, prefix: str):
 
 
 def cmd_sample(args) -> int:
-    cfg = _load_config(args)
-    seed = _resolve_seed(cfg, args)
-    out_dir, prefix = _out_paths(cfg, args)
-    sampler, _ = _sampler(cfg, seed)
+    _, settings = _load_config(args)
+    out_dir, prefix = _out_paths(settings)
+    sampler, _ = _sampler(settings)
     y = _load_inputs(args, sampler, out_dir, prefix)
-    meta = {"schema": SCHEMA_VERSION, "scenario": cfg["scenario"], "seed": seed}
+    meta = {"schema": SCHEMA_VERSION, "scenario": settings["scenario"], "seed": settings["seed"]}
     pattern = sampler
     if isinstance(sampler, MultirateSystem):
         cg = common_grid(sampler)
@@ -403,10 +367,10 @@ def cmd_sample(args) -> int:
 # ---------- grid report ----------
 
 def cmd_check_grid(args) -> int:
-    cfg = _load_config(args)
-    if cfg["scenario"] != "multirate":
+    _, settings = _load_config(args)
+    if settings["scenario"] != "multirate":
         raise InvalidInputError("check-grid needs a multirate scenario config")
-    system = _system_from_config(cfg)
+    system = _need(settings, "sampling.grids")
     cg = common_grid(system)
     ratio = Fraction(cg.m, cg.n0)
     out = {
@@ -426,7 +390,7 @@ def cmd_check_grid(args) -> int:
         f"common grid: f0={out['f0']} Hz, gamma0={out['gamma0']}, n0={cg.n0}, "
         f"m={cg.m}, m_tilde={system.m_tilde}, ratio={ratio}"
     )
-    out_dir, prefix = _out_paths(cfg, args)
+    out_dir, prefix = _out_paths(settings)
     _atomic_write(os.path.join(out_dir, f"{prefix}_grid_report.json"), _dump_json(out))
     return EXIT_OK
 
@@ -445,13 +409,11 @@ def _dual_poly_tsv(q: np.ndarray) -> str:
 
 
 def cmd_estimate(args) -> int:
-    cfg = _load_config(args)
-    seed = _resolve_seed(cfg, args)
-    sigma = _resolve_sigma(cfg, args)
-    out_dir, prefix = _out_paths(cfg, args)
-    sampler, f = _sampler(cfg, seed)
+    cfg, settings = _load_config(args)
+    out_dir, prefix = _out_paths(settings)
+    sampler, f = _sampler(settings)
     y = _load_inputs(args, sampler, out_dir, prefix)
-    result = estimate(y, sampler, f, config=_estimation_config(cfg, args, sigma))
+    result = estimate(y, sampler, f, config=_estimation_config(settings))
     diag = result.diagnostics
     record = {
         "schema": SCHEMA_VERSION,
@@ -487,7 +449,7 @@ def cmd_estimate(args) -> int:
         },
         "provenance": {
             "config_sha256": _config_hash(cfg),
-            "seed": seed,
+            "seed": settings["seed"],
             "package": f"spectral-sdp {__version__}",
             "rng": RNG_ALGORITHM,
         },
@@ -530,9 +492,9 @@ def _bench_one(m: int, n: int, iters: int, seed: int) -> tuple:
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_config(args)
-    seed = _resolve_seed(cfg, args)
-    out_dir, prefix = _out_paths(cfg, args)
+    _, settings = _load_config(args)
+    seed = settings["seed"]
+    out_dir, prefix = _out_paths(settings)
     sizes = [as_integer(s, "--sizes", least=1) for s in args.sizes.split(",")]
     iters = as_integer(args.iters, "--iters", least=1)
     rows = [_bench_one(m, 2 * m, iters, seed + i) for i, m in enumerate(sizes)]
@@ -547,14 +509,14 @@ def cmd_bench(args) -> int:
 # ---------- certificate verification ----------
 
 def cmd_verify(args) -> int:
-    record = _load_json(args.result)
-    truth = _load_json(args.truth)
-    q = _parse_complex_list(record["dual_poly"], f"{args.result}: dual_poly")
-    frame = _shaped(dict, record["frame"], f"{args.result}: frame")
-    f_solve = as_real(frame["solve_rate_hz"], f"{args.result}: frame.solve_rate_hz")
-    shift = as_real(frame["time_shift_s"], f"{args.result}: frame.time_shift_s")
-    freqs = np.array(_parse_list(as_real, truth["freqs_hz"], f"{args.truth}: freqs_hz"))
-    amps = _parse_complex_list(truth["amps"], f"{args.truth}: amps")
+    record, truth = _load_json(args.result), _load_json(args.truth)
+    at_result, at_truth = f"{args.result}: ", f"{args.truth}: "
+    q = _need(record, "dual_poly", at_result, _parse_complex_list)
+    frame = _need(record, "frame", at_result, _shaped)
+    f_solve = _need(frame, "solve_rate_hz", at_result + "frame.", as_real)
+    shift = _need(frame, "time_shift_s", at_result + "frame.", as_real)
+    freqs = _need(truth, "freqs_hz", at_truth, _READERS["signal.freqs_hz"])
+    amps = _need(truth, "amps", at_truth, _parse_complex_list)
     surrogate = SpikeSpectrum(
         freqs=freqs, amps=amps * np.exp(-2j * np.pi * freqs * shift)
     )
@@ -640,7 +602,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NOCONV
-    except (InvalidInputError, FileNotFoundError, KeyError) as exc:
+    except (InvalidInputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SpectralSDPError as exc:

@@ -5,12 +5,14 @@ import dataclasses
 import inspect
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spectral_sdp import EstimationConfig, assemble_problem
-from spectral_sdp.cli import _CONFIG_FIELDS, build_parser, main
+from spectral_sdp.cli import _READERS, build_parser, main
 from spectral_sdp.localization import EstimateDiagnostics
 from spectral_sdp.solver import ProblemSpec
 
@@ -68,7 +70,8 @@ def test_settings_are_the_config_fields():
     # or --sigma) from its solver section, and estimate() hands the config
     # to assemble_problem whole.
     names = [field.name for field in dataclasses.fields(EstimationConfig)]
-    assert list(_CONFIG_FIELDS) == [n for n in names if n != "sigma"]
+    solver = [key.removeprefix("solver.") for key in _READERS if key.startswith("solver.")]
+    assert solver == [n for n in names if n != "sigma"]
     keywords = set(inspect.signature(assemble_problem).parameters) - {"y", "pattern", "settings"}
     keywords |= {field.name for field in dataclasses.fields(ProblemSpec)} - {"y", "partition"}
     assert set(names) <= keywords
@@ -86,6 +89,25 @@ def test_no_flag_is_read_before_errors_reads_it():
                 typed.append(f"{parser.prog} {'/'.join(action.option_strings)}")
     assert len(parsers) == 7  # the walk reaches every subcommand
     assert not typed, typed
+
+
+def test_readme_config_runs_and_uses_only_known_keys(tmp_path, monkeypatch):
+    # The README's example config must not drift from the reader table.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    cfg = json.loads(example)
+    keys = set()
+    for key, value in cfg.items():
+        keys |= {f"{key}.{sub}" for sub in value} if isinstance(value, dict) else {key}
+    assert keys <= set(_READERS), keys - set(_READERS)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = _write_config(tmp_path / "example.json", cfg)
+    for command in ("synth", "sample", "estimate"):
+        assert main([command, "--config", cfg_path]) == 0, command
+    out = tmp_path / cfg["output"]["dir"]
+    prefix = cfg["output"]["prefix"]
+    result, truth = out / f"{prefix}_result.json", out / f"{prefix}_truth.json"
+    assert main(["verify", "--result", str(result), "--truth", str(truth)]) == 0
 
 
 class TestSynth:
@@ -543,9 +565,6 @@ class TestErrors:
                 cfg["sampling"]["f"] = "1/0x"
             elif case == "rate-overflow":
                 cfg["sampling"]["f"] = "1e400"
-            elif case == "index":
-                cfg["scenario"] = "selection"
-                cfg["sampling"]["indices"] = [0, "x", 5]
             elif case == "freq":
                 cfg["signal"]["freqs_hz"][1] = "x"
             elif case == "amp-re":
@@ -556,12 +575,6 @@ class TestErrors:
                 cfg["seed"] = True
             elif case == "length-fraction":
                 cfg["sampling"]["n"] = 32.7  # must not truncate to 32
-            elif case == "max-iter-fraction":
-                cfg["solver"]["max_iter"] = 3.9  # must not truncate to 3
-            elif case == "max-iter-zero":
-                cfg["solver"]["max_iter"] = 0
-            elif case == "rho-bool":
-                cfg["solver"]["rho"] = True  # must not read as 1
             elif case == "sigma-bool":
                 cfg["noise"]["sigma"] = True
             elif case == "freq-bool":
@@ -591,6 +604,17 @@ class TestErrors:
         ):
             assert main(["synth", "--config", cfg_path]) == 0
             command[0] = "sample" if case == "index" else "estimate"
+        # synth reads every key too, so these are written after it has run.
+        if case == "index":
+            cfg["scenario"] = "selection"
+            cfg["sampling"]["indices"] = [0, "x", 5]
+        elif case == "max-iter-fraction":
+            cfg["solver"]["max_iter"] = 3.9  # must not truncate to 3
+        elif case == "max-iter-zero":
+            cfg["solver"]["max_iter"] = 0
+        elif case == "rho-bool":
+            cfg["solver"]["rho"] = True  # must not read as 1
+        _write_config(cfg_path, cfg)
         if case.startswith("csv-"):
             samples = tmp_path / "out" / "run_samples.csv"
             lines = _read(samples).splitlines()
@@ -692,6 +716,137 @@ class TestErrors:
         assert err.startswith("input error:") and where in err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("key", list(_READERS))
+    def test_every_key_is_read_at_load_under_its_name(self, tmp_path, capsys, key):
+        # synth reads each key, whether it needs it or not. "x" is a valid
+        # output.dir or output.prefix, so those get ["x"] instead.
+        cfg_path, cfg = _full_config(tmp_path)
+        *sections, last = key.split(".")
+        for bad in (True, ["x"] if key.startswith("output.") else "x"):
+            node = cfg
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[last] = bad
+            _write_config(cfg_path, cfg)
+            assert main(["synth", "--config", cfg_path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("input error:") and key in err, (bad, err)
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [
+            (
+                "sample",
+                lambda cfg: cfg["sampling"].update(keep_prob=1.5),
+                "sampling.keep_prob must be in (0, 1], got 1.5",
+            ),
+            (
+                "synth",
+                lambda cfg: cfg["sampling"].update(n=0),
+                "sampling.n must be at least 1, got 0",
+            ),
+            (
+                "synth",
+                lambda cfg: cfg["sampling"].update(f="-1"),
+                "sampling.f must be in (0, inf), got -1.0",
+            ),
+            (
+                "check-grid",
+                lambda cfg: cfg["sampling"]["grids"][0].update(n=0),
+                "sampling.grids[0].n must be at least 1, got 0",
+            ),
+            (
+                "check-grid",
+                lambda cfg: cfg["sampling"]["grids"][0].update(f="0"),
+                "sampling.grids[0].f must be in (0, inf), got 0.0",
+            ),
+            ("synth", lambda cfg: cfg["sampling"].pop("n"), "sampling.n is missing"),
+            ("synth", lambda cfg: cfg["signal"].pop("freqs_hz"), "signal.freqs_hz is missing"),
+            (
+                "synth",
+                lambda cfg: cfg["signal"]["amps"][0].pop("im"),
+                "signal.amps[0].im is missing",
+            ),
+            (
+                "synth",
+                lambda cfg: cfg["output"].update(dir=5),
+                "output.dir: expected a string, got 5",
+            ),
+            (
+                "synth",
+                lambda cfg: cfg["output"].update(prefix=["x"]),
+                "output.prefix: expected a string, got ['x']",
+            ),
+        ],
+        ids=[
+            "keep-prob",
+            "length-zero",
+            "rate-negative",
+            "grid-length-zero",
+            "grid-rate-zero",
+            "length-absent",
+            "freqs-absent",
+            "amp-im-absent",
+            "dir-number",
+            "prefix-array",
+        ],
+    )
+    def test_bad_sampling_or_output_key_is_named_as_written(
+        self, tmp_path, capsys, command, edit, message
+    ):
+        if command == "check-grid":
+            cfg_path, cfg = _multirate_config(tmp_path)
+        else:
+            cfg_path, cfg = _full_config(tmp_path)
+            assert main(["synth", "--config", cfg_path]) == 0
+            if command == "sample":
+                cfg["scenario"] = "random-selection"
+        edit(cfg)
+        _write_config(cfg_path, cfg)
+        assert main([command, "--config", cfg_path]) == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_null_key_is_unset(self, tmp_path):
+        # null takes the default whatever the key: noise.sigma as solver.tau.
+        cfg_path, cfg = _full_config(tmp_path, sigma=0.3)
+        cfg["seed"], cfg["noise"]["sigma"], cfg["solver"]["tau"] = None, None, None
+        _write_config(cfg_path, cfg)
+        assert main(["synth", "--config", cfg_path]) == 0
+        truth = json.loads(_read(tmp_path / "out" / "run_truth.json"))
+        assert (truth["seed"], truth["sigma"]) == (0, 0.0)
+        assert main(["estimate", "--config", cfg_path]) == 0
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            (
+                "run_result.json",
+                lambda record: record.pop("frame"),
+                "run_result.json: frame is missing",
+            ),
+            (
+                "run_truth.json",
+                lambda record: record["amps"][0].pop("im"),
+                "run_truth.json: amps[0].im is missing",
+            ),
+        ],
+        ids=["frame", "amp-im"],
+    )
+    def test_verify_names_a_missing_key(self, tmp_path, capsys, name, edit, message):
+        cfg_path, _ = _full_config(tmp_path, n=16)
+        assert main(["synth", "--config", cfg_path]) == 0
+        assert main(["estimate", "--config", cfg_path]) == 0
+        out = tmp_path / "out"
+        record = json.loads(_read(out / name))
+        edit(record)
+        (out / name).write_text(json.dumps(record), encoding="utf-8")
+        capsys.readouterr()
+        result, truth = str(out / "run_result.json"), str(out / "run_truth.json")
+        assert main(["verify", "--result", result, "--truth", truth]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.rstrip().endswith(message)
+
     @pytest.mark.parametrize(
         "case, where",
         [
@@ -716,14 +871,15 @@ class TestErrors:
                 cfg["signal"]["amps"] = 3
             elif case == "signal":
                 cfg["signal"] = [0.1]
-            elif case == "indices":
-                cfg["scenario"] = "selection"
-                cfg["sampling"]["indices"] = 5
         _write_config(cfg_path, cfg)
         command = ["synth", "--config", cfg_path]
         if case == "indices":
             assert main(command) == 0
             command[0] = "sample"
+            # synth reads every key too, so this is written after it has run.
+            cfg["scenario"] = "selection"
+            cfg["sampling"]["indices"] = 5
+            _write_config(cfg_path, cfg)
         if case == "truth-freqs":
             assert main(command) == 0
             assert main(["estimate", "--config", cfg_path]) == 0
