@@ -17,10 +17,7 @@ from .errors import (
     SpectralSDPError,
 )
 from .localization import (
-    AmplitudeFit,
-    CertificateReport,
     EstimationConfig,
-    PeakSet,
     SpectrumEstimate,
     dual_polynomial,
     estimate,
@@ -29,7 +26,6 @@ from .localization import (
     verify_certificate,
 )
 from .multirate import (
-    CommonGrid,
     Grid,
     MultirateSystem,
     align_measurements,
@@ -39,11 +35,8 @@ from .multirate import (
     random_bound_report,
 )
 from .sampling import (
-    PartitionStructure,
     SelectionPattern,
     compute_partition,
-    is_admissible_selection,
-    normalize_to_admissible,
     random_selection,
 )
 from .signal_model import (

@@ -88,6 +88,11 @@ def _need(node: dict, key: str, where: str = "", read=None):
     return node[key] if read is None else read(node[key], where + key)
 
 
+def _finite(value, what: str) -> float:
+    """A finite real number: NaN and infinities are named input errors."""
+    return as_real(value, what, "(-inf, inf)")
+
+
 def _write_samples_csv(path: str, y: np.ndarray) -> None:
     lines = ["index,re,im"]
     lines += [f"{k},{float(v.real)!r},{float(v.imag)!r}" for k, v in enumerate(y)]
@@ -109,7 +114,7 @@ def _read_samples_csv(path: str) -> np.ndarray:
                 raise InvalidInputError(f"{path}:{lineno}: expected 3 fields")
             if as_integer(parts[0], f"{path}:{lineno}") != len(values):
                 raise InvalidInputError(f"{path}:{lineno}: expected index {len(values)}")
-            re, im = (as_real(v, f"{path}:{lineno}", "(-inf, inf)") for v in parts[1:])
+            re, im = (_finite(v, f"{path}:{lineno}") for v in parts[1:])
             values.append(complex(re, im))
     return np.array(values, dtype=complex)
 
@@ -142,11 +147,11 @@ def _parse_list(read, items, what: str) -> list:
 
 
 def _parse_complex_list(items, what: str) -> np.ndarray:
-    """The array ``items`` of ``{re, im}`` objects, as complex numbers."""
+    """The array ``items`` of ``{re, im}`` objects, as finite complex numbers."""
     out = []
     for j, d in enumerate(_shaped(items, what, list)):
         d = _shaped(d, f"{what}[{j}]")
-        out.append(complex(*(_need(d, k, f"{what}[{j}].", as_real) for k in ("re", "im"))))
+        out.append(complex(*(_need(d, k, f"{what}[{j}].", _finite) for k in ("re", "im"))))
     return np.array(out, dtype=complex)
 
 
@@ -172,8 +177,10 @@ def _rate(value, what: str) -> float:
 def _grids(items, what: str) -> MultirateSystem:
     """The system of the array ``items`` of grid objects: each an exact
     rate ``f`` and length ``n``, and a delay ``gamma`` (0 when unset)."""
+    if not _shaped(items, what, list):
+        raise InvalidInputError(f"{what}: expected at least one grid, got []")
     grids = []
-    for j, grid in enumerate(_shaped(items, what, list)):
+    for j, grid in enumerate(items):
         name = f"{what}[{j}]"
         for key in sorted(_shaped(grid, name).keys() - {"f", "gamma", "n"}):
             raise InvalidInputError(f"unknown key '{name}.{key}'")
@@ -191,7 +198,7 @@ _READERS = {
     "schema": _schema,
     "scenario": _scenario,
     "seed": lambda value, what: as_integer(value, what, least=0),
-    "signal.freqs_hz": lambda value, what: np.array(_parse_list(as_real, value, what)),
+    "signal.freqs_hz": lambda value, what: np.array(_parse_list(_finite, value, what)),
     "signal.amps": _parse_complex_list,
     "noise.sigma": lambda value, what: as_real(value, what, "[0, inf)"),
     "sampling.f": _rate,
@@ -322,7 +329,7 @@ def _load_inputs(args, sampler, out_dir: str, prefix: str):
     """The samples ``estimate()`` takes with ``sampler``: the per-grid vectors
     of a multirate system, or the samples a pattern keeps from the raw
     uniform acquisition."""
-    in_prefix = getattr(args, "input_prefix", None) or prefix
+    in_prefix = prefix if args.input_prefix is None else args.input_prefix
     multirate = isinstance(sampler, MultirateSystem)
     if multirate:
         names = [f"{in_prefix}_grid{j}.csv" for j in range(sampler.p)]
@@ -352,7 +359,7 @@ def cmd_sample(args) -> int:
     pattern = sampler
     if isinstance(sampler, MultirateSystem):
         cg = common_grid(sampler)
-        y = align_measurements(sampler, y, cg)
+        y = align_measurements(y, cg)
         pattern = cg.observation_set
         meta["f0"] = str(cg.f0)
         meta["gamma0"] = str(cg.gamma0)

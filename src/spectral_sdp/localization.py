@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
     LocalizationError,
+    as_array,
     as_real,
 )
 # selection_matrix is unused here; perfbench/tracing.py wraps it by this name.
@@ -219,10 +220,13 @@ def verify_certificate(
     grid with balls of radius ``1/(8n)`` around the spikes excluded. The
     reported margin is ``1 - sup`` over the excluded-ball grid; the
     certificate holds when all interpolation errors pass and the margin
-    is positive. ``tol`` must be finite and nonnegative.
+    is positive. ``q`` must be a finite, nonempty 1-d array, and ``tol``
+    finite and nonnegative.
     """
     f, tol = as_real(f, "f", "(0, inf)"), as_real(tol, "tol", "[0, inf)")
-    q = np.asarray(q, dtype=complex)
+    q = as_array(q, "q", complex)
+    if q.ndim != 1 or q.size == 0 or not np.all(np.isfinite(q)):
+        raise InvalidInputError(f"q must be a finite, nonempty 1-d array, got shape {q.shape}")
     n = q.size
     # Denser than the localization grid: the grid maximum is not refined.
     points = max(64 * n, 4096)
@@ -290,8 +294,9 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
       rate-``f`` uniform acquisition; a non-admissible pattern is solved
       shifted down by its first index.
     * ``estimate(per_grid_samples, system)`` with a
-      :class:`~spectral_sdp.multirate.MultirateSystem`; samples are
-      aligned on the minimal common grid and solved in its frame.
+      :class:`~spectral_sdp.multirate.MultirateSystem` and no ``f``;
+      samples are aligned on the minimal common grid and solved in its
+      frame, at its rate.
 
     Right after the least-squares fit, the amplitudes are rotated by
     ``e^{i 2 pi xi time_shift_s}`` from that frame to the original time
@@ -304,8 +309,10 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
     # the multirate module, so that perfbench/tracing.py can swap it.
     config = config or EstimationConfig()
     if isinstance(sampler, multirate.MultirateSystem):
+        if f is not None:
+            raise InvalidInputError(f"f must be unset for a MultirateSystem, got {f!r}")
         cg = multirate.common_grid(sampler)
-        y = multirate.align_measurements(sampler, y, cg)
+        y = multirate.align_measurements(y, cg)
         pattern, f = cg.observation_set, float(cg.f0)
         time_shift_s = float(cg.gamma0 / cg.f0)
     elif isinstance(sampler, SelectionPattern):

@@ -38,8 +38,7 @@ class Grid:
         object.__setattr__(self, "f", as_fraction(self.f, "grid rate"))
         object.__setattr__(self, "gamma", as_fraction(self.gamma, "grid delay"))
         object.__setattr__(self, "n", as_integer(self.n, "grid length", least=1))
-        if self.f <= 0:
-            raise InvalidInputError("grid rate must be positive")
+        as_real(self.f, "grid rate", "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -67,16 +66,19 @@ class CommonGrid:
 
     ``expansions[j] = (l_j, a_j)`` with ``f0 = l_j f_j`` and
     ``gamma0 = l_j gamma_j - a_j``; sampler j's k-th sample lands on net
-    index ``l_j k - a_j``. ``duplicate_groups`` records, for each kept
-    index, which (grid, sample) pairs acquired that instant.
+    index ``l_j k - a_j``, which is entry ``slots[j][k]`` of
+    ``observation_set``. Instants acquired several times share a slot.
     """
 
     f0: Fraction
     gamma0: Fraction
-    n0: int
     expansions: tuple
     observation_set: SelectionPattern
-    duplicate_groups: tuple
+    slots: tuple
+
+    @property
+    def n0(self) -> int:
+        return self.observation_set.ambient
 
     @property
     def m(self) -> int:
@@ -106,8 +108,7 @@ def common_grid(system: MultirateSystem) -> CommonGrid:
     if any(l.denominator != 1 for l in l_base):
         raise InvariantViolationError("rational lcm failed to clear rate ratios")
     scaled = [l * g.gamma for l, g in zip(l_base, system.grids)]
-    diffs = [d - scaled[0] for d in scaled]
-    t0 = math.lcm(*(d.denominator for d in diffs)) if diffs else 1
+    t0 = math.lcm(*((d - scaled[0]).denominator for d in scaled))
 
     l_all = [t0 * int(l) for l in l_base]
     f0 = t0 * f_base
@@ -122,53 +123,44 @@ def common_grid(system: MultirateSystem) -> CommonGrid:
 
     # Last representable sample index is max over grids; sizing is index+1.
     n0 = max(l * (g.n - 1) - a for l, a, g in zip(l_all, a_all, system.grids)) + 1
-    expansions = tuple(zip(l_all, a_all))
-    # The net indices and the (grid, sample) pairs merged onto each.
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for j, (grid, (l_j, a_j)) in enumerate(zip(system.grids, expansions)):
-        for k in range(grid.n):
-            q = l_j * k - a_j
-            if not 0 <= q < n0:
-                raise InvariantViolationError(
-                    f"grid {j} sample {k} maps to index {q} outside [0, {n0 - 1}]"
-                )
-            groups.setdefault(q, []).append((j, k))
-    indices = tuple(sorted(groups))
+    # Grid j's samples, l_j k - a_j for k < n_j; past int64 they are objects.
+    lengths = [g.n for g in system.grids]
+    net = np.concatenate([np.arange(-a, l * n - a, l) for l, a, n in zip(l_all, a_all, lengths)])
+    if net.min() < 0 or net.max() >= n0:
+        raise InvariantViolationError(f"a sample maps to an index outside [0, {n0 - 1}]")
+    indices, slots = np.unique(net, return_inverse=True)
     if indices[0] != 0:
         raise InvariantViolationError("minimal common grid must start on a sample")
     return CommonGrid(
         f0=f0,
         gamma0=gamma0,
-        n0=n0,
-        expansions=expansions,
-        observation_set=SelectionPattern(indices=indices, ambient=n0),
-        duplicate_groups=tuple(tuple(groups[q]) for q in indices),
+        expansions=tuple(zip(l_all, a_all)),
+        observation_set=SelectionPattern(indices=tuple(indices.tolist()), ambient=n0),
+        slots=tuple(tuple(s.tolist()) for s in np.split(slots, np.cumsum(lengths)[:-1])),
     )
 
 
-def align_measurements(
-    system: MultirateSystem, per_grid_samples, cg: CommonGrid
-) -> np.ndarray:
+def align_measurements(per_grid_samples, cg: CommonGrid) -> np.ndarray:
     """Merge per-grid sample vectors into the net observation vector.
 
     Entries follow ascending net-index order; instants acquired several
     times are averaged (identical when noiseless, variance-reducing under
     noise).
     """
-    if len(per_grid_samples) != system.p:
+    if len(per_grid_samples) != len(cg.slots):
         raise InvalidInputError(
-            f"expected {system.p} sample vectors, got {len(per_grid_samples)}"
+            f"expected {len(cg.slots)} sample vectors, got {len(per_grid_samples)}"
         )
     samples = [np.asarray(v, dtype=complex) for v in per_grid_samples]
-    for j, (grid, v) in enumerate(zip(system.grids, samples)):
-        if v.shape != (grid.n,):
+    for j, (slots, v) in enumerate(zip(cg.slots, samples)):
+        if v.shape != (len(slots),):
             raise InvalidInputError(
-                f"grid {j} expects {grid.n} samples, got shape {v.shape}"
+                f"grid {j} expects {len(slots)} samples, got shape {v.shape}"
             )
-    y = np.empty(cg.m, dtype=complex)
-    for t, group in enumerate(cg.duplicate_groups):
-        y[t] = np.mean([samples[j][k] for j, k in group])
-    return y
+    slots = np.concatenate(cg.slots)
+    y = np.zeros(cg.m, dtype=complex)
+    np.add.at(y, slots, np.concatenate(samples))
+    return y / np.bincount(slots, minlength=cg.m)
 
 
 def _separation_ok(spec: SpikeSpectrum, f: Fraction, n: int) -> bool:

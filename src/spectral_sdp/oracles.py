@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -193,7 +194,7 @@ def brute_force_common_grid(
     span = max(t for t, _, _ in instants) - earliest
 
     f_base = _rational_lcm([g.f for g in system.grids])
-    best = None  # (n, t_mult, f_plus, gamma_plus, groups)
+    best = None  # (n, t_mult, f_plus, gamma_plus, net index of each instant)
     t_mult = 0
     while True:
         t_mult += 1
@@ -206,39 +207,37 @@ def brute_force_common_grid(
         if f_plus * span + 1 > n_max:
             break  # every further candidate is coarser-bounded below by this
         gamma_plus = -f_plus * earliest
-        groups: dict[int, list[tuple[int, int]]] = {}
-        aligned = True
-        for t, j, k in instants:
+        net = []
+        for t, _, _ in instants:
             pos = f_plus * t + gamma_plus
             if pos.denominator != 1:
-                aligned = False
                 break
-            groups.setdefault(int(pos), []).append((j, k))
-        if not aligned:
-            continue
-        n_cand = max(groups) + 1
+            net.append(int(pos))
+        if len(net) < len(instants):
+            continue  # not aligned
+        n_cand = max(net) + 1
         if n_cand > n_max:
             continue
         if best is None or n_cand < best[0]:
-            best = (n_cand, t_mult, f_plus, gamma_plus, groups)
+            best = (n_cand, t_mult, f_plus, gamma_plus, net)
         if span == 0:
             break  # n cannot shrink below 1; first aligned rate wins
 
     if best is None:
         return None
-    n_cand, _, f_plus, gamma_plus, groups = best
+    n_cand, _, f_plus, gamma_plus, net = best
     expansions = tuple(
         (int(f_plus / g.f), int(int(f_plus / g.f) * g.gamma - gamma_plus))
         for g in system.grids
     )
-    indices = tuple(sorted(groups))
+    indices = tuple(sorted(set(net)))
+    ranks = iter([indices.index(q) for q in net])  # the instants run grid by grid
     return CommonGrid(
         f0=f_plus,
         gamma0=gamma_plus,
-        n0=n_cand,
         expansions=expansions,
         observation_set=SelectionPattern(indices=indices, ambient=n_cand),
-        duplicate_groups=tuple(tuple(groups[q]) for q in indices),
+        slots=tuple(tuple(islice(ranks, g.n)) for g in system.grids),
     )
 
 

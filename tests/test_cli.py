@@ -134,15 +134,25 @@ class TestSynth:
         assert _read(tmp_path / "out" / "run_samples.csv") == first
 
     @pytest.mark.parametrize(
-        "signal",
+        "signal, key, value",
         [
-            {"freqs_hz": [float("nan")]},
-            {"freqs_hz": [0.11, float("inf")]},
-            {"amps": [{"re": float("nan"), "im": 0.4}, {"re": -0.6, "im": 0.8}]},
-            {"amps": [{"re": 1.0, "im": 0.4}, {"re": -0.6, "im": float("-inf")}]},
+            ({"freqs_hz": [float("nan")]}, "signal.freqs_hz[0]", "nan"),
+            ({"freqs_hz": [0.11, float("inf")]}, "signal.freqs_hz[1]", "inf"),
+            (
+                {"amps": [{"re": float("nan"), "im": 0.4}, {"re": -0.6, "im": 0.8}]},
+                "signal.amps[0].re",
+                "nan",
+            ),
+            (
+                {"amps": [{"re": 1.0, "im": 0.4}, {"re": -0.6, "im": float("-inf")}]},
+                "signal.amps[1].im",
+                "-inf",
+            ),
         ],
     )
-    def test_non_finite_spike_exits_one_without_outputs(self, tmp_path, signal):
+    def test_non_finite_spike_exits_one_without_outputs(
+        self, tmp_path, capsys, signal, key, value
+    ):
         _, cfg = _full_config(tmp_path)
         cfg["signal"].update(signal)
         cfg["signal"]["amps"] = cfg["signal"]["amps"][: len(cfg["signal"]["freqs_hz"])]
@@ -150,6 +160,8 @@ class TestSynth:
         assert main(["synth", "--config", cfg_path]) == 1
         assert not os.path.exists(tmp_path / "out" / "run_samples.csv")
         assert not os.path.exists(tmp_path / "out" / "run_truth.json")
+        err = capsys.readouterr().err
+        assert err == f"input error: {key} must be in (-inf, inf), got {value}\n"
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg_path, _ = _full_config(tmp_path, sigma=0.5, seed=1)
@@ -205,6 +217,22 @@ class TestSample:
         assert len(net) == 10  # header + 9 net observations
         meta = json.loads(_read(tmp_path / "out" / "mr_pattern.json"))
         assert meta["indices"] == [0, 1, 3, 5, 6, 7, 9, 11, 12]
+
+    def test_input_prefix_names_the_files_read(self, tmp_path):
+        # Samples written under prefix "raw" are read under --input-prefix;
+        # the outputs keep the config's prefix "run".
+        cfg_path, _ = _full_config(tmp_path, n=16)
+        out = tmp_path / "out"
+        assert main(["synth", "--config", cfg_path, "--prefix", "raw"]) == 0
+        assert main(["sample", "--config", cfg_path]) == 1  # no run_samples.csv
+        assert main(["sample", "--config", cfg_path, "--input-prefix", "raw"]) == 0
+        assert _read(out / "run_net.csv") == _read(out / "raw_samples.csv")
+        # An empty value is taken as given, not replaced by the prefix.
+        assert main(["synth", "--config", cfg_path, "--prefix", ""]) == 0
+        (out / "raw_samples.csv").rename(out / "run_samples.csv")
+        assert main(["estimate", "--config", cfg_path, "--input-prefix", ""]) == 0
+        assert main(["sample", "--config", cfg_path, "--input-prefix", ""]) == 0
+        assert _read(out / "run_net.csv") == _read(out / "_samples.csv")
 
 
 class TestEstimate:
@@ -761,6 +789,11 @@ class TestErrors:
                 lambda cfg: cfg["sampling"]["grids"][0].update(f="0"),
                 "sampling.grids[0].f must be in (0, inf), got 0.0",
             ),
+            (
+                "check-grid",
+                lambda cfg: cfg["sampling"].update(grids=[]),
+                "sampling.grids: expected at least one grid, got []",
+            ),
             ("synth", lambda cfg: cfg["sampling"].pop("n"), "sampling.n is missing"),
             ("synth", lambda cfg: cfg["signal"].pop("freqs_hz"), "signal.freqs_hz is missing"),
             (
@@ -785,6 +818,7 @@ class TestErrors:
             "rate-negative",
             "grid-length-zero",
             "grid-rate-zero",
+            "no-grids",
             "length-absent",
             "freqs-absent",
             "amp-im-absent",
@@ -834,6 +868,43 @@ class TestErrors:
         ids=["frame", "amp-im"],
     )
     def test_verify_names_a_missing_key(self, tmp_path, capsys, name, edit, message):
+        cfg_path, _ = _full_config(tmp_path, n=16)
+        assert main(["synth", "--config", cfg_path]) == 0
+        assert main(["estimate", "--config", cfg_path]) == 0
+        out = tmp_path / "out"
+        record = json.loads(_read(out / name))
+        edit(record)
+        (out / name).write_text(json.dumps(record), encoding="utf-8")
+        capsys.readouterr()
+        result, truth = str(out / "run_result.json"), str(out / "run_truth.json")
+        assert main(["verify", "--result", result, "--truth", truth]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.rstrip().endswith(message)
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            (
+                "run_result.json",
+                lambda record: record.update(dual_poly=[]),
+                "input error: q must be a finite, nonempty 1-d array, got shape (0,)",
+            ),
+            (
+                "run_result.json",
+                lambda record: record["dual_poly"][1].update(re=float("nan")),
+                "run_result.json: dual_poly[1].re must be in (-inf, inf), got nan",
+            ),
+            (
+                "run_truth.json",
+                lambda record: record["freqs_hz"].__setitem__(0, float("inf")),
+                "run_truth.json: freqs_hz[0] must be in (-inf, inf), got inf",
+            ),
+        ],
+        ids=["dual-poly-empty", "dual-poly-nan", "truth-freq-inf"],
+    )
+    def test_verify_rejects_a_non_finite_or_empty_entry(
+        self, tmp_path, capsys, name, edit, message
+    ):
         cfg_path, _ = _full_config(tmp_path, n=16)
         assert main(["synth", "--config", cfg_path]) == 0
         assert main(["estimate", "--config", cfg_path]) == 0

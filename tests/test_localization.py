@@ -237,6 +237,29 @@ class TestVerifyCertificate:
         with pytest.raises(InvalidInputError, match="tol"):
             verify_certificate(np.ones(16, dtype=complex) / 16, sig, 1.0, tol=tol)
 
+    @pytest.mark.parametrize(
+        "q, shape",
+        [
+            ([], "(0,)"),
+            (np.ones((4, 4)) / 16, "(4, 4)"),
+            ([0.1, np.nan], "(2,)"),
+            ([0.1, -np.inf], "(2,)"),
+        ],
+        ids=["empty", "2-d", "nan", "inf"],
+    )
+    def test_malformed_dual_polynomial_rejected(self, q, shape):
+        # Unchecked, these divide by zero sizing the balls, read a 2-d grid,
+        # report a NaN margin, or overflow in the grid transform.
+        sig = SpikeSpectrum(freqs=np.array([0.1]), amps=np.array([1.0]))
+        with pytest.raises(InvalidInputError) as info:
+            verify_certificate(q, sig, 1.0)
+        assert str(info.value) == f"q must be a finite, nonempty 1-d array, got shape {shape}"
+
+    def test_boolean_dual_polynomial_rejected(self):
+        sig = SpikeSpectrum(freqs=np.array([0.1]), amps=np.array([1.0]))
+        with pytest.raises(InvalidInputError, match="^q must be an array of numbers"):
+            verify_certificate([0.1, True], sig, 1.0)
+
     def test_many_spikes_in_bounded_memory(self):
         # A (grid x spikes) distance matrix would take 16 MiB here.
         rng = np.random.default_rng(31)

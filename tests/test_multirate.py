@@ -22,6 +22,8 @@ from spectral_sdp import (
 )
 from spectral_sdp.oracles import brute_force_common_grid, sample_instants
 
+from conftest import random_complex
+
 
 class TestGridValidation:
     def test_rejects_float_rates(self):
@@ -40,6 +42,12 @@ class TestGridValidation:
         for f, gamma in (("1e400", 0), (Fraction(10**400), 0), (1, "-1e400")):
             with pytest.raises(InvalidInputError, match="beyond float range"):
                 Grid(f=f, gamma=gamma, n=4)
+
+    @pytest.mark.parametrize("f, shown", [(0, "0.0"), ("-1/2", "-0.5")], ids=["zero", "negative"])
+    def test_rejects_a_rate_out_of_range(self, f, shown):
+        with pytest.raises(InvalidInputError) as info:
+            Grid(f=f, gamma=0, n=4)
+        assert str(info.value) == f"grid rate must be in (0, inf), got {shown}"
 
     def test_parses_rational_strings(self):
         g = Grid(f="3/2", gamma="-1/2", n=4)
@@ -99,6 +107,16 @@ class TestCommonGrid:
             }
             assert grid_instants == net_instants
 
+    def test_one_sample_grid_of_any_rate(self):
+        # l_2 = 2**70 is beyond int64, but it only multiplies sample 0.
+        system = MultirateSystem(
+            grids=(Grid(f=1, gamma=0, n=5), Grid(f=Fraction(1, 2**70), gamma=0, n=1))
+        )
+        cg = common_grid(system)
+        assert cg.expansions == ((1, 0), (2**70, 0))
+        assert cg.observation_set.indices == tuple(range(5))
+        assert cg.slots == (tuple(range(5)), (0,))
+
     def test_deterministic(self, two_grid_system):
         assert common_grid(two_grid_system) == common_grid(two_grid_system)
 
@@ -112,6 +130,7 @@ class TestCommonGrid:
             assert oracle is not None
             assert (oracle.f0, oracle.gamma0, oracle.n0) == (cg.f0, cg.gamma0, cg.n0)
             assert oracle.observation_set == cg.observation_set
+            assert oracle.slots == cg.slots
 
 
 def _random_solvable_system(rng) -> MultirateSystem:
@@ -134,17 +153,17 @@ class TestObservationSet:
         sys1 = MultirateSystem(grids=(Grid(f=Fraction(2), gamma=Fraction(0), n=5),))
         cg = common_grid(sys1)
         assert cg.observation_set.indices == tuple(range(5))
-        assert all(len(g) == 1 for g in cg.duplicate_groups)
+        assert cg.slots == (tuple(range(5)),)
 
     def test_reference_system_has_two_shared_instants(self, two_grid_system):
         cg = common_grid(two_grid_system)
-        duplicated = [g for g in cg.duplicate_groups if len(g) > 1]
+        duplicated = np.flatnonzero(np.bincount(np.concatenate(cg.slots)) > 1)
         assert len(duplicated) == two_grid_system.m_tilde - cg.m == 2
 
     def test_identical_grids_fully_overlap(self):
         g = Grid(f=Fraction(3), gamma=Fraction(1, 2), n=6)
         cg = common_grid(MultirateSystem(grids=(g, g)))
-        assert all(len(grp) == 2 for grp in cg.duplicate_groups)
+        assert cg.slots == (tuple(range(6)),) * 2
 
 
 class TestAlignMeasurements:
@@ -152,7 +171,7 @@ class TestAlignMeasurements:
         sys1 = MultirateSystem(grids=(Grid(f=Fraction(2), gamma=Fraction(0), n=4),))
         cg = common_grid(sys1)
         y = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-        assert np.array_equal(align_measurements(sys1, [y], cg), y)
+        assert np.array_equal(align_measurements([y], cg), y)
 
     def test_noiseless_duplicates_average_to_either(self, two_grid_system):
         spec = SpikeSpectrum(
@@ -160,18 +179,39 @@ class TestAlignMeasurements:
         )
         ys = [synthesize_grid(spec, g) for g in two_grid_system.grids]
         cg = common_grid(two_grid_system)
-        y = align_measurements(two_grid_system, ys, cg)
+        y = align_measurements(ys, cg)
         assert y.shape == (9,)
-        for t, group in enumerate(cg.duplicate_groups):
-            for j, k in group:
+        for j, slots in enumerate(cg.slots):
+            for k, t in enumerate(slots):
                 assert np.isclose(y[t], ys[j][k])
+
+    def test_matches_the_mean_of_each_instant(self):
+        # The loop the index arrays replace, over the oracle's own slots: each
+        # net instant is np.mean of its samples, taken grid by grid. With at
+        # most three grids sharing an instant both sum in the same order.
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            system = _random_solvable_system(rng)
+            ys = [random_complex(rng, g.n) for g in system.grids]
+            oracle = brute_force_common_grid(system, n_max=64)
+            groups = [[] for _ in range(oracle.m)]
+            for j, slots in enumerate(oracle.slots):
+                for k, t in enumerate(slots):
+                    groups[t].append(ys[j][k])
+            expected = [np.mean(group) for group in groups]
+            assert np.array_equal(align_measurements(ys, common_grid(system)), expected)
 
     def test_length_mismatch_rejected(self, two_grid_system):
         cg = common_grid(two_grid_system)
         with pytest.raises(InvalidInputError):
-            align_measurements(
-                two_grid_system, [np.zeros(5), np.zeros(7)], cg
-            )
+            align_measurements([np.zeros(5), np.zeros(7)], cg)
+
+    def test_rate_with_a_system_rejected(self, two_grid_system):
+        # The common grid sets the solving rate; a given f would go unread.
+        ys = [np.ones(g.n) for g in two_grid_system.grids]
+        with pytest.raises(InvalidInputError) as info:
+            estimate(ys, two_grid_system, 123.0)
+        assert str(info.value) == "f must be unset for a MultirateSystem, got 123.0"
 
 
 class TestUnshiftSpectrum:

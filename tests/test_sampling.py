@@ -16,9 +16,7 @@ from spectral_sdp import (
     assemble_problem,
     compute_partition,
     estimate,
-    is_admissible_selection,
     locate_frequencies,
-    normalize_to_admissible,
     random_bound_report,
     random_selection,
     recover_amplitudes,
@@ -32,7 +30,11 @@ from spectral_sdp.oracles import (
     is_admissible_general,
     r_op_adjoint,
 )
-from spectral_sdp.sampling import selection_matrix
+from spectral_sdp.sampling import (
+    is_admissible_selection,
+    normalize_to_admissible,
+    selection_matrix,
+)
 
 from conftest import random_complex, random_hermitian, random_pattern
 

@@ -760,7 +760,7 @@ def _gap_shapes(seed):
     )
     sig = SpikeSpectrum(freqs=np.array([0.7]), amps=random_complex(rng, 1))
     grid = common_grid(system)
-    y = align_measurements(system, [synthesize_grid(sig, g) for g in system.grids], grid)
+    y = align_measurements([synthesize_grid(sig, g) for g in system.grids], grid)
     yield _spec_for(grid.observation_set, y=y, rho=30.0, tol_primal=5e-9), grid.observation_set
 
 
