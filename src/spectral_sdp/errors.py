@@ -2,7 +2,9 @@
 library and the CLI both read outside numbers by: integers, reals, exact
 rationals and arrays. A bool is no number under any of them, and a value
 the cast cannot read, or one outside the range given with the read, is
-an :class:`InvalidInputError` naming the field.
+an :class:`InvalidInputError` naming the field. Every array a caller
+hands the pipeline is read once, by :func:`as_array`: no bool, every
+entry finite and real where reals are read, and integral for integers.
 
 The CLI maps these onto exit codes: bad inputs exit 1, numerical
 non-convergence exits 2, internal invariant violations exit 3.
@@ -97,13 +99,25 @@ def as_fraction(value, what: str = "value") -> Fraction:
 
 
 def as_array(value, what: str, dtype) -> np.ndarray:
-    """``np.asarray(value, dtype)`` by :func:`_cast`, where an array of
-    bools, or a bool among the entries, is rejected too: ``[0.1, True]``
-    would read as ``[0.1, 1.0]``."""
+    """``value`` as an array of ``dtype`` by :func:`_cast`, where a bool, a
+    non-finite entry, a complex one for a real ``dtype`` or a fractional
+    one for an integer ``dtype`` is rejected too. An ndarray tells bools by
+    its dtype, a sequence by one scan (``[0.1, True]`` reads as floats). A
+    numeric ndarray costs no per-entry Python work, nor a copy if of ``dtype``."""
 
-    def cast(v):
-        if any(isinstance(e, (bool, np.bool_)) for e in np.asarray(v, dtype=object).flat):
-            raise TypeError("a bool is no number")
-        return np.asarray(v, dtype=dtype)
+    def read(v):
+        if not isinstance(v, np.ndarray) or v.dtype == object:
+            if any(isinstance(e, (bool, np.bool_)) for e in np.asarray(v, dtype=object).flat):
+                raise TypeError("a bool is no number")
+        raw = np.asarray(v)
+        if raw.dtype.kind == "b" or (raw.dtype.kind == "c" and np.dtype(dtype).kind != "c"):
+            raise TypeError("a bool is no number, and a complex number is no real one")
+        return raw if raw.dtype.kind in "iufc" else raw.astype(dtype)  # objects, strings
 
-    return _cast(cast, value, what, "an array of numbers")
+    raw = _cast(read, value, what, "an array of numbers")
+    if raw.dtype.kind in "fc" and not np.isfinite(raw).all():  # before a cast to integers
+        raise InvalidInputError(f"{what} must have finite entries, got {raw[~np.isfinite(raw)][0]}")
+    out = raw.astype(dtype, copy=False)
+    if out is not raw and out.dtype.kind in "iu" and not np.array_equal(out, raw):
+        raise InvalidInputError(f"{what} must have integer entries, got {raw[out != raw][0]}")
+    return out

@@ -21,6 +21,7 @@ from .errors import (
     InvalidInputError,
     LocalizationError,
     as_array,
+    as_integer,
     as_real,
 )
 # selection_matrix is unused here; perfbench/tracing.py wraps it by this name.
@@ -90,7 +91,7 @@ class CertificateReport:
 def dual_polynomial(c: np.ndarray, pattern: SelectionPattern) -> np.ndarray:
     """Coefficients ``q = M* c`` of the dual polynomial: ``c`` scattered onto
     the kept indices, zero elsewhere."""
-    c = np.asarray(c, dtype=complex)
+    c = as_array(c, "c", complex)
     if c.shape != (pattern.m,):
         raise DimensionMismatchError(
             f"dual vector of shape {c.shape} does not match a pattern keeping "
@@ -117,7 +118,8 @@ def locate_frequencies(q: np.ndarray, f: float, max_peaks: int | None = None) ->
     certifies nothing) or when more than ``max_peaks`` peaks survive.
     """
     f = as_real(f, "f", "(0, inf)")
-    q = np.asarray(q, dtype=complex)
+    q = as_array(q, "q", complex)
+    max_peaks = None if max_peaks is None else as_integer(max_peaks, "max_peaks", least=0)
     mags, maxima = grid_maxima(q)
     threshold = 1.0 - PEAK_TOL
     if np.mean(mags >= threshold) >= 0.10:
@@ -150,10 +152,9 @@ def locate_frequencies(q: np.ndarray, f: float, max_peaks: int | None = None) ->
             "identifiable from the measurements"
         )
     nu_arr = np.array(merged, dtype=float)
-    moduli = np.abs(poly_eval(q, nu_arr)) if nu_arr.size else np.empty(0)
     return PeakSet(
         freqs_hz=nu_arr * f,
-        moduli=np.asarray(moduli, dtype=float),
+        moduli=np.abs(poly_eval(q, nu_arr)),
         newton_ok=np.array(merged_ok, dtype=bool),
     )
 
@@ -170,8 +171,8 @@ def recover_amplitudes(
     :class:`ConditioningError`.
     """
     f = as_real(f, "f", "(0, inf)")
-    y = np.asarray(y, dtype=complex)
-    freqs = np.asarray(freqs, dtype=float)
+    y = as_array(y, "y", complex)
+    freqs = as_array(freqs, "freqs", float)
     if y.shape != (pattern.m,):
         raise DimensionMismatchError(
             f"{y.shape} observations do not match a pattern keeping {pattern.m} indices"
@@ -225,7 +226,7 @@ def verify_certificate(
     """
     f, tol = as_real(f, "f", "(0, inf)"), as_real(tol, "tol", "[0, inf)")
     q = as_array(q, "q", complex)
-    if q.ndim != 1 or q.size == 0 or not np.all(np.isfinite(q)):
+    if q.ndim != 1 or q.size == 0:
         raise InvalidInputError(f"q must be a finite, nonempty 1-d array, got shape {q.shape}")
     n = q.size
     # Denser than the localization grid: the grid maximum is not refined.
@@ -234,8 +235,7 @@ def verify_certificate(
     if not np.all(np.isfinite(reduced)):
         raise InvalidInputError("reduced spike frequencies must be finite")
     targets = np.conj(spec.amps / np.abs(spec.amps))
-    values = np.asarray(poly_eval(q, reduced), dtype=complex)
-    interp_errors = np.abs(values - targets)
+    interp_errors = np.abs(poly_eval(q, reduced) - targets)
 
     keep = _off_support(reduced, n, points)
     sup_off = float(np.max(grid_modulus(q, points)[keep])) if keep.any() else 0.0
@@ -317,7 +317,6 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
         time_shift_s = float(cg.gamma0 / cg.f0)
     elif isinstance(sampler, SelectionPattern):
         f = as_real(f, "f", "(0, inf)")
-        y = np.asarray(y, dtype=complex)
         pattern, k0 = normalize_to_admissible(sampler)
         time_shift_s = -k0 / f
     else:
@@ -340,7 +339,7 @@ def estimate(y, sampler, f: float | None = None, config: EstimationConfig | None
             moduli=np.empty(0),
             newton_ok=np.empty(0, dtype=bool),
         )
-    fit = recover_amplitudes(y, pattern, peaks.freqs_hz, f)
+    fit = recover_amplitudes(spec.y, pattern, peaks.freqs_hz, f)
     amps = fit.amps
     if time_shift_s != 0.0:
         amps = amps * np.exp(2j * np.pi * time_shift_s * peaks.freqs_hz)

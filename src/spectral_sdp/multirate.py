@@ -20,7 +20,7 @@ from math import gcd, log
 
 import numpy as np
 
-from .errors import InvalidInputError, InvariantViolationError, as_fraction, as_integer, as_real
+from .errors import InvalidInputError, InvariantViolationError, as_array, as_fraction, as_integer, as_real
 from .sampling import SelectionPattern
 from .signal_model import SpikeSpectrum, torus_separation
 
@@ -135,7 +135,7 @@ def common_grid(system: MultirateSystem) -> CommonGrid:
         f0=f0,
         gamma0=gamma0,
         expansions=tuple(zip(l_all, a_all)),
-        observation_set=SelectionPattern(indices=tuple(indices.tolist()), ambient=n0),
+        observation_set=SelectionPattern(indices=indices, ambient=n0),
         slots=tuple(tuple(s.tolist()) for s in np.split(slots, np.cumsum(lengths)[:-1])),
     )
 
@@ -151,12 +151,10 @@ def align_measurements(per_grid_samples, cg: CommonGrid) -> np.ndarray:
         raise InvalidInputError(
             f"expected {len(cg.slots)} sample vectors, got {len(per_grid_samples)}"
         )
-    samples = [np.asarray(v, dtype=complex) for v in per_grid_samples]
+    samples = [as_array(v, f"grid {j} samples", complex) for j, v in enumerate(per_grid_samples)]
     for j, (slots, v) in enumerate(zip(cg.slots, samples)):
         if v.shape != (len(slots),):
-            raise InvalidInputError(
-                f"grid {j} expects {len(slots)} samples, got shape {v.shape}"
-            )
+            raise InvalidInputError(f"grid {j} expects {len(slots)} samples, got shape {v.shape}")
     slots = np.concatenate(cg.slots)
     y = np.zeros(cg.m, dtype=complex)
     np.add.at(y, slots, np.concatenate(samples))
@@ -173,8 +171,7 @@ def _separation_ok(spec: SpikeSpectrum, f: Fraction, n: int) -> bool:
         return True
     if n < 2:
         return False
-    reduced = np.mod(spec.freqs / float(f), 1.0)
-    return torus_separation(reduced) >= 2.52 / (n - 1)
+    return torus_separation(spec.freqs / float(f)) >= 2.52 / (n - 1)
 
 
 def check_strong_condition(system: MultirateSystem, spec: SpikeSpectrum) -> bool:

@@ -263,7 +263,7 @@ def brute_force_partition(pattern: SelectionPattern) -> PartitionStructure:
         cols=np.concatenate(cols),
         starts=np.cumsum(sizes) - sizes,
         sizes=sizes,
-        m=m,
+        indices=np.subtract(pattern.indices, pattern.indices[0]),
     )
 
 

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, as_integer, as_real
+from .errors import InvalidInputError, as_array, as_integer, as_real
 
 _MAX_DRAWS = 1000  # empty draws before random_selection rejects its keep probability
 
@@ -26,17 +26,19 @@ class SelectionPattern:
     ambient: int
 
     def __post_init__(self):
-        idx = tuple(as_integer(i, "index") for i in self.indices)
+        idx = as_array(self.indices, "indices", np.int64)
         object.__setattr__(self, "ambient", as_integer(self.ambient, "ambient length"))
-        if len(idx) == 0:
+        if idx.ndim != 1:
+            raise InvalidInputError(f"indices must be 1-d, got shape {idx.shape}")
+        if idx.size == 0:
             raise InvalidInputError("selection pattern must be nonempty")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        if np.any(idx[1:] <= idx[:-1]):
             raise InvalidInputError("indices must be strictly increasing")
         if idx[0] < 0 or idx[-1] >= self.ambient:
             raise InvalidInputError(
                 f"indices must lie in [0, {self.ambient - 1}], got {idx[0]}..{idx[-1]}"
             )
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", tuple(idx.tolist()))
 
     @property
     def m(self) -> int:
@@ -54,6 +56,7 @@ class PartitionStructure:
     ``sizes[g]`` entries. The groups cover each unordered pair exactly
     once, diagonal included, so there are m(m+1)/2 entries. Lag 0 is the
     diagonal and comes first; every later entry is off-diagonal.
+    ``indices`` holds the kept indices less the first, ``I[j] - I[0]``.
     """
 
     positive_lags: tuple
@@ -61,20 +64,15 @@ class PartitionStructure:
     cols: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
-    m: int
+    indices: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.indices.size
 
     @property
     def p(self) -> int:
         return len(self.positive_lags)
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        """The kept indices less the first one: the lag of each pair
-        ``(0, j)`` is ``I[j] - I[0]``."""
-        first = self.rows == 0
-        out = np.empty(self.m, dtype=np.int64)
-        out[self.cols[first]] = np.repeat(self.positive_lags, self.sizes)[first]
-        return out
 
     @cached_property
     def delta(self) -> np.ndarray:
@@ -115,7 +113,7 @@ def compute_partition(pattern: SelectionPattern) -> PartitionStructure:
         cols=cols[order],
         starts=starts,
         sizes=sizes,
-        m=idx.size,
+        indices=idx - idx[0],
     )
 
 
@@ -133,7 +131,7 @@ def random_selection(n: int, p: float, seed: int) -> SelectionPattern:
     for _ in range(_MAX_DRAWS):
         keep = np.flatnonzero(rng.random(n) < p)
         if keep.size:
-            return SelectionPattern(indices=tuple(int(i) for i in keep), ambient=n)
+            return SelectionPattern(indices=keep, ambient=n)
     raise InvalidInputError(
         f"keep probability {p} kept none of {n} indices in {_MAX_DRAWS} draws"
     )
@@ -144,6 +142,6 @@ def normalize_to_admissible(pattern: SelectionPattern) -> tuple[SelectionPattern
     k0 = pattern.indices[0]
     if k0 == 0:
         return pattern, 0
-    shifted = tuple(i - k0 for i in pattern.indices)
+    shifted = np.subtract(pattern.indices, k0)
     return SelectionPattern(indices=shifted, ambient=pattern.ambient), k0
 

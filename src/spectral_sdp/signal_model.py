@@ -36,8 +36,6 @@ class SpikeSpectrum:
             raise InvalidInputError("freqs must be a nonempty 1-d array")
         if amps.shape != freqs.shape:
             raise InvalidInputError("freqs and amps must have equal length")
-        if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(amps))):
-            raise InvalidInputError("freqs and amps must be finite")
         if np.any(np.diff(freqs) <= 0):
             raise InvalidInputError("freqs must be strictly increasing")
         if np.any(amps == 0):
@@ -78,10 +76,7 @@ def synthesize_grid(spec: SpikeSpectrum, grid) -> np.ndarray:
     rate and delay are converted to float here.
     """
     f = float(grid.f)
-    gamma = float(grid.gamma)
-    if f <= 0:
-        raise InvalidInputError(f"sampling frequency must be positive, got {f}")
-    k = np.arange(grid.n) - gamma
+    k = np.arange(grid.n) - float(grid.gamma)
     phases = np.exp(2j * np.pi * np.outer(k, spec.freqs / f))
     return phases @ spec.amps
 
@@ -91,7 +86,7 @@ def torus_separation(reduced_freqs: np.ndarray) -> float:
 
     Needs at least two points; coinciding points give separation 0.
     """
-    pts = np.sort(np.mod(np.asarray(reduced_freqs, dtype=float), 1.0))
+    pts = np.sort(np.mod(as_array(reduced_freqs, "reduced frequencies", float), 1.0))
     if pts.size < 2:
         raise InvalidInputError("torus separation needs at least 2 points")
     gaps = np.diff(pts)
@@ -105,10 +100,10 @@ def add_noise(y: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     Real and imaginary parts are each N(0, sigma^2 / 2). Deterministic for
     a fixed seed (generator: PCG64).
     """
-    y = np.asarray(y, dtype=complex)
+    y = as_array(y, "y", complex)
     if noise.sigma == 0:
         return y.copy()
     rng = np.random.default_rng(noise.seed)
     scale = noise.sigma / np.sqrt(2.0)
-    w = rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
+    w = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
     return y + scale * w

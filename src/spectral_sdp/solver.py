@@ -97,7 +97,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, as_integer, as_real
+from .errors import InvalidInputError, NumericalError, as_array, as_integer, as_real
 from .sampling import (
     PartitionStructure,
     SelectionPattern,
@@ -134,13 +134,9 @@ class ProblemSpec:
         object.__setattr__(self, "tol_primal", as_real(self.tol_primal, "tol_primal", "[0, inf)"))
         object.__setattr__(self, "tol_gap", as_real(self.tol_gap, "tol_gap", "[0, 1)"))
         object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter", least=1))
-        y = np.asarray(self.y, dtype=complex)
+        y = as_array(self.y, "y", complex)
         if y.ndim != 1 or y.size != self.partition.m:
-            raise InvalidInputError(
-                f"y must have length {self.partition.m}, got shape {y.shape}"
-            )
-        if not np.all(np.isfinite(y)):
-            raise InvalidInputError("y must be finite")
+            raise InvalidInputError(f"y must have length {self.partition.m}, got shape {y.shape}")
         object.__setattr__(self, "y", y)
 
     @property

@@ -238,22 +238,22 @@ class TestVerifyCertificate:
             verify_certificate(np.ones(16, dtype=complex) / 16, sig, 1.0, tol=tol)
 
     @pytest.mark.parametrize(
-        "q, shape",
+        "q, message",
         [
-            ([], "(0,)"),
-            (np.ones((4, 4)) / 16, "(4, 4)"),
-            ([0.1, np.nan], "(2,)"),
-            ([0.1, -np.inf], "(2,)"),
+            ([], "q must be a finite, nonempty 1-d array, got shape (0,)"),
+            (np.ones((4, 4)) / 16, "q must be a finite, nonempty 1-d array, got shape (4, 4)"),
+            ([0.1, np.nan], "q must have finite entries, got nan"),
+            ([0.1, -np.inf], "q must have finite entries, got -inf"),
         ],
         ids=["empty", "2-d", "nan", "inf"],
     )
-    def test_malformed_dual_polynomial_rejected(self, q, shape):
+    def test_malformed_dual_polynomial_rejected(self, q, message):
         # Unchecked, these divide by zero sizing the balls, read a 2-d grid,
         # report a NaN margin, or overflow in the grid transform.
         sig = SpikeSpectrum(freqs=np.array([0.1]), amps=np.array([1.0]))
         with pytest.raises(InvalidInputError) as info:
             verify_certificate(q, sig, 1.0)
-        assert str(info.value) == f"q must be a finite, nonempty 1-d array, got shape {shape}"
+        assert str(info.value) == message
 
     def test_boolean_dual_polynomial_rejected(self):
         sig = SpikeSpectrum(freqs=np.array([0.1]), amps=np.array([1.0]))

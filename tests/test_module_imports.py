@@ -9,7 +9,12 @@ module reads outside numbers through its ``as_integer``, ``as_real`` and
 ``isinstance``. The interval ``within`` that a module gives ``as_real``
 is a string literal written as the message prints it, like ``"[0, 1)"``.
 Every module-level UPPER_CASE constant is read somewhere in the package
-besides its assignment.
+besides its assignment. And the pipeline's modules read every array a
+caller hands them through ``errors.as_array``: in ``localization``,
+``solver``, ``sampling``, ``multirate`` and ``signal_model`` no public
+function passes one of its parameters, as is, to ``np.asarray``,
+``np.array`` or ``np.asanyarray``, and no ``__post_init__`` passes one of
+its fields (``self.<field>``).
 """
 
 import ast
@@ -97,6 +102,44 @@ def _bad_intervals(module: str, tree: ast.AST) -> list[str]:
     ]
 
 
+_ARRAY_CASTS = ("asarray", "array", "asanyarray")
+_PIPELINE = ("localization", "solver", "sampling", "multirate", "signal_model")
+
+
+def _outside(fn: ast.FunctionDef):
+    """A test for the expressions that hold an outside array in ``fn``: its
+    fields in a ``__post_init__``, its parameters in a public function."""
+    if fn.name == "__post_init__":
+        return lambda arg: isinstance(arg, ast.Attribute) and getattr(arg.value, "id", None) == "self"
+    if fn.name.startswith("_"):
+        return lambda arg: False
+    a = fn.args
+    params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p}
+    return lambda arg: isinstance(arg, ast.Name) and arg.id in params
+
+
+def _raw_array_reads(module: str, tree: ast.AST) -> list[str]:
+    """The calls of ``np.asarray``, ``np.array`` or ``np.asanyarray`` in
+    pipeline module ``module`` that read an outside array past
+    ``errors.as_array``."""
+    if module not in _PIPELINE:
+        return []
+    bad = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        outside = _outside(fn)
+        bad += [
+            f"{module}:{node.lineno} passes {ast.unparse(node.args[0])} to {ast.unparse(node.func)}"
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in _ARRAY_CASTS
+            and node.args
+            and outside(node.args[0])
+        ]
+    return bad
+
+
 def test_no_module_imports_scipy_or_the_oracles():
     modules = {path.stem: path for path in SOURCE.glob("*.py")}
     assert {"__init__", "oracles", "solver"} <= set(modules)
@@ -129,6 +172,52 @@ def test_the_bool_check_catches_each_form(source):
     assert _bool_checks("cli", ast.parse(source))
     assert not _bool_checks("errors", ast.parse(source))
     assert not _bool_checks("cli", ast.parse(source.replace("bool", "float")))
+
+
+def test_the_pipeline_reads_outside_arrays_through_as_array():
+    modules = {path.stem: path for path in SOURCE.glob("*.py")}
+    assert set(_PIPELINE) <= set(modules)
+    bad = []
+    for module in _PIPELINE:
+        bad += _raw_array_reads(module, ast.parse(modules[module].read_text(encoding="utf-8")))
+    assert not bad, bad
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f(y):\n    return np.asarray(y, dtype=complex)",
+        "def f(pattern, c):\n    return numpy.array(c)",
+        "def f(*, q):\n    return np.asanyarray(q)",
+        "def f(*points):\n    return np.asarray(points)",
+        "def f(y):\n    return [np.asarray(y) for _ in range(2)]",
+        "def f(y):\n    from numpy import asarray\n    return asarray(y)",
+        "class A:\n    def __post_init__(self):\n        self.y = np.asarray(self.y)",
+        "class A:\n    def __post_init__(self):\n        np.array(self.indices, dtype=int)",
+    ],
+)
+def test_the_array_read_check_catches_each_form(source):
+    assert _raw_array_reads("sampling", ast.parse(source))
+    assert not _raw_array_reads("trigops", ast.parse(source))
+    private = source.replace("def f", "def _f").replace("__post_init__", "method")
+    assert not _raw_array_reads("sampling", ast.parse(private))
+    for cast in _ARRAY_CASTS:
+        source = source.replace(f"{cast}(", "as_array(")
+    assert not _raw_array_reads("sampling", ast.parse(source))
+
+
+def test_the_array_read_check_passes_what_is_not_an_outside_array():
+    source = (
+        "def f(pattern, y):\n"
+        "    z = np.asarray(pattern.indices)\n"
+        "    return np.array([y]), np.asarray(z)\n"
+        "class A:\n"
+        "    def __post_init__(self):\n"
+        "        np.asarray(x)\n"
+        "    def method(self):\n"
+        "        return np.asarray(self.y)\n"
+    )
+    assert not _raw_array_reads("sampling", ast.parse(source))
 
 
 def test_every_range_is_a_literal_interval():

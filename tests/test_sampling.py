@@ -9,20 +9,27 @@ from spectral_sdp import (
     EstimationConfig,
     Grid,
     InvalidInputError,
+    MultirateSystem,
     NoiseSpec,
     ProblemSpec,
     SelectionPattern,
     SpikeSpectrum,
+    add_noise,
+    align_measurements,
     assemble_problem,
+    common_grid,
     compute_partition,
+    dual_polynomial,
     estimate,
     locate_frequencies,
     random_bound_report,
     random_selection,
     recover_amplitudes,
     synthesize_uniform,
+    torus_separation,
     verify_certificate,
 )
+from spectral_sdp.errors import as_array
 from spectral_sdp.oracles import (
     apply_subsampling,
     blocks,
@@ -145,7 +152,7 @@ class TestComputePartition:
                 block_sum = sum(s[i - 1, j - 1] for i, j in part_blocks.get(k, []))
                 assert abs(out[k] - block_sum) < 1e-12
 
-    def test_indices_are_read_off_the_pairs_of_row_zero(self):
+    def test_indices_are_the_kept_indices_less_the_first(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             pat = random_pattern(rng, int(rng.integers(1, 24)))
@@ -405,3 +412,89 @@ class TestRealInputs:
             _Q, _SPIKE, 1.0, tol=1.0
         ).is_certificate
         assert random_bound_report(64, 64, 1, np.float32(0.1), 1) is True
+
+
+_GRID4 = common_grid(MultirateSystem(grids=(Grid(f=1, gamma=0, n=4),)))
+
+# Every public array input: (label, call with an array holding the value
+# last, the name it is reported under). Each is read by errors.as_array:
+# no bool, and every entry finite.
+_ARRAY_INPUTS = [
+    ("spec-y", lambda v: ProblemSpec([1.0, 1.0, 1.0, v], compute_partition(_FULL4)), "y"),
+    ("dual-c", lambda v: dual_polynomial([0.25, 0.25, 0.25, v], _FULL4), "c"),
+    ("locate-q", lambda v: locate_frequencies([0.25, 0.25, 0.25, v], 1.0), "q"),
+    ("amplitudes-y", lambda v: recover_amplitudes([1.0, 1.0, 1.0, v], _FULL4, [0.1], 1.0), "y"),
+    ("amplitudes-freqs", lambda v: recover_amplitudes(np.ones(4), _FULL4, [0.1, v], 1.0), "freqs"),
+    ("align-samples", lambda v: align_measurements([[1.0, 1.0, 1.0, v]], _GRID4), "grid 0 samples"),
+    ("noise-y", lambda v: add_noise([1.0, 1.0, 1.0, v], NoiseSpec(sigma=0.1)), "y"),
+    ("separation", lambda v: torus_separation([0.1, 0.5, v]), "reduced frequencies"),
+]
+
+
+class TestArrayInputs:
+    # One rule for every outside array, errors.as_array: a bool entry is no
+    # number ([0.1, True] must not read as [0.1, 1.0]), and a NaN or an
+    # infinite entry is rejected naming the argument and the entry.
+    @pytest.mark.parametrize(
+        "call, value, message",
+        [
+            pytest.param(call, value, message, id=f"{label}-{kind}")
+            for label, call, name in _ARRAY_INPUTS
+            for kind, value, message in (
+                ("bool", True, rf"^{name} must be an array of numbers, got "),
+                ("nan", np.nan, rf"^{name} must have finite entries, got nan$"),
+                ("inf", np.inf, rf"^{name} must have finite entries, got inf$"),
+            )
+        ],
+    )
+    def test_rejects_a_bool_or_non_finite_entry_naming_the_argument(self, call, value, message):
+        with pytest.raises(InvalidInputError, match=message):
+            call(value)
+
+    def test_noise_takes_the_shape_of_the_samples(self):
+        y = np.arange(6, dtype=complex).reshape(2, 3)
+        noisy = add_noise(y, NoiseSpec(sigma=1.0, seed=3))
+        assert noisy.shape == (2, 3)
+        assert np.array_equal(noisy.ravel(), add_noise(y.ravel(), NoiseSpec(sigma=1.0, seed=3)))
+
+    @pytest.mark.parametrize("max_peaks", [True, 2.5, -1])
+    def test_max_peaks_is_a_nonnegative_integer(self, max_peaks):
+        with pytest.raises(InvalidInputError, match="^max_peaks must be"):
+            locate_frequencies(_Q, 1.0, max_peaks=max_peaks)
+
+    def test_an_array_of_bools_is_rejected_by_its_dtype(self):
+        with pytest.raises(InvalidInputError, match="^x must be an array of numbers"):
+            as_array(np.zeros(3, dtype=bool), "x", float)
+
+    def test_an_integer_read_takes_integral_floats_only(self):
+        out = as_array(np.array([0.0, 2.0, 5.0]), "x", np.int64)
+        assert out.dtype == np.int64 and out.tolist() == [0, 2, 5]
+        with pytest.raises(InvalidInputError, match=r"^x must have integer entries, got 1.5$"):
+            as_array([0.0, 1.5], "x", np.int64)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: SpikeSpectrum(freqs=np.array([0.1 + 0.5j]), amps=[1.0]),
+            lambda: torus_separation(np.array([0.1, 0.5 + 0j])),
+            lambda: SelectionPattern(indices=[0, 1 + 0j], ambient=4),
+        ],
+        ids=["spike-freqs", "separation", "indices"],
+    )
+    def test_a_complex_entry_is_no_real(self, call):
+        # np.asarray would drop the imaginary part with only a warning.
+        with pytest.raises(InvalidInputError, match="must be an array of numbers"):
+            call()
+
+    def test_a_numeric_array_of_the_dtype_is_not_copied(self):
+        y = np.ones(4, dtype=complex)
+        assert as_array(y, "y", complex) is y
+
+    @pytest.mark.parametrize(
+        "indices",
+        [np.array([0, 2, 5], dtype=np.int32), (0, 2, 5), [0.0, 2.0, 5.0], np.array([0.0, 2.0, 5.0])],
+        ids=["int32", "tuple", "float-list", "float-array"],
+    )
+    def test_a_pattern_holds_python_ints_however_its_indices_come(self, indices):
+        pat = SelectionPattern(indices=indices, ambient=6)
+        assert pat.indices == (0, 2, 5) and all(type(i) is int for i in pat.indices)
